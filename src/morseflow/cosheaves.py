@@ -143,39 +143,30 @@ def cosheaf_homology(c: Complex, signs, F: Cosheaf):
 
 
 def cosheaf_chain_complex(c: Complex, signs, F: Cosheaf) -> ChainComplex:
+    """One generator per cell and stalk basis vector; blocks are signed extension maps."""
     ring = F.ring
-    top = max(c.top_dim, 0)
-    gens = {d: c.cells_of_dim(d) for d in range(top + 1)}
-    offsets = {}
-    ranks = []
-    for d in range(top + 1):
-        off = {}
-        total = 0
-        for cid in gens[d]:
-            off[cid] = total
-            total += F.stalk(cid)
-        offsets[d] = off
-        ranks.append(total)
-    boundaries = {}
-    for d in range(1, top + 1):
-        rows = [[ring.zero] * ranks[d] for _ in range(ranks[d - 1])]
-        for x in gens[d]:
-            for y in c.cover_faces[x]:
-                block = F.cover_map(x, y)
-                s = signs(x, y)
-                for i in range(block.rows):
-                    for j in range(block.cols):
-                        rows[offsets[d - 1][y] + i][offsets[d][x] + j] = ring.mul(
-                            ring.normalize(s), block[i, j]
-                        )
-        boundaries[d] = Mat.from_rows(rows) if ranks[d - 1] else Mat.zeros(0, ranks[d])
-    labels = tuple(
-        tuple(f"{cid}[{k}]" for cid in gens[d] for k in range(F.stalk(cid)))
-        for d in range(top + 1)
-    )
-    cc = ChainComplex(ring, tuple(ranks), boundaries, labels=labels)
+
+    def faces(g):
+        x, j = g
+        for y in c.cover_faces[x]:
+            block = F.cover_map(x, y)
+            s = signs(x, y)
+            for i in range(block.rows):
+                yield (y, i), ring.mul(s, block[i, j])
+
+    cells = [c.cells_of_dim(d) for d in range(max(c.top_dim, 0) + 1)]
+    cc = ChainComplex.from_faces(ring, _stalk_generators(F, cells), faces, label=_stalk_label)
     cc.check_boundary_squares_to_zero()
     return cc
+
+
+def _stalk_generators(F: Cosheaf, cells) -> list:
+    """Per degree, one (cell, k) generator per stalk basis vector of ``cells[d]``."""
+    return [[(cid, k) for cid in level for k in range(F.stalk(cid))] for level in cells]
+
+
+def _stalk_label(g) -> str:
+    return f"{g[0]}[{g[1]}]"
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +206,9 @@ def morse_chain_complex(c: Complex, signs, F: Cosheaf, m: Matching) -> MorseComp
     The block from a critical cell to a critical face is the sum over the
     cell's faces of the cover sign times the transported map; transport
     through a matched cell inverts its matched extension and fans out over
-    the other faces of the partner.  Acyclicity makes the recursion finite.
+    the other faces of the partner.  Acyclicity makes the gradient paths a
+    DAG, and transport is computed over it iteratively, so path length is
+    not limited by the interpreter's recursion depth.
     """
     if m.kind != "classical":
         raise ValueError("Morse compression requires a classical matching")
@@ -228,80 +221,61 @@ def morse_chain_complex(c: Complex, signs, F: Cosheaf, m: Matching) -> MorseComp
     partner = {l: u for u, l in m.pairs}  # lower -> upper
     matched = set(partner) | set(partner.values())
     critical = [cid for cid in c.ids() if cid not in matched]
+    inverse = {}  # lower -> inverse of its matched extension
     for u, l in m.pairs:
-        if not ring_invertible(F.cover_map(u, l), ring):
-            raise NotInvertible(f"matched extension {u}>{l} is not invertible over {ring.name}")
+        try:
+            inverse[l] = mat_inverse(F.cover_map(u, l), ring)
+        except NotInvertible:
+            raise NotInvertible(f"matched extension {u}>{l} is not invertible over {ring.name}") from None
 
-    memo = {}
+    flow: dict = {}  # cell -> {critical cell reached by a gradient path: Mat stalk(cell) -> stalk(critical)}
 
-    def transport_to(y: str, m_tgt: str) -> Mat | None:
-        """Map stalk(y) -> stalk(m_tgt) summing all gradient paths, or None if zero."""
-        if y == m_tgt:
-            return Mat.identity(F.stalk(y), ring.one, ring.zero)
-        if y not in partner:
-            return None  # critical (but not the target) or matched upper: flow stops
-        key = (y, m_tgt)
-        if key in memo:
-            return memo[key]
-        u = partner[y]
-        inv = mat_inverse(F.cover_map(u, y), ring)
-        total = None
-        for y2 in c.cover_faces[u]:
-            if y2 == y:
+    def flow_from(y0: str) -> dict:
+        """Transport from y0 to the critical cells of its dimension, summed over gradient paths."""
+        stack = [y0]
+        while stack:
+            y = stack[-1]
+            if y in flow:
+                stack.pop()
                 continue
-            tail = transport_to(y2, m_tgt)
-            if tail is None:
+            if y not in partner:  # critical: the path ends; matched upper: the flow stops
+                flow[y] = {} if y in matched else {y: Mat.identity(F.stalk(y), ring.one, ring.zero)}
+                stack.pop()
                 continue
-            step = tail.mul(F.cover_map(u, y2), ring).mul(inv, ring)
-            step = step.scale(ring.normalize(-signs(u, y) * signs(u, y2)), ring)
-            total = step if total is None else total.add(step, ring)
-        memo[key] = total
-        return total
-
-    top = max(c.top_dim, 0)
-    gens = {d: [cid for cid in c.cells_of_dim(d) if cid in critical] for d in range(top + 1)}
-    offsets = {}
-    ranks = []
-    for d in range(top + 1):
-        off = {}
-        total = 0
-        for cid in gens[d]:
-            off[cid] = total
-            total += F.stalk(cid)
-        offsets[d] = off
-        ranks.append(total)
-    boundaries = {}
-    for d in range(1, top + 1):
-        rows = [[ring.zero] * ranks[d] for _ in range(ranks[d - 1])]
-        for x in gens[d]:
-            for tgt in gens[d - 1]:
-                block = None
-                for y in c.cover_faces[x]:
-                    t = transport_to(y, tgt)
-                    if t is None:
-                        continue
-                    piece = t.mul(F.cover_map(x, y), ring).scale(ring.normalize(signs(x, y)), ring)
-                    block = piece if block is None else block.add(piece, ring)
-                if block is None:
+            u = partner[y]
+            pending = [y2 for y2 in c.cover_faces[u] if y2 != y and y2 not in flow]
+            if pending:
+                stack.extend(pending)
+                continue
+            total: dict = {}
+            for y2 in c.cover_faces[u]:
+                if y2 == y:
                     continue
-                for i in range(block.rows):
-                    for j in range(block.cols):
-                        rows[offsets[d - 1][tgt] + i][offsets[d][x] + j] = block[i, j]
-        boundaries[d] = Mat.from_rows(rows) if ranks[d - 1] else Mat.zeros(0, ranks[d])
-    labels = tuple(
-        tuple(f"{cid}[{k}]" for cid in gens[d] for k in range(F.stalk(cid)))
-        for d in range(top + 1)
-    )
-    cc = ChainComplex(ring, tuple(ranks), boundaries, labels=labels)
+                scalar = ring.normalize(-signs(u, y) * signs(u, y2))
+                for tgt, tail in flow[y2].items():
+                    step = tail.mul(F.cover_map(u, y2), ring).mul(inverse[y], ring).scale(scalar, ring)
+                    total[tgt] = step.add(total[tgt], ring) if tgt in total else step
+            flow[y] = total
+            stack.pop()
+        return flow[y0]
+
+    blocks = {}  # critical cell -> {critical face: Mat}
+    for x in critical:
+        out: dict = {}
+        for y in c.cover_faces[x]:
+            scalar = ring.normalize(signs(x, y))
+            for tgt, t in flow_from(y).items():
+                piece = t.mul(F.cover_map(x, y), ring).scale(scalar, ring)
+                out[tgt] = piece.add(out[tgt], ring) if tgt in out else piece
+        blocks[x] = out
+
+    def faces(g):
+        x, j = g
+        for tgt, block in blocks[x].items():
+            for i in range(block.rows):
+                yield (tgt, i), block[i, j]
+
+    cells = [[cid for cid in c.cells_of_dim(d) if cid not in matched] for d in range(max(c.top_dim, 0) + 1)]
+    cc = ChainComplex.from_faces(ring, _stalk_generators(F, cells), faces, label=_stalk_label)
     cc.check_boundary_squares_to_zero()
-    return MorseComplex(cc, tuple(tuple(gens[d]) for d in range(top + 1)))
-
-
-def ring_invertible(mat: Mat, ring: Ring) -> bool:
-    if mat.rows != mat.cols:
-        return False
-    try:
-        mat_inverse(mat, ring)
-        return True
-    except NotInvertible:
-        return False
+    return MorseComplex(cc, tuple(map(tuple, cells)))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import Mat, Ring, rank_over_field
+from .rings import ZZ, Mat, Ring, SparseMat, eliminate_units, rank_over_field, to_sparse
 
 
 class NotAComplex(Exception):
@@ -135,56 +135,14 @@ def smith_normal_form(m: Mat, pivot: str = "min"):
     )
 
 
-def invariant_factors(m: Mat) -> list[int]:
+def invariant_factors(m) -> list[int]:
     """Nonzero diagonal entries of the Smith form, in divisibility order.
 
-    Unit pivots are eliminated with a fast sparse pass first; incidence-style
-    matrices reduce almost entirely this way and only a small core ever
-    reaches the dense routine.
+    Unit pivots are eliminated sparsely first; incidence-style matrices
+    reduce almost entirely this way and only a small core without unit
+    entries ever reaches the dense routine.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for i, row in enumerate(m.data):
-        for j, x in enumerate(row):
-            if x:
-                rows.setdefault(i, {})[j] = int(x)
-                cols.setdefault(j, set()).add(i)
-    units = 0
-    while True:
-        loc = None
-        for i, row in rows.items():
-            for j, x in row.items():
-                if x in (1, -1):
-                    loc = (i, j, x)
-                    break
-            if loc:
-                break
-        if not loc:
-            break
-        pi, pj, pv = loc
-        prow = rows.pop(pi)
-        for j in prow:
-            cols[j].discard(pi)
-        for i in list(cols.get(pj, ())):
-            row = rows[i]
-            f = row[pj] * pv  # pv is its own inverse
-            for j, x in prow.items():
-                nx = row.get(j, 0) - f * x
-                if nx:
-                    row[j] = nx
-                    cols.setdefault(j, set()).add(i)
-                else:
-                    row.pop(j, None)
-                    cols.get(j, set()).discard(i)
-            if not row:
-                del rows[i]
-        cols.pop(pj, None)
-        units += 1
-    live_rows = sorted(rows)
-    live_cols = sorted({j for row in rows.values() for j in row})
-    core = Mat.from_rows(
-        [[rows[i].get(j, 0) for j in live_cols] for i in live_rows]
-    ) if live_rows else Mat(0, 0, ())
+    units, core = eliminate_units(m, ZZ)
     factors = [1] * units
     if core.rows and core.cols:
         _, d, _ = smith_normal_form(core)
@@ -204,11 +162,15 @@ def integer_rank(m: Mat) -> int:
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Free chain complex: ranks per degree and boundaries d_n: C_n -> C_(n-1)."""
+    """Free chain complex: ranks per degree and boundaries d_n: C_n -> C_(n-1).
+
+    Boundaries are stored as ``SparseMat``; a dense ``Mat`` given by the
+    caller is converted on construction.
+    """
 
     ring: Ring
     ranks: tuple[int, ...]
-    boundaries: dict  # degree n >= 1 -> Mat of shape ranks[n-1] x ranks[n]
+    boundaries: dict  # degree n >= 1 -> SparseMat of shape ranks[n-1] x ranks[n]
     labels: tuple = ()  # optional generator names per degree, for reports
 
     def __post_init__(self):
@@ -220,22 +182,52 @@ class ChainComplex:
                     f"d_{n} has shape {d.rows}x{d.cols}, expected "
                     f"{self.ranks[n - 1]}x{self.ranks[n]}"
                 )
+        sparse = {n: to_sparse(d, self.ring) for n, d in self.boundaries.items()}
+        object.__setattr__(self, "boundaries", sparse)
+
+    @staticmethod
+    def from_faces(ring: Ring, gens, faces, label=str) -> "ChainComplex":
+        """Assemble a complex from generators and their boundary faces.
+
+        ``gens[d]`` lists the generators of degree d; ``faces(g)`` yields the
+        ``(face, coefficient)`` pairs of the boundary of a generator g of
+        positive degree, each face a generator one degree lower.  Repeated
+        faces add up and zero sums are dropped.  ``label(g)`` names g in
+        ``labels``.
+        """
+        index = [{g: i for i, g in enumerate(level)} for level in gens]
+        boundaries = {}
+        for d in range(1, len(gens)):
+            columns = []
+            for g in gens[d]:
+                acc: dict = {}
+                for face, coeff in faces(g):
+                    i = index[d - 1][face]
+                    acc[i] = ring.add(acc[i], coeff) if i in acc else ring.normalize(coeff)
+                columns.append(tuple((i, x) for i, x in sorted(acc.items()) if x))
+            boundaries[d] = SparseMat(len(gens[d - 1]), len(gens[d]), tuple(columns))
+        return ChainComplex(
+            ring,
+            tuple(len(level) for level in gens),
+            boundaries,
+            labels=tuple(tuple(label(g) for g in level) for level in gens),
+        )
 
     @property
     def top(self) -> int:
         return len(self.ranks) - 1
 
-    def boundary(self, n: int) -> Mat:
+    def boundary(self, n: int) -> SparseMat:
         if 1 <= n <= self.top and n in self.boundaries:
             return self.boundaries[n]
         rows = self.ranks[n - 1] if 1 <= n <= self.top else 0
         cols = self.ranks[n] if 0 <= n <= self.top else 0
-        return Mat.zeros(rows, cols, self.ring.zero)
+        return SparseMat.zeros(rows, cols)
 
     def check_boundary_squares_to_zero(self):
         for n in range(2, self.top + 1):
             prod = self.boundary(n - 1).mul(self.boundary(n), self.ring)
-            if not prod.is_zero(self.ring):
+            if any(prod.columns):
                 raise NotAComplex(f"d_{n-1} o d_{n} != 0")
 
 
@@ -273,7 +265,7 @@ def homology(cc: ChainComplex) -> HomologySummary:
     ring = cc.ring
     top = cc.top
     if ring.is_field():
-        ranks = {n: rank_over_field(cc.boundary(n).normalized(ring), ring) for n in range(1, top + 1)}
+        ranks = {n: rank_over_field(cc.boundary(n), ring) for n in range(1, top + 1)}
         groups = []
         for n in range(top + 1):
             b = cc.ranks[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)

@@ -75,11 +75,12 @@ def check_acyclic(c: Complex, m: Matching) -> ValidationReport:
     report = ValidationReport()
     partner = {l: u for u, l in m.pairs}
     lowers = sorted(partner)
-    # d -> d' whenever d is a face of the partner of d'
-    succ = {
-        d: [d2 for d2 in lowers if d2 != d and c.is_face(partner[d2], d)]
-        for d in lowers
-    }
+    # d -> d' whenever d is a face of the partner of d'; lists stay in sorted order
+    succ = {d: [] for d in lowers}
+    for d2 in lowers:
+        for d in c.strict_faces(partner[d2]):
+            if d != d2 and d in succ:
+                succ[d].append(d2)
     # iterative cycle detection with an explicit witness
     color = {d: 0 for d in lowers}  # 0 new, 1 active, 2 done
     parent = {}

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .categories import PCategory, sort_key
 from .homology import ChainComplex
-from .rings import Mat, Ring
+from .rings import Ring
 
 
 @dataclass(frozen=True)
@@ -147,23 +147,15 @@ def _poset_key(el):
 
 def normalized_chain_complex(skel: SimplicialSetSkeleton, ring: Ring) -> ChainComplex:
     """Generators are the nondegenerate simplices; degenerate faces are dropped."""
-    gens = {d: skel.nondegenerate(d) for d in range(skel.maxdim + 1)}
-    index = {d: {s: i for i, s in enumerate(gens[d])} for d in gens}
-    ranks = tuple(len(gens[d]) for d in range(skel.maxdim + 1))
-    boundaries = {}
-    for d in range(1, skel.maxdim + 1):
-        rows = [[ring.zero] * ranks[d] for _ in range(ranks[d - 1])]
-        for j, s in enumerate(gens[d]):
-            for k in range(d + 1):
-                face = s.face(k)
-                if is_degenerate(skel.cat, face):
-                    continue
-                i = index[d - 1][face]
-                coeff = ring.normalize(1 if k % 2 == 0 else -1)
-                rows[i][j] = ring.add(rows[i][j], coeff)
-        boundaries[d] = Mat.from_rows(rows) if ranks[d - 1] else Mat.zeros(0, ranks[d])
-    labels = tuple(tuple(repr(s.objects) for s in gens[d]) for d in range(skel.maxdim + 1))
-    return ChainComplex(ring, ranks, boundaries, labels=labels)
+
+    def faces(s):
+        for k in range(s.dim + 1):
+            face = s.face(k)
+            if not is_degenerate(skel.cat, face):
+                yield face, 1 if k % 2 == 0 else -1
+
+    gens = [skel.nondegenerate(d) for d in range(skel.maxdim + 1)]
+    return ChainComplex.from_faces(ring, gens, faces, label=lambda s: repr(s.objects))
 
 
 def greedy_collapses_to_point(skel: SimplicialSetSkeleton) -> bool:

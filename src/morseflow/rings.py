@@ -1,4 +1,4 @@
-"""Exact coefficient rings and small dense matrices.
+"""Exact coefficient rings, small dense matrices and sparse elimination.
 
 Everything is computed with arbitrary-precision integers, exact rationals
 or prime-field residues; there is no floating point anywhere in the package.
@@ -6,6 +6,7 @@ or prime-field residues; there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,9 +121,40 @@ class RationalField(Ring):
         return True
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below this bound,
+# psi_13 (Sorenson and Webster, 2015; OEIS A014233). Twelve bases are not
+# enough: psi_12 = 318665857834031151167461 is a strong pseudoprime to 2..37.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < _MR_EXACT_BELOW."""
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(Ring):
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= _MR_EXACT_BELOW:
+            raise ValueError(f"{p} is too large to certify as prime (limit {_MR_EXACT_BELOW})")
+        if p < 2 or not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"Fp:{p}"
@@ -223,9 +255,6 @@ class Mat:
             tuple(tuple(ring.mul(c, x) for x in row) for row in self.data),
         )
 
-    def is_zero(self, ring: Ring) -> bool:
-        return all(ring.is_zero(x) for row in self.data for x in row)
-
     def normalized(self, ring: Ring) -> "Mat":
         return Mat(
             self.rows,
@@ -266,26 +295,138 @@ def mat_inverse(m: Mat, ring: Ring) -> Mat:
     return Mat(n, n, rows)
 
 
-def rank_over_field(m: Mat, ring: Ring) -> int:
-    """Rank by Gaussian elimination with exact field arithmetic."""
+@dataclass(frozen=True)
+class SparseMat:
+    """Immutable column-sparse matrix over a ring.
+
+    ``columns[j]`` holds the nonzero entries of column j as ``(row, coeff)``
+    pairs in increasing row order.  Entries are normalized ring elements, so
+    a coefficient is zero exactly when it is falsy.
+    """
+
+    rows: int
+    cols: int
+    columns: tuple  # tuple of column tuples of (row, coeff)
+
+    def __post_init__(self):
+        if len(self.columns) != self.cols:
+            raise ValueError("matrix columns do not match shape")
+        for col in self.columns:
+            prev = -1
+            for i, x in col:
+                if not (prev < i < self.rows) or not x:
+                    raise ValueError("column entries must be nonzero, in range and in row order")
+                prev = i
+
+    @staticmethod
+    def zeros(rows: int, cols: int) -> "SparseMat":
+        return SparseMat(rows, cols, ((),) * cols)
+
+    @property
+    def data(self) -> tuple:
+        """Dense row tuples, built on demand."""
+        dense = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col:
+                dense[i][j] = x
+        return tuple(map(tuple, dense))
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return next((x for r, x in self.columns[j] if r == i), 0)
+
+    def mul(self, other: "SparseMat", ring: Ring) -> "SparseMat":
+        """Product touching only nonzeros: each column of ``other`` combines columns of self."""
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        out = []
+        for col in other.columns:
+            acc: dict = {}
+            for k, b in col:
+                for i, a in self.columns[k]:
+                    acc[i] = ring.add(acc[i], ring.mul(a, b)) if i in acc else ring.mul(a, b)
+            out.append(tuple((i, x) for i, x in sorted(acc.items()) if x))
+        return SparseMat(self.rows, other.cols, tuple(out))
+
+
+def to_sparse(m, ring: Ring) -> SparseMat:
+    """The sparse form of a dense ``Mat`` with normalized entries; a SparseMat is returned as is."""
+    if isinstance(m, SparseMat):
+        return m
+    rows = [[ring.normalize(x) for x in row] for row in m.data]
+    columns = tuple(tuple((i, row[j]) for i, row in enumerate(rows) if row[j]) for j in range(m.cols))
+    return SparseMat(m.rows, m.cols, columns)
+
+
+def eliminate_units(m, ring: Ring):
+    """Eliminate on unit pivots only; return (number of pivots, leftover core).
+
+    Each step takes, among the columns holding a unit, one with the fewest
+    nonzeros, and within it the unit whose row has the fewest nonzeros
+    (a Markowitz-style choice that limits fill-in).  The pivot column is
+    cleared by row operations and the pivot row and column are dropped,
+    which leaves the rank and, over Z, the Smith form unchanged.  Over a
+    field every nonzero is a unit, so the core comes back empty; over Z the
+    core is a SparseMat on the surviving rows and columns with no unit
+    entry left.
+    """
+    m = to_sparse(m, ring)
+    rows: dict = {}  # row -> {col: coeff}
+    cols: dict = {}  # col -> set of rows
+    for j, col in enumerate(m.columns):
+        for i, x in col:
+            rows.setdefault(i, {})[j] = x
+            cols.setdefault(j, set()).add(i)
+    heap = [(len(s), j) for j, s in cols.items()]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        n, c = heapq.heappop(heap)
+        live = cols.get(c)
+        if live is None or len(live) != n:
+            continue  # stale entry: the column changed or was eliminated
+        units = [i for i in live if ring.is_unit(rows[i][c])]
+        if not units:
+            continue  # pushed again if a later step changes this column
+        r = min(units, key=lambda i: (len(rows[i]), i))
+        prow = rows.pop(r)
+        inv = ring.inv(prow.pop(c))
+        del cols[c]
+        live.discard(r)
+        for j in prow:
+            cols[j].discard(r)
+        for i in live:
+            row = rows[i]
+            f = ring.mul(row.pop(c), inv)
+            for j, x in prow.items():
+                nx = ring.sub(row.get(j, 0), f * x)
+                if nx:
+                    row[j] = nx
+                    cols[j].add(i)
+                else:
+                    row.pop(j, None)
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        for j in prow:
+            if cols[j]:
+                heapq.heappush(heap, (len(cols[j]), j))
+            else:
+                del cols[j]
+        pivots += 1
+    live_rows = sorted(rows)
+    live_cols = sorted(cols)
+    where = {j: k for k, j in enumerate(live_cols)}
+    columns = [[] for _ in live_cols]
+    for k, i in enumerate(live_rows):
+        for j, x in rows[i].items():
+            columns[where[j]].append((k, x))
+    core = SparseMat(len(live_rows), len(live_cols), tuple(tuple(col) for col in columns))
+    return pivots, core
+
+
+def rank_over_field(m, ring: Ring) -> int:
+    """Rank of a dense or sparse matrix by exact sparse elimination over a field."""
     if not ring.is_field():
         raise ValueError("rank_over_field requires a field")
-    rows = [list(map(ring.normalize, row)) for row in m.data]
-    rank = 0
-    col = 0
-    nrows, ncols = m.rows, m.cols
-    while rank < nrows and col < ncols:
-        piv = next((r for r in range(rank, nrows) if not ring.is_zero(rows[r][col])), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ring.inv(rows[rank][col])
-        rows[rank] = [ring.mul(inv, x) for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and not ring.is_zero(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return eliminate_units(m, ring)[0]

@@ -7,7 +7,7 @@ from itertools import combinations
 
 ACCEPTANCE_LINES: list = []  # per-criterion pass/fail lines, shown in the summary
 
-from morseflow import Cell, Complex, Matching, Mat, check_acyclic
+from morseflow import Cell, Complex, Matching, Mat, ValidationReport, check_acyclic
 from morseflow.cosheaves import Cosheaf
 from morseflow.rings import mat_inverse
 
@@ -36,6 +36,12 @@ def simplicial_to_complex(facets) -> Complex:
 RP2_FACETS = [
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
     (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+]
+
+# Boundary of the tetrahedron (a 2-sphere) and the 7-vertex torus.
+SPHERE2_FACETS = list(combinations(range(1, 5), 3))
+TORUS_FACETS = [
+    tuple(sorted((i + a) % 7 + 1 for a in t)) for i in range(7) for t in ((0, 1, 3), (0, 2, 3))
 ]
 
 
@@ -177,3 +183,58 @@ def cycle_graph_complex(n: int) -> Complex:
         covers.append((f"e{i}", f"v{i}"))
         covers.append((f"e{i}", f"v{(i + 1) % n}"))
     return Complex(cells, covers)
+
+
+def dense_rank_over_field(m: Mat, ring) -> int:
+    """Reference rank: dense Gaussian elimination, rescanning every row per pivot."""
+    rows = [list(map(ring.normalize, row)) for row in m.data]
+    rank = 0
+    col = 0
+    nrows, ncols = m.rows, m.cols
+    while rank < nrows and col < ncols:
+        piv = next((r for r in range(rank, nrows) if not ring.is_zero(rows[r][col])), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = ring.inv(rows[rank][col])
+        rows[rank] = [ring.mul(inv, x) for x in rows[rank]]
+        for r in range(nrows):
+            if r != rank and not ring.is_zero(rows[r][col]):
+                f = rows[r][col]
+                rows[r] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def validate_complex_reference(c: Complex) -> ValidationReport:
+    """Reference validation: finds diamonds by comparing every pair of cells."""
+    report = ValidationReport()
+    for u, l in sorted(c.covers):
+        drop = c.dim(u) - c.dim(l)
+        if drop != 1:
+            report.add("grading", f"cover ({u}, {l}) drops dimension by {drop}, not 1", (u, l))
+    if not report.ok:
+        return report
+    for a, b in sorted(c.reach):
+        if (b, a) in c.reach:
+            report.add("antisymmetry", f"face relation contains a cycle through {a} and {b}", (a, b))
+    for e in c.cells_of_dim(1):
+        faces = c.cover_faces[e]
+        if len(faces) != 2:
+            report.add("edge_faces", f"edge {e} has {len(faces)} vertex faces, expected 2", (e,))
+    for cell in c.cells:
+        if cell.dim >= 1 and not c.cover_faces[cell.id]:
+            report.add("no_faces", f"cell {cell.id} of dim {cell.dim} has no faces", (cell.id,))
+    for x in c.ids():
+        for z in c.ids():
+            if c.dim(x) - c.dim(z) == 2 and c.is_face(x, z):
+                between = [y for y in c.cover_faces[x] if (y, z) in c.covers]
+                if len(between) != 2:
+                    report.add(
+                        "diamond",
+                        f"interval [{z}, {x}] has {len(between)} intermediate cells, expected 2",
+                        (x, z, *between),
+                    )
+    return report

@@ -230,6 +230,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_prime_coefficients_exit_codes(fixture_files, capsys):
+    sphere = fixture_files["sphere"]["complex"]
+    code, doc = run_json(capsys, "homology", "complex", sphere, "--coefficients", "Fp:2305843009213693951")
+    assert code == 0
+    assert doc["results"]["homology"]["betti"] == [1, 0, 1]
+    for p in (561, 2**89 - 1):  # a Carmichael number; a prime beyond the certified range
+        assert run(capsys, "homology", "complex", sphere, "--coefficients", f"Fp:{p}") == (1, "")
+
+
 def test_fixture_dump_and_list(tmp_path, capsys):
     code, doc = run_json(capsys, "fixture", "list")
     assert code == 0

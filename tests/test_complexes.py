@@ -16,7 +16,7 @@ from morseflow import (
     validate_complex,
 )
 
-from helpers import RP2_FACETS, cell_name, random_complex, simplicial_to_complex
+from helpers import RP2_FACETS, cell_name, random_complex, simplicial_to_complex, validate_complex_reference
 from morseflow.fixtures import fig2_complex, sphere_complex
 
 
@@ -137,3 +137,34 @@ def test_cellular_homology_matches_face_poset_order_complex():
         top = max(len(cellular), len(barycentric))
         pad = lambda t: tuple(t) + (0,) * (top - len(t))
         assert pad(cellular) == pad(barycentric)
+
+
+def _perturbed(rng, cx):
+    """The complex with one cover dropped, one added across one dimension, or one across two."""
+    covers = sorted(cx.covers)
+    kind = rng.randrange(3)
+    if kind == 0 and covers:
+        covers.remove(rng.choice(covers))
+    else:
+        drop = 1 if kind == 1 else 2
+        pairs = [(u.id, l.id) for u in cx.cells for l in cx.cells
+                 if u.dim - l.dim == drop and (u.id, l.id) not in cx.covers]
+        if pairs:
+            covers.append(rng.choice(pairs))
+    return Complex(cx.cells, covers)
+
+
+def test_validation_and_strict_faces_match_bruteforce_reference():
+    rng = random.Random(29)
+    cases = [sphere_complex(), fig2_complex()]
+    for _ in range(40):
+        cx = random_complex(rng)
+        cases += [cx, _perturbed(rng, cx), _perturbed(rng, _perturbed(rng, cx))]
+    codes = set()
+    for cx in cases:
+        report = validate_complex(cx)
+        assert report.as_dict() == validate_complex_reference(cx).as_dict()
+        codes.update(f.code for f in report.findings)
+        for cid in cx.ids():
+            assert cx.strict_faces(cid) == sorted(b for a, b in cx.reach if a == cid)
+    assert {"grading", "edge_faces", "diamond"} <= codes

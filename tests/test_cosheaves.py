@@ -25,7 +25,7 @@ from morseflow import (
 from morseflow.cosheaves import Cosheaf, cosheaf_chain_complex
 from morseflow.localization import zigzag_from_text
 
-from helpers import random_acyclic_matching, random_complex, random_twisted_cosheaf
+from helpers import cycle_graph_complex, random_acyclic_matching, random_complex, random_twisted_cosheaf
 from morseflow.fixtures import fig2_complex, sphere_complex
 
 
@@ -249,3 +249,17 @@ def test_cosheaf_json_round_trip():
     again = Cosheaf.from_json(F.to_json())
     assert again.stalks == F.stalks
     assert {k: v.data for k, v in again.maps.items()} == {k: v.data for k, v in F.maps.items()}
+
+
+def test_morse_transport_runs_past_the_recursion_limit():
+    n = 3000
+    cx = cycle_graph_complex(n)
+    # e_i covers v_i and v_(i+1); matching e_i with v_(i+1) leaves v0 and e_(n-1)
+    # critical, joined by one gradient path through all n - 1 other vertices
+    m = Matching(tuple((f"e{i}", f"v{i + 1}") for i in range(n - 1)), "classical")
+    mc = morse_chain_complex(cx, assign_incidence_signs(cx), constant_cosheaf(cx, ZZ), m)
+    assert mc.critical == (("v0",), (f"e{n - 1}",))
+    assert mc.chain.ranks == (1, 1)
+    s = homology(mc.chain)
+    assert s.betti() == (1, 1)
+    assert s.torsion() == ((), ())

@@ -8,14 +8,31 @@ from morseflow import (
     NotAComplex,
     PrimeField,
     QQ,
+    SparseMat,
     ZZ,
+    assign_incidence_signs,
+    cellular_chain_complex,
+    entrance_path_category,
+    geometric_nerve,
     homology,
     invariant_factors,
+    normalized_chain_complex,
     smith_normal_form,
 )
-from morseflow.rings import mat_inverse, NotInvertible, rank_over_field, ring_from_name
+from morseflow.cosheaves import constant_cosheaf, morse_chain_complex
+from morseflow.rings import eliminate_units, mat_inverse, NotInvertible, rank_over_field, ring_from_name, to_sparse
 
-from helpers import det_int, minors_gcd_invariant_factors, random_int_matrix, simplicial_to_complex, RP2_FACETS
+from helpers import (
+    RP2_FACETS,
+    SPHERE2_FACETS,
+    TORUS_FACETS,
+    dense_rank_over_field,
+    det_int,
+    minors_gcd_invariant_factors,
+    random_acyclic_matching,
+    random_int_matrix,
+    simplicial_to_complex,
+)
 
 
 def test_snf_single_entry():
@@ -111,3 +128,105 @@ def test_ring_parsing():
     assert QQ.parse_scalar("3/4") == QQ.normalize(3) / 4
     with pytest.raises(ValueError):
         ring_from_name("R")
+
+
+def test_ring_parsing_certifies_primes_quickly():
+    assert ring_from_name("Fp:1000000007").p == 1000000007
+    assert ring_from_name("Fp:2305843009213693951").p == 2**61 - 1
+    assert PrimeField(2).p == 2 and PrimeField(41).p == 41
+    # 561, 1105: Carmichael numbers; the last is a strong pseudoprime to every base 2..37
+    for composite in (0, 1, 4, 561, 1105, 2**61 + 1, 3215031751, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(composite)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2**89 - 1)
+
+
+def _shapes(rng, count):
+    for k in range(count):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        # narrow ranges give sparse, unit-rich matrices; wide ones give non-unit cores
+        lo, hi = ((-1, 1), (-2, 2), (-4, 4))[k % 3]
+        yield random_int_matrix(rng, rows, cols, lo, hi)
+
+
+def test_sparse_field_rank_matches_dense_reference():
+    rng = random.Random(17)
+    for m in _shapes(rng, 120):
+        for ring in (QQ, PrimeField(2), PrimeField(3), PrimeField(5)):
+            want = dense_rank_over_field(m, ring)
+            assert rank_over_field(m, ring) == want
+            assert rank_over_field(to_sparse(m, ring), ring) == want
+            pivots, core = eliminate_units(m, ring)
+            assert (pivots, core.rows, core.cols) == (want, 0, 0)
+
+
+def test_sparse_invariant_factors_match_smith_diagonal():
+    rng = random.Random(19)
+    for m in _shapes(rng, 120):
+        _, d, _ = smith_normal_form(m)
+        diag = [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i] != 0]
+        assert invariant_factors(m) == diag
+        assert invariant_factors(to_sparse(m, ZZ)) == diag
+
+
+def test_unit_elimination_leaves_the_non_unit_core_over_z():
+    m = Mat.from_rows([[2, 0, 1], [0, 4, 0], [6, 0, 0]])
+    pivots, core = eliminate_units(m, ZZ)
+    assert pivots == 1
+    assert (core.rows, core.cols) == (2, 2)
+    assert not any(abs(x) == 1 for row in core.data for x in row)
+    assert invariant_factors(m) == [1, 2, 12]  # |det| = 24
+
+
+def test_sparse_matrix_dense_view():
+    m = Mat.from_rows([[0, 3, 0], [-1, 0, 0]])
+    s = to_sparse(m, ZZ)
+    assert s.columns == (((1, -1),), ((0, 3),), ())
+    assert s.data == m.data
+    assert [s[i, j] for i in range(2) for j in range(3)] == [0, 3, 0, -1, 0, 0]
+    with pytest.raises(ValueError):
+        SparseMat(2, 1, (((1, 1), (0, 1)),))  # rows out of order
+    with pytest.raises(ValueError):
+        SparseMat(2, 1, (((0, 0),),))  # explicit zero
+
+
+def test_sparse_non_complex_raises():
+    d1 = SparseMat(2, 2, (((0, 1),), ((1, 1),)))
+    d2 = SparseMat(2, 1, (((0, 1),),))
+    cc = ChainComplex(QQ, (2, 2, 1), {1: d1, 2: d2})
+    with pytest.raises(NotAComplex, match=r"d_1 o d_2 != 0"):
+        homology(cc)
+    cancelling = SparseMat(2, 1, (((0, 1), (1, -1)),))
+    d1 = SparseMat(1, 2, (((0, 1),), ((0, 1),)))
+    assert homology(ChainComplex(ZZ, (1, 2, 1), {1: d1, 2: cancelling})).betti() == (0, 0, 0)
+
+
+def _groups(summary, top):
+    return [(b, t) for b, t in summary.groups[: top + 1]]
+
+
+@pytest.mark.parametrize(
+    "facets, betti, torsion",
+    [
+        (SPHERE2_FACETS, (1, 0, 1), ((), (), ())),
+        (TORUS_FACETS, (1, 2, 1), ((), (), ())),
+        (RP2_FACETS, (1, 0, 0), ((), (2,), ())),
+    ],
+    ids=["sphere", "torus", "rp2"],
+)
+def test_cellular_nerve_and_morse_routes_agree(facets, betti, torsion):
+    cx = simplicial_to_complex(facets)
+    signs = assign_incidence_signs(cx)
+    matching = random_acyclic_matching(random.Random(len(facets)), cx)
+    skel = geometric_nerve(entrance_path_category(cx), 3)  # simplices through dim 3 give H_0..H_2
+    for ring in (ZZ, QQ, PrimeField(2)):
+        cellular = homology(cellular_chain_complex(cx, signs, ring))
+        nerve = homology(normalized_chain_complex(skel, ring))
+        mc = morse_chain_complex(cx, signs, constant_cosheaf(cx, ring), matching)
+        assert sum(mc.chain.ranks) < len(cx.cells)
+        morse = homology(mc.chain)
+        assert _groups(nerve, 2) == _groups(cellular, 2) == _groups(morse, 2)
+    morse_z = homology(morse_chain_complex(cx, signs, constant_cosheaf(cx, ZZ), matching).chain)
+    assert morse_z.betti() == betti
+    assert morse_z.torsion() == torsion
