@@ -31,33 +31,24 @@ def identity_morphism(obj: str) -> Morphism:
 
 @dataclass(frozen=True)
 class HomPoset:
-    """Explicit finite poset of morphisms; leq pairs are stored closed."""
+    """Explicit finite poset of morphisms; leq pairs are stored closed.
+
+    Generating relations are closed by ``_close_order``: the elements get
+    integer ids, each up-set is a bitmask, Warshall's algorithm closes them,
+    and two distinct elements comparable both ways are rejected.
+    """
 
     elements: tuple
     relation: frozenset  # (f, g) pairs meaning f => g, reflexive-transitive
 
     @staticmethod
-    def empty() -> "HomPoset":
-        return HomPoset((), frozenset())
-
-    @staticmethod
     def build(elements, pairs) -> "HomPoset":
         """Close the given pairs reflexively and transitively; must stay antisymmetric."""
         elements = tuple(elements)
-        rel = {(e, e) for e in elements}
-        rel.update(pairs)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(rel):
-                for (c, d) in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
-        for (a, b) in rel:
-            if a != b and (b, a) in rel:
-                raise ValueError(f"hom-poset order is not antisymmetric: {a!r} <=> {b!r}")
-        return HomPoset(elements, frozenset(rel))
+        rel, _ = _close_order(
+            elements, pairs, lambda a, b: ValueError(f"hom-poset order is not antisymmetric: {a!r} <=> {b!r}")
+        )
+        return HomPoset(elements, rel)
 
     def __len__(self):
         return len(self.elements)
@@ -82,23 +73,64 @@ class HomPoset:
 
     def covers(self):
         """Covering pairs (f, g) of the strict order, for compact reports."""
-        strict = {(a, b) for (a, b) in self.relation if a != b}
+        els = self.elements
+        _, up = _close_order(els, self.relation, _not_antisymmetric)
+        strict = [m & ~(1 << i) for i, m in enumerate(up)]
         out = []
-        for a, b in sorted(strict, key=_pair_key):
-            if not any((a, c) in strict and (c, b) in strict for c in self.elements if c not in (a, b)):
-                out.append((a, b))
-        return out
+        for i, m in enumerate(strict):
+            above = 0
+            for j in _bits(m):
+                above |= strict[j]
+            out.extend((els[i], els[j]) for j in _bits(m & ~above))
+        return sorted(out, key=_pair_key)
 
     def check_partial_order(self):
         for f in self.elements:
             if (f, f) not in self.relation:
                 raise ValueError(f"relation not reflexive at {f}")
-        for (a, b) in self.relation:
-            if a != b and (b, a) in self.relation:
-                raise ValueError(f"relation not antisymmetric: {a} <=> {b}")
-            for (c, d) in self.relation:
-                if b == c and (a, d) not in self.relation:
-                    raise ValueError("relation not transitive")
+        if _close_order(self.elements, self.relation, _not_antisymmetric)[0] != self.relation:
+            raise ValueError("relation not transitive")
+
+
+_EMPTY_HOM = HomPoset((), frozenset())
+
+
+def _not_antisymmetric(a, b):
+    return ValueError(f"relation not antisymmetric: {a} <=> {b}")
+
+
+def _bits(mask):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _close_order(elements, pairs, violation):
+    """Reflexive-transitive closure of ``pairs``: (frozenset of pairs, up-set bitmask per element).
+
+    Raises ``violation(a, b)`` for the first two distinct elements, in
+    element order, that end up comparable both ways.
+    """
+    els = tuple(dict.fromkeys(elements))
+    index = {e: i for i, e in enumerate(els)}
+    up = [1 << i for i in range(len(els))]
+    for a, b in pairs:
+        up[index[a]] |= 1 << index[b]
+    for k, mk in enumerate(up):  # Warshall: route every i through k
+        bit = 1 << k
+        for i, mi in enumerate(up):
+            if mi & bit:
+                up[i] = mi | mk
+    rel = []
+    for i, m in enumerate(up):
+        a = els[i]
+        for j in _bits(m):
+            if j != i and up[j] >> i & 1:
+                raise violation(a, els[j])
+            rel.append((a, els[j]))
+    return frozenset(rel), up
 
 
 def _pair_key(pair):
@@ -128,7 +160,7 @@ class PCategory:
     # -- structure ---------------------------------------------------------
 
     def hom(self, a: str, b: str) -> HomPoset:
-        return self._homs.get((a, b), HomPoset.empty())
+        return self._homs.get((a, b), _EMPTY_HOM)
 
     def identity(self, a: str):
         return self._identities[a]
@@ -256,6 +288,15 @@ def entrance_path_category(c) -> PCategory:
     return PCategory(ids, homs, _path_compose, identities, _path_splittings, name="entrance_paths")
 
 
+def _poset_compose(f, g):
+    """Composition in a thin category: identities drop out, else the endpoints pair up."""
+    if f.source == f.target:
+        return g
+    if g.source == g.target:
+        return f
+    return Morphism(f.source, g.target, (f.source, g.target))
+
+
 def face_poset_category(c) -> PCategory:
     """One morphism per strict face relation; tokens do not decompose."""
     ids = c.ids()
@@ -266,13 +307,6 @@ def face_poset_category(c) -> PCategory:
         for b in c.strict_faces(a):
             homs[(a, b)] = HomPoset.build([Morphism(a, b, (a, b))], [])
 
-    def compose(f, g):
-        if f.source == f.target:
-            return g
-        if g.source == g.target:
-            return f
-        return Morphism(f.source, g.target, (f.source, g.target))
-
     def splittings(f):
         if f.source == f.target:
             return [(f, f.source, f)]
@@ -281,7 +315,7 @@ def face_poset_category(c) -> PCategory:
             (f, f.target, identities[f.target]),
         ]
 
-    return PCategory(ids, homs, compose, identities, splittings, name="face_poset")
+    return PCategory(ids, homs, _poset_compose, identities, splittings, name="face_poset")
 
 
 def poset_as_pcategory(elements, leq) -> PCategory:
@@ -300,14 +334,7 @@ def poset_as_pcategory(elements, leq) -> PCategory:
                 na, nb = names[a], names[b]
                 homs[(na, nb)] = HomPoset.build([Morphism(na, nb, (na, nb))], [])
 
-    def compose(f, g):
-        if f.source == f.target:
-            return g
-        if g.source == g.target:
-            return f
-        return Morphism(f.source, g.target, (f.source, g.target))
-
-    cat = PCategory(ids, homs, compose, identities, name="poset")
+    cat = PCategory(ids, homs, _poset_compose, identities, name="poset")
     cat.poset_element = back  # object id -> original poset element
     return cat
 

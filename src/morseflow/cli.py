@@ -17,7 +17,7 @@ from .complexes import Complex, assign_incidence_signs, cellular_chain_complex, 
 from .cosheaves import Cosheaf, constant_cosheaf, cosheaf_homology, morse_chain_complex
 from .fixtures import FIXTURES, get_fixture
 from .homology import NotAComplex, homology
-from .localization import OrderViolation, flow_category, hom_poset_loc, stabilized_flow, zigzag_to_text
+from .localization import OrderViolation, hom_poset_loc, stabilized_flow, zigzag_to_text
 from .matchings import BadPair, Matching, check_acyclic, check_mildness, matching_to_morse_system, validate_morse_system
 from .nerves import geometric_nerve, normalized_chain_complex
 from .rings import NotInvertible, ring_from_name
@@ -120,13 +120,9 @@ def _flow_with_status(complex_, matching, category_name, max_len):
     mild = check_mildness(cat, system)
     if not mild.all_mild:
         warnings.append("system is not mild; homotopy-equivalence claims are not guaranteed")
-    if system.all_singleton_homs(cat):
-        flow = flow_category(cat, system, None)
-        status = "complete"
-    else:
-        flow, status = stabilized_flow(cat, system, max_len)
-        if status != "stable":
-            warnings.append("zigzag enumeration did not stabilize; results are truncated")
+    flow, status = stabilized_flow(cat, system, max_len)
+    if status == "unstable":
+        warnings.append("zigzag enumeration did not stabilize; results are truncated")
     return cat, system, flow, status, warnings
 
 

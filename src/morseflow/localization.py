@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .categories import HomPoset, PCategory
+from .categories import HomPoset, PCategory, _close_order
 from .matchings import MorseSystem
 
 
@@ -349,22 +349,11 @@ def close_order_relation(elements, rel) -> frozenset:
     Raises OrderViolation (with the witness pair) when two distinct elements
     end up comparable in both directions.
     """
-    rel = set(rel)
-    rel.update((e, e) for e in elements)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-    for (a, b) in rel:
-        if a != b and (b, a) in rel:
-            raise OrderViolation(
-                f"localized order is not antisymmetric between {a!r} and {b!r}"
-            )
-    return frozenset(rel)
+    return _close_order(
+        elements,
+        rel,
+        lambda a, b: OrderViolation(f"localized order is not antisymmetric between {a!r} and {b!r}"),
+    )[0]
 
 
 def hom_poset_loc(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4) -> HomPoset:
@@ -500,8 +489,9 @@ def stabilized_flow(cat: PCategory, ms: MorseSystem, start_len=4, cap=8, nerve_d
     """Flow category with a stabilization verdict.
 
     Singleton systems are complete outright.  Otherwise the bound is raised
-    until the classes, their order and the truncated nerve homology agree at
-    two consecutive bounds; the verdict is then "stable", else "unstable".
+    from ``start_len``, at least once and then up to ``cap``, until the
+    classes, their order and the truncated nerve homology agree at two
+    consecutive bounds; the verdict is then "stable", else "unstable".
     """
     from .nerves import geometric_nerve, normalized_chain_complex
     from .homology import homology
@@ -517,11 +507,12 @@ def stabilized_flow(cat: PCategory, ms: MorseSystem, start_len=4, cap=8, nerve_d
     length = start_len
     current = flow_category(cat, ms, length)
     cur_sig, cur_betti = _flow_signature(current), betti_of(current)
-    while length + 1 <= cap:
-        nxt = flow_category(cat, ms, length + 1)
+    while True:
+        length += 1
+        nxt = flow_category(cat, ms, length)
         nxt_sig, nxt_betti = _flow_signature(nxt), betti_of(nxt)
         if cur_sig == nxt_sig and cur_betti == nxt_betti:
             return nxt, "stable"
         current, cur_sig, cur_betti = nxt, nxt_sig, nxt_betti
-        length += 1
-    return current, "unstable"
+        if length >= cap:
+            return current, "unstable"

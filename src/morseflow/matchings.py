@@ -81,41 +81,39 @@ def check_acyclic(c: Complex, m: Matching) -> ValidationReport:
         for d in c.strict_faces(partner[d2]):
             if d != d2 and d in succ:
                 succ[d].append(d2)
-    # iterative cycle detection with an explicit witness
-    color = {d: 0 for d in lowers}  # 0 new, 1 active, 2 done
-    parent = {}
-    for start in lowers:
-        if color[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if color[nxt] == 1:
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    report.add(
-                        "cycle",
-                        "matching flow relation has a cycle: " + " < ".join(cycle),
-                        tuple(cycle),
-                    )
-                    return report
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+    cycle = _find_cycle(lowers, succ)
+    if cycle is not None:
+        report.add("cycle", "matching flow relation has a cycle: " + " < ".join(cycle), tuple(cycle))
     return report
+
+
+def _find_cycle(nodes, succ):
+    """The first cycle a depth-first search meets, closed (first == last), or None.
+
+    Searches start at ``nodes`` in order and follow ``succ[node]`` in list
+    order; the witness runs down the search path from the node the back edge
+    returns to.  The search keeps its own stack, so depth is unbounded.
+    """
+    depth = {}  # node -> its position on the path while active, -1 once done
+    for start in nodes:
+        if start in depth:
+            continue
+        depth[start] = 0
+        path, pending = [start], [iter(succ[start])]
+        while pending:
+            for nxt in pending[-1]:
+                d = depth.get(nxt)
+                if d is None:
+                    depth[nxt] = len(path)
+                    path.append(nxt)
+                    pending.append(iter(succ[nxt]))
+                    break
+                if d >= 0:
+                    return path[d:] + [nxt]
+            else:
+                depth[path.pop()] = -1
+                pending.pop()
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +202,10 @@ def validate_morse_system(cat: PCategory, ms: MorseSystem) -> ValidationReport:
                     )
 
     # order: the relation generates a partial order iff its digraph is acyclic
-    succ = {f: [g for g in sigma if (f, g) in ms.rel] for f in sigma}
-    state = {f: 0 for f in sigma}
-
-    def dfs(f, trail):
-        state[f] = 1
-        for g in succ[f]:
-            if state[g] == 1:
-                cyc = trail[trail.index(g):] + [g]
-                report.add(
-                    "order",
-                    "order relation has a cycle: " + " -> ".join(repr(x) for x in cyc),
-                    tuple(repr(x) for x in cyc),
-                )
-                return True
-            if state[g] == 0 and dfs(g, trail + [g]):
-                return True
-        state[f] = 2
-        return False
-
-    for f in sigma:
-        if state[f] == 0 and dfs(f, [f]):
-            break
+    cyc = _find_cycle(sigma, {f: [g for g in sigma if (f, g) in ms.rel] for f in sigma})
+    if cyc is not None:
+        names = tuple(repr(x) for x in cyc)
+        report.add("order", "order relation has a cycle: " + " -> ".join(names), names)
 
     # lifting
     for f0 in sigma:

@@ -8,6 +8,7 @@ from itertools import combinations
 ACCEPTANCE_LINES: list = []  # per-criterion pass/fail lines, shown in the summary
 
 from morseflow import Cell, Complex, Matching, Mat, ValidationReport, check_acyclic
+from morseflow.categories import sort_key
 from morseflow.cosheaves import Cosheaf
 from morseflow.rings import mat_inverse
 
@@ -238,3 +239,33 @@ def validate_complex_reference(c: Complex) -> ValidationReport:
                         (x, z, *between),
                     )
     return report
+
+
+def close_order_reference(elements, pairs):
+    """Reference closure: pairwise fixpoint over the whole relation.
+
+    Returns the reflexive-transitive closure and the set of pairs of distinct
+    elements that it makes comparable both ways.
+    """
+    rel = {(e, e) for e in elements}
+    rel.update(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(rel):
+            for (c, d) in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
+    both = {(a, b) for (a, b) in rel if a != b and (b, a) in rel}
+    return frozenset(rel), both
+
+
+def covers_reference(elements, relation) -> list:
+    """Reference cover scan: (a, b) covers unless some third element lies strictly between."""
+    strict = {(a, b) for (a, b) in relation if a != b}
+    out = []
+    for a, b in sorted(strict, key=lambda p: (sort_key(p[0]), sort_key(p[1]))):
+        if not any((a, c) in strict and (c, b) in strict for c in elements if c not in (a, b)):
+            out.append((a, b))
+    return out

@@ -15,8 +15,9 @@ from morseflow import (
     poset_as_pcategory,
 )
 from morseflow.categories import identity_morphism
+from morseflow.localization import OrderViolation, close_order_relation
 
-from helpers import count_descending_chains, random_complex
+from helpers import close_order_reference, count_descending_chains, covers_reference, random_complex
 from morseflow.fixtures import sphere_complex
 
 
@@ -137,3 +138,44 @@ def test_composition_is_monotone():
                     for g2 in hbc.elements:
                         if hbc.leq(g1, g2):
                             assert En.leq(En.compose(f1, g1), En.compose(f2, g2))
+
+
+def _random_relation(rng, acyclic):
+    """Shuffled elements and random generating pairs, forward-only along a random order if acyclic."""
+    n = rng.randint(1, 9)
+    els = [Morphism("a", "b", (i,)) for i in rng.sample(range(n), n)]
+    p = rng.random() * 0.5
+    if acyclic:
+        order = rng.sample(els, n)
+        return els, [(x, y) for i, x in enumerate(order) for y in order[i + 1:] if rng.random() < p]
+    return els, [(x, y) for x in els for y in els if x != y and rng.random() < p / 2]
+
+
+def test_order_closure_matches_the_pairwise_reference():
+    rng = random.Random(11)
+    violations = orders = 0
+    for trial in range(400):
+        els, pairs = _random_relation(rng, acyclic=trial % 2 == 0)
+        closed, both = close_order_reference(els, pairs)
+        if both:
+            violations += 1
+            with pytest.raises(ValueError) as exc:
+                HomPoset.build(els, pairs)
+            assert any(f"{a!r} <=> {b!r}" in str(exc.value) for a, b in both)
+            with pytest.raises(OrderViolation) as exc:
+                close_order_relation(els, pairs)
+            assert any(f"{a!r} and {b!r}" in str(exc.value) for a, b in both)
+            with pytest.raises(ValueError, match="not antisymmetric"):
+                HomPoset(tuple(els), closed).check_partial_order()
+            continue
+        orders += 1
+        hp = HomPoset.build(els, pairs)
+        assert hp.relation == closed
+        assert close_order_relation(els, pairs) == closed
+        hp.check_partial_order()
+        assert hp.covers() == covers_reference(els, closed)
+        unclosed = frozenset(pairs) | {(e, e) for e in els}
+        if unclosed != closed:
+            with pytest.raises(ValueError, match="not transitive"):
+                HomPoset(tuple(els), unclosed).check_partial_order()
+    assert violations > 25 and orders > 200

@@ -24,7 +24,7 @@ from morseflow import (
 from morseflow.localization import zigzag_class_of
 
 from helpers import cycle_graph_complex, random_acyclic_matching, random_complex
-from morseflow.fixtures import sphere_complex
+from morseflow.fixtures import get_fixture, sphere_complex
 
 
 def _sphere_setup():
@@ -243,6 +243,13 @@ def test_generalized_matching_stabilizes():
     hp = flow.hom("t", "w")
     oc = order_complex(hp.elements, hp.leq)
     assert homology(normalized_chain_complex(oc, QQ)).betti()[:2] == (1, 1)
+
+
+def test_stabilization_compares_two_bounds_even_at_the_cap():
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    ms = matching_to_morse_system(fx.complex, fx.matching, En)
+    assert stabilized_flow(En, ms, 2, 2)[1] == "stable"
 
 
 def test_generalized_hom_poset_is_the_glued_product_block():

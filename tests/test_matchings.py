@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -18,9 +19,9 @@ from morseflow import (
     validate_morse_system,
 )
 from morseflow.categories import Morphism
-from morseflow.matchings import CERTIFIED, FAIL
+from morseflow.matchings import CERTIFIED, FAIL, _find_cycle
 
-from helpers import random_acyclic_matching, random_complex
+from helpers import close_order_reference, cycle_graph_complex, random_acyclic_matching, random_complex
 from morseflow.fixtures import fig2_complex, sphere_complex
 
 
@@ -170,3 +171,49 @@ def test_random_classical_systems_pass_axioms():
         En = entrance_path_category(cx)
         ms = matching_to_morse_system(cx, random_acyclic_matching(rng, cx), En)
         assert validate_morse_system(En, ms).ok
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_axiom_order_check_survives_chains_longer_than_the_recursion_limit():
+    # Arrow e_i -> v_i comes before e_(i+1) -> v_(i+1): the order digraph is one path of n - 1 arrows.
+    n = 300
+    cx = cycle_graph_complex(n)
+    En = entrance_path_category(cx)
+    path = Matching(tuple((f"e{i}", f"v{i}") for i in range(1, n)), "classical")
+    ms = matching_to_morse_system(cx, path, En)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + n // 2)
+    try:
+        report = validate_morse_system(En, ms)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.ok
+
+
+def test_find_cycle_on_long_paths_and_cycles():
+    n = 10_000
+    assert _find_cycle(range(n), {i: [i + 1] if i + 1 < n else [] for i in range(n)}) is None
+    assert _find_cycle(range(n), {i: [(i + 1) % n] for i in range(n)}) == list(range(n)) + [0]
+
+
+def test_find_cycle_witness_is_a_closed_walk():
+    rng = random.Random(5)
+    cycles = 0
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        p = rng.random() * 0.4
+        succ = {i: [j for j in range(n) if j != i and rng.random() < p] for i in range(n)}
+        cyc = _find_cycle(range(n), succ)
+        _, both = close_order_reference(range(n), [(i, j) for i in succ for j in succ[i]])
+        assert (cyc is None) == (not both)
+        if cyc is not None:
+            cycles += 1
+            assert cyc[0] == cyc[-1] and len(set(cyc)) == len(cyc) - 1 >= 2
+            assert all(b in succ[a] for a, b in zip(cyc, cyc[1:]))
+    assert cycles > 50
