@@ -296,10 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_bounds(opts: dict) -> None:
+    """Refuse out-of-range bounds before any work (exit 1, not argparse's 2)."""
+    if opts.get("max_zigzag_len", 0) < 0:
+        raise ValueError(f"--max-zigzag-len must be at least 0, got {opts['max_zigzag_len']}")
+    if opts.get("max_nerve_dim", 1) < 1:
+        raise ValueError(f"--max-nerve-dim must be at least 1, got {opts['max_nerve_dim']}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(vars(args))
         return args.func(args)
     except (OrderViolation, NotAComplex, NotInvertible) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,15 @@
-"""Zigzags, reduction moves, localized hom-posets and the discrete flow category.
+"""Zigzags, their contraction rewriter, localized hom-posets and the discrete flow category.
 
 A zigzag alternates forward morphisms of the base category with backward
 system arrows.  Two zigzags represent the same localized morphism when they
-are connected by cancellation moves: a column (g_i, f_i, g_(i+1)) contracts
+are connected by contractions: a column (g_i, f_i, g_(i+1)) contracts
 through a splitting point a whenever g_i ends with p: a -> y_i, g_(i+1)
-starts with q: x_i -> a, and f_i lies below q o p.  The order on classes is
-generated by the componentwise order of same-shape zigzags together with
-column erasures (the longer zigzag sits below), closed through the classes.
+starts with q: x_i -> a, and f_i lies below q o p.  ``reduce_zigzag`` is the
+one rewriter: it applies the first contraction until none is left, and flow
+composition uses it.  The order on classes is generated by single-slot steps
+(one forward morphism raised in its hom-poset, which generates the
+componentwise order of same-shape zigzags) together with column erasures
+(the longer zigzag sits below), closed through the classes.
 
 For systems whose arrows span singleton hom-posets (classical matchings,
 codimension 1) the strictly descending enumeration is complete and no length
@@ -137,34 +140,12 @@ def _contractions(cat: PCategory, z: Zigzag):
 
 
 def reduce_zigzag(cat: PCategory, z: Zigzag) -> Zigzag:
-    """Leftmost-first rewriting to a fixed point.
-
-    Moves: removal of backward identities, forward cancellation (g ends with
-    the arrow it meets) and its mirror (the next forward morphism starts with
-    the arrow).  The result is irreducible for these moves.
-    """
-    changed = True
-    while changed:
-        changed = False
-        for i, f in enumerate(z.lefts):
-            g1, g2 = z.rights[i], z.rights[i + 1]
-            if cat.is_identity(f):
-                merged = cat.compose(g1, g2)
-            elif any(p == f for _, _, p in cat.splittings(g1)):
-                head = next(h for h, _, p in cat.splittings(g1) if p == f)
-                merged = cat.compose(head, g2)
-            elif any(q == f for q, _, _ in cat.splittings(g2)):
-                tail = next(t for q, _, t in cat.splittings(g2) if q == f)
-                merged = cat.compose(g1, tail)
-            else:
-                continue
-            z = Zigzag(
-                z.rights[:i] + (merged,) + z.rights[i + 2:],
-                z.lefts[:i] + z.lefts[i + 1:],
-            )
-            changed = True
-            break
-    return z
+    """Apply the first contraction until none is left; the result is irreducible."""
+    while True:
+        nxt = next(_contractions(cat, z), None)
+        if nxt is None:
+            return z
+        z = nxt
 
 
 def _erasures(cat: PCategory, z: Zigzag):
@@ -324,20 +305,18 @@ def _loc_hom(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4):
     zigzags = enumerate_zigzags(cat, ms, w, z, max_len)
     classes, member_to_class = _partition_into_classes(cat, zigzags)
 
+    # Single-slot steps generate the componentwise order of same-shape
+    # zigzags; every step stays in the enumerated product of the slots.
     rel = {(c, c) for c in classes}
-    by_shape: dict = {}
     for zg in zigzags:
-        by_shape.setdefault(zg.lefts, []).append(zg)
-    for shaped in by_shape.values():
-        for z1 in shaped:
-            for z2 in shaped:
-                if z1 is z2:
-                    continue
-                if all(cat.leq(g1, g2) for g1, g2 in zip(z1.rights, z2.rights)):
-                    rel.add((member_to_class[z1], member_to_class[z2]))
-    for zg in zigzags:
+        below = member_to_class[zg]
+        for i, g in enumerate(zg.rights):
+            for g2 in cat.hom(g.source, g.target).elements:
+                if g2 != g and cat.leq(g, g2):
+                    step = Zigzag(zg.rights[:i] + (g2,) + zg.rights[i + 1:], zg.lefts)
+                    rel.add((below, member_to_class[step]))
         for tgt in _erasures(cat, zg):
-            rel.add((member_to_class[zg], member_to_class[tgt]))
+            rel.add((below, member_to_class[tgt]))
 
     rel = close_order_relation(classes, rel)
     return HomPoset(tuple(classes), rel), member_to_class
@@ -416,10 +395,7 @@ def essential_chain(cat: PCategory, z: Zigzag) -> EssentialChain:
 @dataclass
 class FlowCategory:
     category: PCategory
-    system: MorseSystem
     max_len: object  # int or None
-    status: str  # "complete" for singleton systems, else "bounded"
-    _lookups: dict  # (m, m') -> member-to-class dict
 
     @property
     def objects(self):
@@ -453,12 +429,7 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
             z1.rights[:-1] + (cat.compose(z1.rights[-1], z2.rights[0]),) + z2.rights[1:],
             z1.lefts + z2.lefts,
         )
-        reduced = joined
-        while True:
-            nxt = next(iter(_contractions(cat, reduced)), None)
-            if nxt is None:
-                break
-            reduced = nxt
+        reduced = reduce_zigzag(cat, joined)
         lookup = lookups[(z1.source, z2.target)]
         if reduced not in lookup:
             raise ValueError(
@@ -467,7 +438,7 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
         return lookup[reduced]
 
     pcat = PCategory(critical, homs, compose, identities, name="flow")
-    return FlowCategory(pcat, ms, effective, "complete" if singleton else "bounded", lookups)
+    return FlowCategory(pcat, effective)
 
 
 def _flow_signature(flow: FlowCategory):

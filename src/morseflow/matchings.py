@@ -166,7 +166,10 @@ def matching_to_morse_system(c: Complex, m: Matching, cat: PCategory) -> MorseSy
     check_pairs(c, m)
     arrows = []
     for u, l in m.pairs:
-        a = atom(cat, u, l)
+        try:
+            a = atom(cat, u, l)
+        except NoAtom:
+            raise BadPair(f"hom({u}, {l}) has no atom") from None
         if a is None:
             raise BadPair(f"hom({u}, {l}) is empty")
         arrows.append(a)

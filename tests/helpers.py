@@ -10,6 +10,7 @@ ACCEPTANCE_LINES: list = []  # per-criterion pass/fail lines, shown in the summa
 from morseflow import Cell, Complex, Matching, Mat, ValidationReport, check_acyclic
 from morseflow.categories import sort_key
 from morseflow.cosheaves import Cosheaf
+from morseflow.localization import _erasures, _partition_into_classes, enumerate_zigzags
 from morseflow.rings import mat_inverse
 
 
@@ -269,3 +270,27 @@ def covers_reference(elements, relation) -> list:
         if not any((a, c) in strict and (c, b) in strict for c in elements if c not in (a, b)):
             out.append((a, b))
     return out
+
+
+def loc_order_reference(cat, ms, w, z, max_len):
+    """Reference localized order: componentwise pairs over all n^2 same-shape
+    zigzag pairs plus column erasures, closed by ``close_order_reference``.
+
+    Returns the classes, the closed relation and the pairs comparable both ways.
+    """
+    zigzags = enumerate_zigzags(cat, ms, w, z, max_len)
+    classes, member_to_class = _partition_into_classes(cat, zigzags)
+    pairs = set()
+    by_shape: dict = {}
+    for zg in zigzags:
+        by_shape.setdefault(zg.lefts, []).append(zg)
+    for shaped in by_shape.values():
+        for z1 in shaped:
+            for z2 in shaped:
+                if z1 is not z2 and all(cat.leq(g1, g2) for g1, g2 in zip(z1.rights, z2.rights)):
+                    pairs.add((member_to_class[z1], member_to_class[z2]))
+    for zg in zigzags:
+        for tgt in _erasures(cat, zg):
+            pairs.add((member_to_class[zg], member_to_class[tgt]))
+    closed, both = close_order_reference(classes, pairs)
+    return classes, closed, both

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from morseflow import entrance_path_category, matching_to_morse_system
 from morseflow.cli import main
-from morseflow.fixtures import get_fixture
+from morseflow.fixtures import FIXTURES, get_fixture
 
 
 @pytest.fixture()
@@ -246,3 +248,46 @@ def test_fixture_dump_and_list(tmp_path, capsys):
     code, doc = run_json(capsys, "fixture", "dump", "sphere", str(tmp_path))
     assert code == 0
     assert (tmp_path / "sphere-complex.json").exists()
+
+
+def test_every_fixture_runs_to_a_classified_exit(tmp_path, capsys):
+    for name, fx in FIXTURES.items():
+        files = {"complex": str(tmp_path / f"{name}-complex.json")}
+        Path(files["complex"]).write_text(fx.complex.to_json(), encoding="utf-8")
+        calls = [("validate", files["complex"])]
+        if fx.matching is not None:
+            files["matching"] = str(tmp_path / f"{name}-matching.json")
+            Path(files["matching"]).write_text(fx.matching.to_json(), encoding="utf-8")
+            critical = matching_to_morse_system(
+                fx.complex, fx.matching, entrance_path_category(fx.complex)
+            ).critical
+            calls += [
+                ("validate", files["complex"], files["matching"]),
+                ("flow", files["complex"], files["matching"], "--from", critical[0], "--to", critical[-1]),
+                ("homology", "nerve-flow", files["complex"], files["matching"]),
+            ]
+        for call in calls:
+            for category in ("entrance-path", "face-poset"):
+                code, _ = run(capsys, *call, "--category", category)
+                assert code in (0, 1, 2), (call, category)
+
+
+def test_missing_atom_is_bad_input(fixture_files, capsys):
+    files = fixture_files["calc63"]
+    code = main(["validate", files["complex"], files["matching"], "--category", "face-poset"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: hom(b, y) has no atom\n"
+
+
+def test_out_of_range_bounds_exit_1(fixture_files, capsys):
+    files = fixture_files["calc63"]
+    flow = ("flow", files["complex"], files["matching"], "--from", "t", "--to", "w")
+    assert run(capsys, *flow, "--max-zigzag-len", "-1") == (1, "")
+    code, doc = run_json(capsys, *flow, "--max-zigzag-len", "0")
+    assert code == 0
+    assert doc["results"]["class_count"] == 10
+    for mode in ("nerve-en", "nerve-flow"):
+        argv = ("homology", mode, files["complex"], files["matching"])
+        assert run(capsys, *argv, "--max-nerve-dim", "0") == (1, "")
+    assert run(capsys, "homology", "nerve-en", files["complex"], "--max-nerve-dim", "1")[0] == 0

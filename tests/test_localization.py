@@ -21,9 +21,9 @@ from morseflow import (
     zigzag_from_text,
     zigzag_to_text,
 )
-from morseflow.localization import zigzag_class_of
+from morseflow.localization import _contractions, zigzag_class_of
 
-from helpers import cycle_graph_complex, random_acyclic_matching, random_complex
+from helpers import cycle_graph_complex, loc_order_reference, random_acyclic_matching, random_complex
 from morseflow.fixtures import get_fixture, sphere_complex
 
 
@@ -160,6 +160,57 @@ def test_reduction_stays_in_class():
     for cls in hp.elements:
         for member in cls.members:
             assert reduce_zigzag(En, member) in cls.members
+
+
+def _assert_matches_reference(cat, ms, w, z, max_len):
+    hp = hom_poset_loc(cat, ms, w, z, max_len)
+    classes, closed, both = loc_order_reference(cat, ms, w, z, max_len)
+    assert not both
+    assert hp.elements == tuple(classes)
+    assert hp.relation == closed
+
+
+def test_localized_order_matches_pairwise_reference_on_random_classical_instances():
+    rng = random.Random(17)
+    done = 0
+    while done < 10:
+        cx = random_complex(rng, 10)
+        m = random_acyclic_matching(rng, cx, max_pairs=3)
+        if not m.pairs:
+            continue
+        En = entrance_path_category(cx)
+        ms = matching_to_morse_system(cx, m, En)
+        for w in cx.ids():
+            for z in cx.ids():
+                _assert_matches_reference(En, ms, w, z, None)
+        done += 1
+
+
+def test_localized_order_matches_pairwise_reference_on_calc63():
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    ms = matching_to_morse_system(fx.complex, fx.matching, En)
+    for max_len in (1, 2, 3):
+        for w in fx.complex.ids():
+            for z in fx.complex.ids():
+                _assert_matches_reference(En, ms, w, z, max_len)
+
+
+def test_reduction_reaches_an_irreducible_member_of_the_same_class():
+    _, En, ms = _sphere_setup()
+    fx = get_fixture("calc63")
+    En63 = entrance_path_category(fx.complex)
+    ms63 = matching_to_morse_system(fx.complex, fx.matching, En63)
+    cases = (
+        (En, hom_poset_loc(En, ms, "t", "w", None)),
+        (En63, hom_poset_loc(En63, ms63, "t", "w", 3)),
+    )
+    for cat, hp in cases:
+        for cls in hp.elements:
+            for member in cls.members:
+                reduced = reduce_zigzag(cat, member)
+                assert reduced in cls.members
+                assert next(_contractions(cat, reduced), None) is None
 
 
 def test_irreducible_members_have_strictly_descending_chains():
