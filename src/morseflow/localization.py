@@ -48,6 +48,12 @@ class Zigzag:
                 raise ValueError(f"column {i}: forward target {self.rights[i].target} != {f.target}")
             if self.rights[i + 1].source != f.source:
                 raise ValueError(f"column {i}: next forward source != {f.source}")
+        # Zigzags key every class lookup: hash the nested fields once.
+        # Equality stays field-wise.
+        object.__setattr__(self, "_hash", hash((self.rights, self.lefts)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def source(self) -> str:
@@ -178,6 +184,11 @@ def _erasures(cat: PCategory, z: Zigzag):
 # ---------------------------------------------------------------------------
 
 
+def _check_max_len(max_len):
+    if max_len is not None and max_len < 0:
+        raise ValueError(f"the zigzag length bound must be at least 0, not {max_len}")
+
+
 def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4):
     """All normal-form zigzags from w to z.
 
@@ -185,6 +196,7 @@ def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4
     descending and the enumeration is complete whatever the bound; otherwise
     at most ``max_len`` backward arrows are used (and a bound is required).
     """
+    _check_max_len(max_len)
     singleton = ms.all_singleton_homs(cat)
     if max_len is None and not singleton:
         raise ValueError("a length bound is required for this system")
@@ -243,6 +255,12 @@ def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4
 class ZigzagClass:
     canonical: Zigzag
     members: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.canonical, self.members)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def source(self) -> str:
@@ -407,6 +425,7 @@ class FlowCategory:
 
 def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
     """Full localized subcategory on the critical objects."""
+    _check_max_len(max_len)
     critical = ms.critical
     singleton = ms.all_singleton_homs(cat)
     effective = None if singleton else max_len
@@ -423,7 +442,12 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
         ident = Zigzag((cat.identity(m),), ())
         identities[m] = lookups[(m, m)][ident]
 
+    table = {}  # (c1, c2) -> class of the composite; failures are not stored
+
     def compose(c1: ZigzagClass, c2: ZigzagClass):
+        known = table.get((c1, c2))
+        if known is not None:
+            return known
         z1, z2 = c1.canonical, c2.canonical
         joined = Zigzag(
             z1.rights[:-1] + (cat.compose(z1.rights[-1], z2.rights[0]),) + z2.rights[1:],
@@ -435,7 +459,8 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
             raise ValueError(
                 "composite zigzag leaves the enumerated range; raise the length bound"
             )
-        return lookup[reduced]
+        table[(c1, c2)] = cls = lookup[reduced]
+        return cls
 
     pcat = PCategory(critical, homs, compose, identities, name="flow")
     return FlowCategory(pcat, effective)
@@ -469,7 +494,7 @@ def stabilized_flow(cat: PCategory, ms: MorseSystem, start_len=4, cap=8, nerve_d
     from .rings import QQ
 
     if ms.all_singleton_homs(cat):
-        return flow_category(cat, ms, None), "complete"
+        return flow_category(cat, ms, start_len), "complete"
 
     def betti_of(flow):
         skel = geometric_nerve(flow.category, nerve_dim)

@@ -99,12 +99,11 @@ def geometric_nerve(cat: PCategory, maxdim: int) -> SimplicialSetSkeleton:
                         ) + ((acc[d - 1],),)
                         level.append(Simplex(s.objects + (x,), fs))
                         return
+                    # f_(i, d) must lie below every composite f_(i, j) o f_(j, d);
+                    # those bounds do not depend on the candidate.
+                    bounds = [cat.compose(s.f(i, j), acc[j]) for j in range(i + 1, d)]
                     for m in cat.hom(s.objects[i], x).elements:
-                        ok = all(
-                            cat.leq(m, cat.compose(s.f(i, j), acc[j]))
-                            for j in range(i + 1, d)
-                        )
-                        if ok:
+                        if all(cat.leq(m, b) for b in bounds):
                             acc2 = list(acc)
                             acc2[i] = m
                             fill(i - 1, acc2)

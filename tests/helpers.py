@@ -3,14 +3,33 @@
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations
 
 ACCEPTANCE_LINES: list = []  # per-criterion pass/fail lines, shown in the summary
 
-from morseflow import Cell, Complex, Matching, Mat, ValidationReport, check_acyclic
+from morseflow import (
+    Cell,
+    Complex,
+    Matching,
+    Mat,
+    ValidationReport,
+    check_acyclic,
+    entrance_path_category,
+    matching_to_morse_system,
+)
 from morseflow.categories import sort_key
 from morseflow.cosheaves import Cosheaf
-from morseflow.localization import _erasures, _partition_into_classes, enumerate_zigzags
+from morseflow.fixtures import get_fixture
+from morseflow.localization import (
+    Zigzag,
+    _erasures,
+    _partition_into_classes,
+    enumerate_zigzags,
+    reduce_zigzag,
+    zigzag_class_of,
+)
+from morseflow.nerves import Simplex, SimplicialSetSkeleton
 from morseflow.rings import mat_inverse
 
 
@@ -294,3 +313,59 @@ def loc_order_reference(cat, ms, w, z, max_len):
             pairs.add((member_to_class[zg], member_to_class[tgt]))
     closed, both = close_order_reference(classes, pairs)
     return classes, closed, both
+
+
+def flow_instances():
+    """(name, category, system, bound) for 10 random classical matchings and calc63 at L = 2..4."""
+    out = []
+    rng = random.Random(23)
+    while len(out) < 10:
+        cx = random_complex(rng, 10)
+        m = random_acyclic_matching(rng, cx, max_pairs=3)
+        if m.pairs:
+            En = entrance_path_category(cx)
+            out.append((f"random{len(out)}", En, matching_to_morse_system(cx, m, En), None))
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    ms = matching_to_morse_system(fx.complex, fx.matching, En)
+    out.extend((f"calc63-L{n}", En, ms, n) for n in (2, 3, 4))
+    return out
+
+
+def flow_compose_reference(cat, flow, c1, c2):
+    """Reference flow composition: join the canonical zigzags, reduce afresh and
+    find the class by scanning the members of the target hom-poset."""
+    z1, z2 = c1.canonical, c2.canonical
+    joined = Zigzag(
+        z1.rights[:-1] + (cat.compose(z1.rights[-1], z2.rights[0]),) + z2.rights[1:],
+        z1.lefts + z2.lefts,
+    )
+    return zigzag_class_of(flow.hom(z1.source, z2.target), reduce_zigzag(cat, joined))
+
+
+def geometric_nerve_reference(cat, maxdim):
+    """Reference nerve: recomputes every composite bound once per candidate morphism."""
+    objects = sorted(cat.objects)
+    simplices = {0: [Simplex((x,), ()) for x in objects]}
+    for d in range(1, maxdim + 1):
+        level = []
+        for s in simplices[d - 1]:
+            for x in objects:
+                if cat.hom(s.objects[-1], x).is_empty():
+                    continue
+
+                def fill(i, acc):
+                    if i < 0:
+                        fs = tuple(s.fs[j] + (acc[j],) for j in range(d - 1)) + ((acc[d - 1],),)
+                        level.append(Simplex(s.objects + (x,), fs))
+                        return
+                    for m in cat.hom(s.objects[i], x).elements:
+                        if all(cat.leq(m, cat.compose(s.f(i, j), acc[j])) for j in range(i + 1, d)):
+                            acc2 = list(acc)
+                            acc2[i] = m
+                            fill(i - 1, acc2)
+
+                fill(d - 1, [None] * d)
+        level.sort(key=Simplex.key)
+        simplices[d] = level
+    return SimplicialSetSkeleton(maxdim, simplices, cat)

@@ -13,9 +13,11 @@ from morseflow import (
     assign_incidence_signs,
     cellular_chain_complex,
     entrance_path_category,
+    flow_category,
     geometric_nerve,
     homology,
     invariant_factors,
+    matching_to_morse_system,
     normalized_chain_complex,
     smith_normal_form,
 )
@@ -230,3 +232,15 @@ def test_cellular_nerve_and_morse_routes_agree(facets, betti, torsion):
     morse_z = homology(morse_chain_complex(cx, signs, constant_cosheaf(cx, ZZ), matching).chain)
     assert morse_z.betti() == betti
     assert morse_z.torsion() == torsion
+
+
+@pytest.mark.parametrize("facets", [SPHERE2_FACETS, TORUS_FACETS, RP2_FACETS], ids=["sphere", "torus", "rp2"])
+def test_flow_nerve_route_agrees_with_cellular(facets):
+    cx = simplicial_to_complex(facets)
+    signs = assign_incidence_signs(cx)
+    En = entrance_path_category(cx)
+    ms = matching_to_morse_system(cx, random_acyclic_matching(random.Random(len(facets)), cx), En)
+    skel = geometric_nerve(flow_category(En, ms, None).category, 3)  # H_0..H_2
+    for ring in (ZZ, QQ):
+        cellular = homology(cellular_chain_complex(cx, signs, ring))
+        assert _groups(homology(normalized_chain_complex(skel, ring)), 2) == _groups(cellular, 2)

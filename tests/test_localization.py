@@ -21,9 +21,17 @@ from morseflow import (
     zigzag_from_text,
     zigzag_to_text,
 )
-from morseflow.localization import _contractions, zigzag_class_of
+from morseflow import localization
+from morseflow.localization import Zigzag, _contractions, zigzag_class_of
 
-from helpers import cycle_graph_complex, loc_order_reference, random_acyclic_matching, random_complex
+from helpers import (
+    cycle_graph_complex,
+    flow_compose_reference,
+    flow_instances,
+    loc_order_reference,
+    random_acyclic_matching,
+    random_complex,
+)
 from morseflow.fixtures import get_fixture, sphere_complex
 
 
@@ -412,3 +420,63 @@ def test_antisymmetry_guard():
     assert ("a", "c") in closed
     with pytest.raises(OrderViolation):
         close_order_relation("abc", {("a", "b"), ("b", "c"), ("c", "a")})
+
+
+@pytest.mark.parametrize("cat, ms, max_len", [pytest.param(*rest, id=name) for name, *rest in flow_instances()])
+def test_flow_composition_table_matches_a_fresh_reduction(cat, ms, max_len, monkeypatch):
+    flow = flow_category(cat, ms, max_len)
+    reductions = []
+
+    def counting(c, z):
+        reductions.append(z)
+        return reduce_zigzag(c, z)
+
+    monkeypatch.setattr(localization, "reduce_zigzag", counting)
+    pairs = 0
+    for a in flow.objects:
+        for b in flow.objects:
+            for c in flow.objects:
+                for c1 in flow.hom(a, b).elements:
+                    for c2 in flow.hom(b, c).elements:
+                        first = flow.category.compose(c1, c2)
+                        assert first == flow_compose_reference(cat, flow, c1, c2)
+                        before = len(reductions)
+                        assert flow.category.compose(c1, c2) is first
+                        assert len(reductions) == before  # answered from the table
+                        pairs += 1
+    assert pairs > 0
+
+
+def test_zigzag_and_class_hashes_agree_with_equality():
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    ms = matching_to_morse_system(fx.complex, fx.matching, En)
+    first = hom_poset_loc(En, ms, "t", "w", 3)
+    second = hom_poset_loc(En, ms, "t", "w", 3)
+    for c1, c2 in zip(first.elements, second.elements):
+        assert c1 is not c2 and c1 == c2 and hash(c1) == hash(c2)
+        assert hash(c1) == hash((c1.canonical, c1.members))
+        for z in c1.members:
+            rebuilt = Zigzag(tuple(z.rights), tuple(z.lefts))
+            assert rebuilt == z and hash(rebuilt) == hash(z)
+            assert hash(z) == hash((z.rights, z.lefts))
+
+
+def test_negative_length_bounds_are_refused():
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    ms = matching_to_morse_system(fx.complex, fx.matching, En)
+    with pytest.raises(ValueError, match="at least 0"):
+        enumerate_zigzags(En, ms, "t", "w", -1)
+    with pytest.raises(ValueError, match="at least 0"):
+        hom_poset_loc(En, ms, "t", "w", -1)
+    with pytest.raises(ValueError, match="at least 0"):
+        flow_category(En, ms, -1)
+    with pytest.raises(ValueError, match="at least 0"):
+        stabilized_flow(En, ms, -1, 0)
+    _, En2, ms2 = _sphere_setup()  # a singleton system ignores the bound but still refuses it
+    with pytest.raises(ValueError, match="at least 0"):
+        flow_category(En2, ms2, -1)
+    with pytest.raises(ValueError, match="at least 0"):
+        stabilized_flow(En2, ms2, -1)
+    assert stabilized_flow(En, ms, 0, 0)[0].max_len == 1  # bound 0 is still taken

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from morseflow import (
     Matching,
     QQ,
@@ -19,7 +21,14 @@ from morseflow import (
 )
 from morseflow.nerves import greedy_collapses_to_point
 
-from helpers import cycle_graph_complex, random_complex
+from helpers import (
+    SPHERE2_FACETS,
+    cycle_graph_complex,
+    flow_instances,
+    geometric_nerve_reference,
+    random_complex,
+    simplicial_to_complex,
+)
 from morseflow.fixtures import fig2_complex, sphere_complex
 
 
@@ -153,3 +162,14 @@ def test_greedy_collapse():
     assert greedy_collapses_to_point(order_complex([0, 1, 2], lambda a, b: a <= b))
     two_points = order_complex([0, 1], lambda a, b: a == b)
     assert not greedy_collapses_to_point(two_points)
+
+
+@pytest.mark.parametrize("cat, ms, max_len", [pytest.param(*rest, id=name) for name, *rest in flow_instances()])
+def test_flow_nerve_matches_the_per_candidate_reference(cat, ms, max_len):
+    flow = flow_category(cat, ms, max_len)
+    assert geometric_nerve(flow.category, 3).simplices == geometric_nerve_reference(flow.category, 3).simplices
+
+
+def test_entrance_path_nerve_matches_the_per_candidate_reference():
+    En = entrance_path_category(simplicial_to_complex(SPHERE2_FACETS))
+    assert geometric_nerve(En, 3).simplices == geometric_nerve_reference(En, 3).simplices
