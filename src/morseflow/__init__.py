@@ -51,6 +51,7 @@ from .localization import (
 from .nerves import (
     SimplicialSetSkeleton,
     geometric_nerve,
+    nerve_homology,
     normalized_chain_complex,
     order_complex,
 )

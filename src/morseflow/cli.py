@@ -13,13 +13,13 @@ import sys
 from pathlib import Path
 
 from .categories import entrance_path_category, face_poset_category
-from .complexes import Complex, assign_incidence_signs, cellular_chain_complex, validate_complex
+from .complexes import Complex, SignInconsistency, assign_incidence_signs, cellular_chain_complex, validate_complex
 from .cosheaves import Cosheaf, constant_cosheaf, cosheaf_homology, morse_chain_complex
 from .fixtures import FIXTURES, get_fixture
 from .homology import NotAComplex, homology
 from .localization import OrderViolation, hom_poset_loc, stabilized_flow, zigzag_to_text
 from .matchings import BadPair, Matching, check_acyclic, check_mildness, matching_to_morse_system, validate_morse_system
-from .nerves import geometric_nerve, normalized_chain_complex
+from .nerves import nerve_homology
 from .rings import NotInvertible, ring_from_name
 
 
@@ -39,6 +39,14 @@ def _category(complex_, which: str):
     if which == "face-poset":
         return face_poset_category(complex_)
     return entrance_path_category(complex_)
+
+
+def _valid_category(complex_, which: str):
+    """The category of a complex that passes validation; bad input otherwise."""
+    report = validate_complex(complex_)
+    if not report.ok:
+        raise ValueError(f"complex fails validation: {report}")
+    return _category(complex_, which)
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -109,7 +117,7 @@ def cmd_validate(args) -> int:
 
 
 def _flow_with_status(complex_, matching, category_name, max_len):
-    cat = _category(complex_, category_name)
+    cat = _valid_category(complex_, category_name)
     system = matching_to_morse_system(complex_, matching, cat)
     warnings = []
     axioms = validate_morse_system(cat, system)
@@ -164,11 +172,9 @@ def cmd_homology(args) -> int:
         summary = homology(cellular_chain_complex(complex_, signs, ring))
         results["homology"] = _summary_dict(summary)
     elif args.mode == "nerve-en":
-        cat = entrance_path_category(complex_)
-        skel = geometric_nerve(cat, args.max_nerve_dim)
-        summary = homology(normalized_chain_complex(skel, ring))
+        cat = _valid_category(complex_, "entrance-path")
         results["max_nerve_dim"] = args.max_nerve_dim
-        results["homology"] = _truncated(summary, args.max_nerve_dim)
+        results["homology"] = _summary_dict(nerve_homology(cat, args.max_nerve_dim, ring))
     elif args.mode == "nerve-flow":
         if not args.matching:
             raise ValueError("mode nerve-flow needs a matching file")
@@ -176,12 +182,10 @@ def cmd_homology(args) -> int:
         cat, system, flow, status, warnings = _flow_with_status(
             complex_, matching, args.category, args.max_zigzag_len
         )
-        skel = geometric_nerve(flow.category, args.max_nerve_dim)
-        summary = homology(normalized_chain_complex(skel, ring))
         results["status"] = status
         results["critical"] = list(system.critical)
         results["max_nerve_dim"] = args.max_nerve_dim
-        results["homology"] = _truncated(summary, args.max_nerve_dim)
+        results["homology"] = _summary_dict(nerve_homology(flow.category, args.max_nerve_dim, ring))
     elif args.mode == "cosheaf":
         if not args.matching:
             raise ValueError("mode cosheaf needs a cosheaf file")
@@ -202,15 +206,6 @@ def cmd_homology(args) -> int:
         raise ValueError(f"unknown homology mode {args.mode!r}")
     _emit({"command": "homology", "results": results, "warnings": warnings}, args.format)
     return 0
-
-
-def _truncated(summary, maxdim):
-    """Drop the top truncation degree: H_n needs simplices through n+1."""
-    d = _summary_dict(summary)
-    d["betti"] = d["betti"][:maxdim]
-    d["torsion"] = d["torsion"][:maxdim]
-    d["groups"] = d["groups"][:maxdim]
-    return d
 
 
 def cmd_fixture(args) -> int:
@@ -313,7 +308,7 @@ def main(argv=None) -> int:
     except (OrderViolation, NotAComplex, NotInvertible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, BadPair, KeyError, OSError) as exc:
+    except (ValueError, BadPair, SignInconsistency, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -122,6 +122,17 @@ class Complex:
     def strict_faces(self, cid: str):
         return self._strict_faces[cid]
 
+    def diamonds(self, x: str):
+        """The codimension-2 intervals [z, x] as (z, middle cells), z in sorted order.
+
+        z runs over the cells two dimensions below x that a cover of x
+        covers.  The middles of z are the covers of x that cover z, in
+        ``cover_faces[x]`` order; a regular complex has exactly two.
+        """
+        ys = self.cover_faces[x]
+        below = {z for y in ys for z in self.cover_faces[y] if self.dim_of[x] - self.dim_of[z] == 2}
+        return [(z, [y for y in ys if (y, z) in self.covers]) for z in sorted(below)]
+
     # -- serialization ----------------------------------------------------
 
     @staticmethod
@@ -186,9 +197,7 @@ def validate_complex(c: Complex) -> ValidationReport:
         if cell.dim >= 1 and not c.cover_faces[cell.id]:
             report.add("no_faces", f"cell {cell.id} of dim {cell.dim} has no faces", (cell.id,))
     for x in c.ids():
-        # with grading in place, the faces of codimension 2 are the covers of covers
-        for z in sorted({z for y in c.cover_faces[x] for z in c.cover_faces[y]}):
-            between = [y for y in c.cover_faces[x] if (y, z) in c.covers]
+        for z, between in c.diamonds(x):
             if len(between) != 2:
                 report.add(
                     "diamond",
@@ -201,9 +210,10 @@ def validate_complex(c: Complex) -> ValidationReport:
 def assign_incidence_signs(c: Complex) -> IncidenceSigns:
     """Deterministic local orientations satisfying the diamond parity rule.
 
-    Signs are found one top cell at a time by parity propagation (union-find
-    with parity) over that cell's diamond constraints, seeded so the
-    lexicographically first undetermined cover in each component gets +1.
+    Signs are found one top cell at a time by parity propagation over that
+    cell's diamond constraints: each face carries its component and its
+    parity relative to it, and a merge relabels the smaller component.  The
+    first face of each component (in sorted order) gets +1.
     """
     report = validate_complex(c)
     if not report.ok:
@@ -215,56 +225,29 @@ def assign_incidence_signs(c: Complex) -> IncidenceSigns:
         sign[(e, b)] = -1
     for d in range(2, c.top_dim + 1):
         for x in sorted(c.cells_of_dim(d)):
-            faces = sorted(c.cover_faces[x])
-            parent = {y: y for y in faces}
-            parity = {y: 0 for y in faces}  # parity to the component root
-
-            def find_with_parity(y):
-                root = y
-                p = 0
-                while parent[root] != root:
-                    p ^= parity[root]
-                    root = parent[root]
-                # path compression
-                node = y
-                acc = p
-                while parent[node] != node:
-                    nxt = parent[node]
-                    np = parity[node]
-                    parent[node] = root
-                    parity[node] = acc
-                    acc ^= np
-                    node = nxt
-                return root, p
-
-            for z in sorted({z for y in faces for z in c.cover_faces[y] if (x, z) in c.reach and c.dim(x) - c.dim(z) == 2}):
-                pair = [y for y in faces if (y, z) in c.covers]
-                if len(pair) != 2:
-                    raise SignInconsistency(f"diamond [{z}, {x}] is not a diamond")
-                y1, y2 = pair
+            faces = c.cover_faces[x]
+            comp = {y: (y, 0) for y in faces}  # face -> (component, parity relative to it)
+            members = {y: [y] for y in faces}
+            for z, (y1, y2) in c.diamonds(x):
                 # eps(y1)*eps(y2) = -sign(y1,z)*sign(y2,z); as parities:
                 want = 1 if sign[(y1, z)] * sign[(y2, z)] == 1 else 0
-                r1, p1 = find_with_parity(y1)
-                r2, p2 = find_with_parity(y2)
+                (r1, p1), (r2, p2) = comp[y1], comp[y2]
                 if r1 == r2:
                     if p1 ^ p2 != want:
                         raise SignInconsistency(
                             f"orientation constraints around {x} are unsatisfiable at diamond [{z}, {x}]"
                         )
-                else:
-                    parent[r2] = r1
-                    parity[r2] = p1 ^ p2 ^ want
-            assigned = set()
-            for y in faces:
-                if y in assigned:
                     continue
-                root, p0 = find_with_parity(y)
-                # seed: first face of this component gets +1
-                for y2 in faces:
-                    r2, p2 = find_with_parity(y2)
-                    if r2 == root:
-                        sign[(x, y2)] = 1 if (p2 ^ p0) == 0 else -1
-                        assigned.add(y2)
+                if len(members[r1]) < len(members[r2]):
+                    r1, r2 = r2, r1
+                flip = p1 ^ p2 ^ want
+                for y in members.pop(r2):
+                    comp[y] = (r1, comp[y][1] ^ flip)
+                    members[r1].append(y)
+            first: dict = {}  # component -> parity of its first face
+            for y in faces:
+                r, p = comp[y]
+                sign[(x, y)] = 1 if p == first.setdefault(r, p) else -1
     return IncidenceSigns(sign)
 
 

@@ -29,12 +29,12 @@ def _gcdext(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def smith_normal_form(m: Mat, pivot: str = "min"):
+def smith_normal_form(m: Mat):
     """Diagonalize an integer matrix: returns (U, D, V) with U*M*V = D.
 
     U and V are unimodular and the diagonal of D is a divisibility chain of
-    non-negative integers.  ``pivot`` selects the pivot heuristic: "min"
-    (smallest absolute value, limits entry growth) or "first".
+    non-negative integers.  Each pivot is an entry of smallest absolute
+    value, which limits entry growth.
     """
     a = [[int(x) for x in row] for row in m.data]
     nr, nc = m.rows, m.cols
@@ -61,8 +61,6 @@ def smith_normal_form(m: Mat, pivot: str = "min"):
             for j in range(t, nc):
                 x = a[i][j]
                 if x != 0:
-                    if pivot == "first":
-                        return i, j
                     if best is None or abs(x) < abs(best[2]):
                         best = (i, j, x)
         return (best[0], best[1]) if best else None
@@ -151,10 +149,6 @@ def invariant_factors(m) -> list[int]:
     return factors
 
 
-def integer_rank(m: Mat) -> int:
-    return len(invariant_factors(m))
-
-
 # ---------------------------------------------------------------------------
 # Chain complexes and homology summaries
 # ---------------------------------------------------------------------------
@@ -165,7 +159,8 @@ class ChainComplex:
     """Free chain complex: ranks per degree and boundaries d_n: C_n -> C_(n-1).
 
     Boundaries are stored as ``SparseMat``; a dense ``Mat`` given by the
-    caller is converted on construction.
+    caller is converted on construction.  Construction checks d o d = 0 once
+    and raises ``NotAComplex`` otherwise, so every instance is a complex.
     """
 
     ring: Ring
@@ -184,6 +179,7 @@ class ChainComplex:
                 )
         sparse = {n: to_sparse(d, self.ring) for n, d in self.boundaries.items()}
         object.__setattr__(self, "boundaries", sparse)
+        self.check_boundary_squares_to_zero()
 
     @staticmethod
     def from_faces(ring: Ring, gens, faces, label=str) -> "ChainComplex":
@@ -261,7 +257,6 @@ class HomologySummary:
 
 def homology(cc: ChainComplex) -> HomologySummary:
     """Betti numbers (and torsion over Z) of an exact chain complex."""
-    cc.check_boundary_squares_to_zero()
     ring = cc.ring
     top = cc.top
     if ring.is_field():
@@ -280,7 +275,3 @@ def homology(cc: ChainComplex) -> HomologySummary:
         torsion = tuple(f for f in factor_lists.get(n + 1, []) if f > 1)
         groups.append((betti, torsion))
     return HomologySummary(ring.name, tuple(groups))
-
-
-def betti_numbers(cc: ChainComplex) -> tuple[int, ...]:
-    return homology(cc).betti()

@@ -329,8 +329,7 @@ def check_mildness(cat: PCategory, ms: MorseSystem, max_nerve_dim: int = 4) -> M
     reachability poset collapses greedily to a point.  ACYCLIC: all reduced
     nerve homology vanishes (contractibility uncertified).  FAIL otherwise.
     """
-    from .nerves import geometric_nerve, greedy_collapses_to_point, normalized_chain_complex, order_complex
-    from .homology import homology
+    from .nerves import greedy_collapses_to_point, nerve_homology, order_complex
     from .rings import QQ
 
     entries = []
@@ -360,9 +359,7 @@ def check_mildness(cat: PCategory, ms: MorseSystem, max_nerve_dim: int = 4) -> M
         if greedy_collapses_to_point(oc):
             entries.append(MildnessEntry(f, finite, loopfree, CERTIFIED, "order complex collapses to a point"))
             continue
-        nerve = geometric_nerve(sub, max_nerve_dim)
-        summary = homology(normalized_chain_complex(nerve, QQ))
-        betti = summary.betti()[: max_nerve_dim]
+        betti = nerve_homology(sub, max_nerve_dim, QQ).betti()
         if betti and betti[0] == 1 and all(b == 0 for b in betti[1:]):
             entries.append(MildnessEntry(f, finite, loopfree, ACYCLIC, f"reduced homology vanishes to degree {len(betti) - 1}"))
         else:

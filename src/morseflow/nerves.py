@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .categories import PCategory, sort_key
-from .homology import ChainComplex
+from .homology import ChainComplex, HomologySummary, homology
 from .rings import Ring
 
 
@@ -155,6 +155,15 @@ def normalized_chain_complex(skel: SimplicialSetSkeleton, ring: Ring) -> ChainCo
 
     gens = [skel.nondegenerate(d) for d in range(skel.maxdim + 1)]
     return ChainComplex.from_faces(ring, gens, faces, label=lambda s: repr(s.objects))
+
+
+def nerve_homology(cat: PCategory, maxdim: int, ring: Ring) -> HomologySummary:
+    """Homology of the nerve through dimension maxdim, in degrees below maxdim.
+
+    The top degree is dropped: H_n needs the simplices through n + 1.
+    """
+    summary = homology(normalized_chain_complex(geometric_nerve(cat, maxdim), ring))
+    return HomologySummary(summary.ring_name, summary.groups[:maxdim])
 
 
 def greedy_collapses_to_point(skel: SimplicialSetSkeleton) -> bool:

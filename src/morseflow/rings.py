@@ -32,9 +32,6 @@ class Ring:
     def mul(self, a, b):
         return self.normalize(a * b)
 
-    def neg(self, a):
-        return self.normalize(-a)
-
     @property
     def zero(self):
         return self.normalize(0)

@@ -11,12 +11,15 @@ ACCEPTANCE_LINES: list = []  # per-criterion pass/fail lines, shown in the summa
 from morseflow import (
     Cell,
     Complex,
+    IncidenceSigns,
     Matching,
     Mat,
+    SignInconsistency,
     ValidationReport,
     check_acyclic,
     entrance_path_category,
     matching_to_morse_system,
+    validate_complex,
 )
 from morseflow.categories import sort_key
 from morseflow.cosheaves import Cosheaf
@@ -51,6 +54,14 @@ def simplicial_to_complex(facets) -> Complex:
         for b in faces
         if len(b) == len(a) - 1 and set(b) <= set(a)
     ]
+    return Complex(cells, covers)
+
+
+def coned_complex(facets) -> Complex:
+    """The simplicial complex of the triangles ``facets`` with one 3-cell "cone" on all of them."""
+    cx = simplicial_to_complex(facets)
+    cells = list(cx.cells) + [Cell("cone", 3)]
+    covers = list(cx.covers) + [("cone", cell_name(sorted(f))) for f in facets]
     return Complex(cells, covers)
 
 
@@ -249,16 +260,85 @@ def validate_complex_reference(c: Complex) -> ValidationReport:
         if cell.dim >= 1 and not c.cover_faces[cell.id]:
             report.add("no_faces", f"cell {cell.id} of dim {cell.dim} has no faces", (cell.id,))
     for x in c.ids():
-        for z in c.ids():
-            if c.dim(x) - c.dim(z) == 2 and c.is_face(x, z):
-                between = [y for y in c.cover_faces[x] if (y, z) in c.covers]
-                if len(between) != 2:
-                    report.add(
-                        "diamond",
-                        f"interval [{z}, {x}] has {len(between)} intermediate cells, expected 2",
-                        (x, z, *between),
-                    )
+        for z, between in diamonds_reference(c, x):
+            if len(between) != 2:
+                report.add(
+                    "diamond",
+                    f"interval [{z}, {x}] has {len(between)} intermediate cells, expected 2",
+                    (x, z, *between),
+                )
     return report
+
+
+def diamonds_reference(c: Complex, x: str) -> list:
+    """Reference diamond scan: every face z of x two dimensions down, with its middle cells."""
+    return [
+        (z, [y for y in c.cover_faces[x] if (y, z) in c.covers])
+        for z in c.ids()
+        if c.dim(x) - c.dim(z) == 2 and c.is_face(x, z)
+    ]
+
+
+def assign_incidence_signs_reference(c: Complex) -> IncidenceSigns:
+    """Reference signs: parity union-find with path compression over each cell's diamonds."""
+    report = validate_complex(c)
+    if not report.ok:
+        raise SignInconsistency(f"complex fails validation: {report}")
+    sign: dict = {}
+    for e in c.cells_of_dim(1):
+        a, b = sorted(c.cover_faces[e])
+        sign[(e, a)] = 1
+        sign[(e, b)] = -1
+    for d in range(2, c.top_dim + 1):
+        for x in sorted(c.cells_of_dim(d)):
+            faces = sorted(c.cover_faces[x])
+            parent = {y: y for y in faces}
+            parity = {y: 0 for y in faces}  # parity to the component root
+
+            def find_with_parity(y):
+                root = y
+                p = 0
+                while parent[root] != root:
+                    p ^= parity[root]
+                    root = parent[root]
+                node = y
+                acc = p
+                while parent[node] != node:
+                    nxt = parent[node]
+                    np = parity[node]
+                    parent[node] = root
+                    parity[node] = acc
+                    acc ^= np
+                    node = nxt
+                return root, p
+
+            for z in sorted({z for y in faces for z in c.cover_faces[y] if (x, z) in c.reach and c.dim(x) - c.dim(z) == 2}):
+                pair = [y for y in faces if (y, z) in c.covers]
+                if len(pair) != 2:
+                    raise SignInconsistency(f"diamond [{z}, {x}] is not a diamond")
+                y1, y2 = pair
+                want = 1 if sign[(y1, z)] * sign[(y2, z)] == 1 else 0
+                r1, p1 = find_with_parity(y1)
+                r2, p2 = find_with_parity(y2)
+                if r1 == r2:
+                    if p1 ^ p2 != want:
+                        raise SignInconsistency(
+                            f"orientation constraints around {x} are unsatisfiable at diamond [{z}, {x}]"
+                        )
+                else:
+                    parent[r2] = r1
+                    parity[r2] = p1 ^ p2 ^ want
+            assigned = set()
+            for y in faces:
+                if y in assigned:
+                    continue
+                root, p0 = find_with_parity(y)
+                for y2 in faces:
+                    r2, p2 = find_with_parity(y2)
+                    if r2 == root:
+                        sign[(x, y2)] = 1 if (p2 ^ p0) == 0 else -1
+                        assigned.add(y2)
+    return IncidenceSigns(sign)
 
 
 def close_order_reference(elements, pairs):

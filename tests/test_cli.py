@@ -7,6 +7,8 @@ from morseflow import entrance_path_category, matching_to_morse_system
 from morseflow.cli import main
 from morseflow.fixtures import FIXTURES, get_fixture
 
+from helpers import RP2_FACETS, coned_complex
+
 
 @pytest.fixture()
 def fixture_files(tmp_path):
@@ -291,3 +293,43 @@ def test_out_of_range_bounds_exit_1(fixture_files, capsys):
         argv = ("homology", mode, files["complex"], files["matching"])
         assert run(capsys, *argv, "--max-nerve-dim", "0") == (1, "")
     assert run(capsys, "homology", "nerve-en", files["complex"], "--max-nerve-dim", "1")[0] == 0
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_invalid_complexes_exit_1_without_traceback(tmp_path, capsys):
+    edge = {"cells": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}], "covers": [["e", "v"]]}
+    loop = {"cells": [{"id": "a", "dim": 0}, {"id": "b", "dim": 0}], "covers": [["a", "b"], ["b", "a"]]}
+    cone = json.loads(coned_complex(RP2_FACETS).to_json())
+    empty_matching = _write_json(tmp_path / "m.json", {"kind": "classical", "pairs": []})
+    cases = []
+    for stem, doc, reason in (
+        ("edge", edge, "complex fails validation: edge_faces: edge e has 1 vertex faces"),
+        ("loop", loop, "complex fails validation: grading: cover (a, b) drops dimension by 0"),
+        ("cone", cone, "orientation constraints around cone are unsatisfiable at diamond [s4_5, cone]"),
+    ):
+        cx = _write_json(tmp_path / f"{stem}.json", doc)
+        stalks = {c["id"]: 1 for c in doc["cells"]}
+        cosheaf = _write_json(tmp_path / f"{stem}-c.json", {"ring": "Z", "stalks": stalks, "maps": {}})
+        cases += [
+            (reason, ("homology", "complex", cx)),
+            (reason, ("homology", "cosheaf", cx, cosheaf)),
+            (reason, ("homology", "morse", cx, empty_matching)),
+        ]
+        if stem != "cone":  # the cone passes validation, so its categories exist
+            first, last = doc["cells"][0]["id"], doc["cells"][-1]["id"]
+            cases += [
+                (reason, ("homology", "nerve-en", cx)),
+                (reason, ("homology", "nerve-flow", cx, empty_matching)),
+                (reason, ("flow", cx, empty_matching, "--from", last, "--to", first)),
+            ]
+    for reason, argv in cases:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {reason}"), argv
+        assert "Traceback" not in captured.err

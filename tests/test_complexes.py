@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,8 +17,18 @@ from morseflow import (
     validate_complex,
 )
 
-from helpers import RP2_FACETS, cell_name, random_complex, simplicial_to_complex, validate_complex_reference
-from morseflow.fixtures import fig2_complex, sphere_complex
+from helpers import (
+    RP2_FACETS,
+    SPHERE2_FACETS,
+    TORUS_FACETS,
+    assign_incidence_signs_reference,
+    coned_complex,
+    diamonds_reference,
+    random_complex,
+    simplicial_to_complex,
+    validate_complex_reference,
+)
+from morseflow.fixtures import FIXTURES, fig2_complex, sphere_complex
 
 
 def test_sphere_is_valid():
@@ -117,10 +128,7 @@ def test_empty_complex():
 
 def test_cone_over_projective_plane_has_no_orientation():
     # passes the combinatorial proxies but no sign assignment exists
-    cx = simplicial_to_complex(RP2_FACETS)
-    cells = list(cx.cells) + [Cell("cone", 3)]
-    covers = list(cx.covers) + [("cone", cell_name(f)) for f in RP2_FACETS]
-    coned = Complex(cells, covers)
+    coned = coned_complex(RP2_FACETS)
     assert validate_complex(coned).ok
     with pytest.raises(SignInconsistency):
         assign_incidence_signs(coned)
@@ -168,3 +176,66 @@ def test_validation_and_strict_faces_match_bruteforce_reference():
         for cid in cx.ids():
             assert cx.strict_faces(cid) == sorted(b for a, b in cx.reach if a == cid)
     assert {"grading", "edge_faces", "diamond"} <= codes
+
+
+def _random_graded_complex(rng):
+    """Random cells in dimensions 0..3 with random covers one dimension down."""
+    cells = [Cell(f"c{k}", rng.randint(0, 3)) for k in range(rng.randint(3, 14))]
+    covers = [(u.id, l.id) for u in cells for l in cells if u.dim - l.dim == 1 and rng.random() < 0.5]
+    return Complex(cells, covers)
+
+
+def _relabelled(rng, facets):
+    """The facets under a random renaming of their vertices."""
+    vertices = sorted({v for f in facets for v in f})
+    names = dict(zip(vertices, rng.sample(vertices, len(vertices))))
+    return [tuple(names[v] for v in f) for f in facets]
+
+
+def test_diamonds_match_the_all_pairs_scan():
+    rng = random.Random(31)
+    cases = [fx.complex for _, fx in sorted(FIXTURES.items())]
+    cases += [simplicial_to_complex(RP2_FACETS), coned_complex(RP2_FACETS), coned_complex(TORUS_FACETS)]
+    cases += [random_complex(rng) for _ in range(40)] + [_random_graded_complex(rng) for _ in range(200)]
+    cases += [_perturbed(rng, _random_graded_complex(rng)) for _ in range(200)]  # mostly ungraded
+    middle_counts = set()
+    for cx in cases:
+        graded = all(cx.dim(u) - cx.dim(l) == 1 for u, l in cx.covers)
+        for x in cx.ids():
+            got, want = cx.diamonds(x), diamonds_reference(cx, x)
+            if not graded:  # a cover that drops two dimensions spans an interval with no middle
+                want = [(z, mids) for z, mids in want if mids]
+            assert got == want
+            middle_counts.update(len(mids) for _, mids in got)
+    assert {1, 2, 3} <= middle_counts
+
+
+def _signs_or_error(assign, cx):
+    try:
+        return "signs", assign(cx).sign
+    except SignInconsistency as exc:
+        return "error", str(exc)
+
+
+def test_signs_match_the_union_find_reference():
+    rng = random.Random(37)
+    tetrahedra = list(combinations(range(1, 6), 4))
+    cases = [fx.complex for _, fx in sorted(FIXTURES.items())]
+    cases += [simplicial_to_complex(f) for f in (RP2_FACETS, TORUS_FACETS, SPHERE2_FACETS)]
+    cases += [coned_complex(RP2_FACETS), coned_complex(TORUS_FACETS)]
+    for _ in range(30):
+        cases.append(coned_complex(_relabelled(rng, RP2_FACETS)))
+        cases.append(coned_complex(_relabelled(rng, TORUS_FACETS)))
+        cases.append(simplicial_to_complex(rng.sample(tetrahedra, rng.randint(1, 4))))
+        cases.append(random_complex(rng))
+        cases.append(_random_graded_complex(rng))
+    messages = set()
+    for cx in cases:
+        got = _signs_or_error(assign_incidence_signs, cx)
+        assert got == _signs_or_error(assign_incidence_signs_reference, cx)
+        if got[0] == "error":
+            messages.add(got[1].split(" ")[0])
+    assert messages == {"complex", "orientation"}
+    assert _signs_or_error(assign_incidence_signs, coned_complex(RP2_FACETS)) == (
+        "error", "orientation constraints around cone are unsatisfiable at diamond [s4_5, cone]"
+    )

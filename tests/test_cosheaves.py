@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from morseflow import (
+    ChainComplex,
     Matching,
     Mat,
     NotAComplex,
@@ -263,3 +264,23 @@ def test_morse_transport_runs_past_the_recursion_limit():
     s = homology(mc.chain)
     assert s.betti() == (1, 1)
     assert s.torsion() == ((), ())
+
+
+def test_cosheaf_and_morse_routes_check_d_squared_once(monkeypatch):
+    checked = []
+    check = ChainComplex.check_boundary_squares_to_zero
+
+    def counted(cc):
+        checked.append(cc)
+        return check(cc)
+
+    monkeypatch.setattr(ChainComplex, "check_boundary_squares_to_zero", counted)
+    cx = fig2_complex()
+    signs = assign_incidence_signs(cx)
+    F = random_twisted_cosheaf(random.Random(3), cx, QQ)
+    cosheaf_homology(cx, signs, F)
+    assert len(checked) == 1
+    checked.clear()
+    mc = morse_chain_complex(cx, signs, F, random_acyclic_matching(random.Random(3), cx))
+    homology(mc.chain)
+    assert checked == [mc.chain]

@@ -73,16 +73,6 @@ def test_snf_matches_minors_oracle():
         assert invariant_factors(m) == got
 
 
-def test_snf_pivot_strategies_agree():
-    rng = random.Random(13)
-    for _ in range(25):
-        m = random_int_matrix(rng, 4, 5)
-        _, d1, _ = smith_normal_form(m, pivot="min")
-        _, d2, _ = smith_normal_form(m, pivot="first")
-        diag = lambda d: [d[i, i] for i in range(4)]
-        assert diag(d1) == diag(d2)
-
-
 def _simplicial_chain_complex(facets, ring):
     from morseflow import assign_incidence_signs, cellular_chain_complex
 
@@ -108,9 +98,8 @@ def test_universal_coefficients_on_projective_plane():
 def test_not_a_complex_raises():
     d1 = Mat.from_rows([[1, 0], [0, 1]])
     d2 = Mat.from_rows([[1], [0]])
-    cc = ChainComplex(ZZ, (2, 2, 1), {1: d1, 2: d2})
     with pytest.raises(NotAComplex):
-        homology(cc)
+        ChainComplex(ZZ, (2, 2, 1), {1: d1, 2: d2})
 
 
 def test_rank_over_field_and_inverse():
@@ -196,9 +185,8 @@ def test_sparse_matrix_dense_view():
 def test_sparse_non_complex_raises():
     d1 = SparseMat(2, 2, (((0, 1),), ((1, 1),)))
     d2 = SparseMat(2, 1, (((0, 1),),))
-    cc = ChainComplex(QQ, (2, 2, 1), {1: d1, 2: d2})
     with pytest.raises(NotAComplex, match=r"d_1 o d_2 != 0"):
-        homology(cc)
+        ChainComplex(QQ, (2, 2, 1), {1: d1, 2: d2})
     cancelling = SparseMat(2, 1, (((0, 1), (1, -1)),))
     d1 = SparseMat(1, 2, (((0, 1),), ((0, 1),)))
     assert homology(ChainComplex(ZZ, (1, 2, 1), {1: d1, 2: cancelling})).betti() == (0, 0, 0)
