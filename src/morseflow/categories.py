@@ -107,6 +107,23 @@ def _bits(mask):
         mask ^= low
 
 
+def _walks(starts, succ, max_steps=None):
+    """Every walk that begins at a start and follows ``succ``, in depth-first preorder.
+
+    A walk is a tuple of nodes and ``succ(walk)`` lists the nodes that may
+    come next, in order.  Walks take at most ``max_steps`` steps (no limit
+    for None).  The stack is explicit, so depth is bounded by memory, not
+    by the interpreter; there is no cycle guard, so ``succ`` must end every
+    walk when there is no step limit.
+    """
+    stack = [(s,) for s in reversed(tuple(starts))]
+    while stack:
+        walk = stack.pop()
+        yield walk
+        if max_steps is None or len(walk) <= max_steps:
+            stack.extend(walk + (n,) for n in reversed(tuple(succ(walk))))
+
+
 def _close_order(elements, pairs, violation):
     """Reflexive-transitive closure of ``pairs``: (frozenset of pairs, up-set bitmask per element).
 
@@ -262,18 +279,13 @@ def _path_splittings(f: Morphism):
 
 def entrance_path_category(c) -> PCategory:
     """Entrance paths (strictly descending cell sequences) ordered by subsequence."""
+    cyclic = sorted(a for a, b in c.reach if a == b)
+    if cyclic:
+        raise ValueError(f"face relation contains a cycle through {cyclic[0]}")
     paths = {}  # (src, dst) -> list of label tuples
     ids = c.ids()
-
-    def extend(prefix):
-        last = prefix[-1]
-        key = (prefix[0], last)
-        paths.setdefault(key, []).append(prefix)
-        for nxt in c.strict_faces(last):
-            extend(prefix + (nxt,))
-
-    for cid in ids:
-        extend((cid,))
+    for path in _walks(ids, lambda p: c.strict_faces(p[-1])):
+        paths.setdefault((path[0], path[-1]), []).append(path)
     homs = {}
     identities = {cid: identity_morphism(cid) for cid in ids}
     for (a, b), labels in paths.items():

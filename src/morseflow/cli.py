@@ -95,6 +95,11 @@ def cmd_validate(args) -> int:
     failed = False
     complex_ = _load_complex(args.complex)
     report = validate_complex(complex_)
+    if report.ok:
+        try:
+            assign_incidence_signs(complex_)
+        except SignInconsistency as exc:
+            report.add("orientation", str(exc))
     results["complex"] = report.as_dict()
     failed |= not report.ok
     if args.matching and report.ok:

@@ -25,10 +25,16 @@ class Cosheaf:
     maps: dict  # (upper, lower) cover pair -> Mat
 
     def stalk(self, cid: str) -> int:
-        return self.stalks[cid]
+        try:
+            return self.stalks[cid]
+        except KeyError:
+            raise ValueError(f"cosheaf has no stalk rank for cell {cid}") from None
 
     def cover_map(self, upper: str, lower: str) -> Mat:
-        return self.maps[(upper, lower)]
+        try:
+            return self.maps[(upper, lower)]
+        except KeyError:
+            raise ValueError(f"cosheaf has no extension map for cover {upper}>{lower}") from None
 
     @staticmethod
     def from_json(text: str) -> "Cosheaf":

@@ -116,4 +116,4 @@ def get_fixture(name: str) -> Fixture:
     try:
         return FIXTURES[name]
     except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; available: {sorted(FIXTURES)}") from None
+        raise ValueError(f"unknown fixture {name!r}; available: {sorted(FIXTURES)}") from None

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .categories import HomPoset, PCategory, _close_order
+from .categories import HomPoset, PCategory, _close_order, _walks
 from .matchings import MorseSystem
 
 
@@ -200,50 +200,28 @@ def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4
     singleton = ms.all_singleton_homs(cat)
     if max_len is None and not singleton:
         raise ValueError("a length bound is required for this system")
-    chains = [()]
 
-    def extend(chain):
-        chains.append(chain)
-        if max_len is not None and len(chain) >= max_len:
-            return
+    def succ(chain):
         last = chain[-1]
-        for f in ms.sigma:
-            if singleton:
-                if f in chain or (last, f) not in ms.rel:
-                    continue
-            else:
-                if f != last and (last, f) not in ms.rel:
-                    continue
-            extend(chain + (f,))
+        if singleton:
+            return [f for f in ms.sigma if (last, f) in ms.rel and f not in chain]
+        return [f for f in ms.sigma if f == last or (last, f) in ms.rel]
 
-    if max_len is None or max_len >= 1:
-        for f in ms.sigma:
-            extend((f,))
-
+    # A chain whose first slot hom(w, f.target) is empty stays empty however
+    # it is extended, so walks start only where that slot is filled.
+    starts = [f for f in ms.sigma if not cat.hom(w, f.target).is_empty()] if max_len != 0 else []
+    chains = [()]
+    chains.extend(_walks(starts, succ, None if max_len is None else max_len - 1))
     out = []
     for chain in chains:
-        if not chain:
-            out.extend(Zigzag((g,), ()) for g in cat.hom(w, z).elements)
-            continue
         slots = []
         src = w
-        feasible = True
         for f in chain:
-            els = cat.hom(src, f.target).elements
-            if not els:
-                feasible = False
-                break
-            slots.append(els)
+            slots.append(cat.hom(src, f.target).elements)
             src = f.source
-        if feasible:
-            last = cat.hom(src, z).elements
-            feasible = bool(last)
-        if not feasible:
-            continue
-        slots.append(last)
-        for combo in product(*slots):
-            out.append(Zigzag(tuple(combo), chain))
-    return sorted(set(out), key=Zigzag.key)
+        slots.append(cat.hom(src, z).elements)
+        out.extend(Zigzag(combo, chain) for combo in product(*slots))
+    return sorted(out, key=Zigzag.key)
 
 
 # ---------------------------------------------------------------------------

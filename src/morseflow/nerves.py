@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .categories import PCategory, sort_key
+from .categories import PCategory, _walks, sort_key
 from .homology import ChainComplex, HomologySummary, homology
 from .rings import Ring
 
@@ -119,21 +119,10 @@ def order_complex(elements, leq, maxdim: int | None = None) -> SimplicialSetSkel
     elements = sorted(elements, key=_poset_key)
     if maxdim is None:
         maxdim = max(len(elements) - 1, 0)
-    strict = {
-        (a, b)
-        for a in elements
-        for b in elements
-        if a != b and leq(a, b)
-    }
-    simplices = {0: [Simplex((a,), None) for a in elements]}
-    for d in range(1, maxdim + 1):
-        level = []
-        for s in simplices[d - 1]:
-            last = s.objects[-1]
-            for b in elements:
-                if (last, b) in strict:
-                    level.append(Simplex(s.objects + (b,), None))
-        simplices[d] = level
+    above = {a: [b for b in elements if a != b and leq(a, b)] for a in elements}
+    simplices = {d: [] for d in range(maxdim + 1)}
+    for chain in _walks(elements, lambda ch: above[ch[-1]], maxdim):
+        simplices[len(chain) - 1].append(Simplex(chain, None))
     return SimplicialSetSkeleton(maxdim, simplices, None)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 ACCEPTANCE_LINES: list = []  # per-criterion pass/fail lines, shown in the summary
 
@@ -393,6 +393,58 @@ def loc_order_reference(cat, ms, w, z, max_len):
             pairs.add((member_to_class[zg], member_to_class[tgt]))
     closed, both = close_order_reference(classes, pairs)
     return classes, closed, both
+
+
+def enumerate_zigzags_reference(cat, ms, w, z, max_len=4):
+    """Reference zigzag enumeration: recursive Σ-chains from every arrow, each
+    chain dropped at its first empty slot."""
+    singleton = ms.all_singleton_homs(cat)
+    if max_len is None and not singleton:
+        raise ValueError("a length bound is required for this system")
+    chains = [()]
+
+    def extend(chain):
+        chains.append(chain)
+        if max_len is not None and len(chain) >= max_len:
+            return
+        last = chain[-1]
+        for f in ms.sigma:
+            if singleton:
+                if f in chain or (last, f) not in ms.rel:
+                    continue
+            else:
+                if f != last and (last, f) not in ms.rel:
+                    continue
+            extend(chain + (f,))
+
+    if max_len is None or max_len >= 1:
+        for f in ms.sigma:
+            extend((f,))
+
+    out = []
+    for chain in chains:
+        if not chain:
+            out.extend(Zigzag((g,), ()) for g in cat.hom(w, z).elements)
+            continue
+        slots = []
+        src = w
+        feasible = True
+        for f in chain:
+            els = cat.hom(src, f.target).elements
+            if not els:
+                feasible = False
+                break
+            slots.append(els)
+            src = f.source
+        if feasible:
+            last = cat.hom(src, z).elements
+            feasible = bool(last)
+        if not feasible:
+            continue
+        slots.append(last)
+        for combo in product(*slots):
+            out.append(Zigzag(tuple(combo), chain))
+    return sorted(set(out), key=Zigzag.key)
 
 
 def flow_instances():

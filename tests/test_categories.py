@@ -3,6 +3,8 @@ import random
 import pytest
 
 from morseflow import (
+    Cell,
+    Complex,
     HomPoset,
     Morphism,
     NoAtom,
@@ -14,7 +16,7 @@ from morseflow import (
     is_cellular,
     poset_as_pcategory,
 )
-from morseflow.categories import identity_morphism
+from morseflow.categories import _walks, identity_morphism
 from morseflow.localization import OrderViolation, close_order_relation
 
 from helpers import close_order_reference, count_descending_chains, covers_reference, random_complex
@@ -179,3 +181,29 @@ def test_order_closure_matches_the_pairwise_reference():
             with pytest.raises(ValueError, match="not transitive"):
                 HomPoset(tuple(els), unclosed).check_partial_order()
     assert violations > 25 and orders > 200
+
+
+def test_walks_are_depth_first_preorder_with_a_step_bound():
+    succ = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": []}
+    nxt = lambda walk: succ[walk[-1]]
+    walks = ["".join(w) for w in _walks(["a", "c"], nxt)]
+    assert walks == ["a", "ab", "abd", "ac", "acd", "c", "cd"]
+    assert ["".join(w) for w in _walks(["a", "c"], nxt, 1)] == ["a", "ab", "ac", "c", "cd"]
+    assert ["".join(w) for w in _walks(["a", "c"], nxt, 0)] == ["a", "c"]
+    assert list(_walks([], nxt)) == []
+
+
+def test_walks_follow_a_10000_node_path_without_recursion():
+    n = 10_000
+    count, last = 0, None
+    for walk in _walks([0], lambda w: [w[-1] + 1] if w[-1] + 1 < n else []):
+        count += 1
+        last = walk
+    assert count == n
+    assert last == tuple(range(n))
+
+
+def test_entrance_paths_refuse_a_cyclic_face_relation():
+    loop = Complex([Cell("a", 0), Cell("b", 0)], [["a", "b"], ["b", "a"]])
+    with pytest.raises(ValueError, match="cycle through a"):
+        entrance_path_category(loop)

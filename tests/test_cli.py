@@ -333,3 +333,35 @@ def test_invalid_complexes_exit_1_without_traceback(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"error: {reason}"), argv
         assert "Traceback" not in captured.err
+
+
+def test_validate_reports_missing_incidence_signs(tmp_path, capsys):
+    cone = _write_json(tmp_path / "cone.json", json.loads(coned_complex(RP2_FACETS).to_json()))
+    code, doc = run_json(capsys, "validate", cone)
+    assert code == 1
+    assert doc["results"]["complex"] == {
+        "ok": False,
+        "findings": [
+            {
+                "code": "orientation",
+                "message": "orientation constraints around cone are unsatisfiable at diamond [s4_5, cone]",
+                "witness": [],
+            }
+        ],
+    }
+
+
+def test_missing_cosheaf_data_and_unknown_fixtures_are_named(fixture_files, tmp_path, capsys):
+    fig2 = fixture_files["fig2"]
+    stalks = {c.id: 1 for c in get_fixture("fig2").complex.cells}
+    no_maps = _write_json(tmp_path / "no-maps.json", {"ring": "Z", "stalks": stalks, "maps": {}})
+    code = main(["homology", "morse", fig2["complex"], fig2["matching"], no_maps])
+    assert code == 1
+    assert capsys.readouterr().err == "error: cosheaf has no extension map for cover wx>x\n"
+    code = main(["fixture", "dump", "nope", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: unknown fixture 'nope'; available: {sorted(FIXTURES)}\n"
+    from morseflow import ZZ, Cosheaf
+
+    with pytest.raises(ValueError, match="no stalk rank for cell x"):
+        Cosheaf(ZZ, {}, {}).stalk("x")

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -26,6 +27,7 @@ from morseflow.localization import Zigzag, _contractions, zigzag_class_of
 
 from helpers import (
     cycle_graph_complex,
+    enumerate_zigzags_reference,
     flow_compose_reference,
     flow_instances,
     loc_order_reference,
@@ -480,3 +482,71 @@ def test_negative_length_bounds_are_refused():
     with pytest.raises(ValueError, match="at least 0"):
         stabilized_flow(En2, ms2, -1)
     assert stabilized_flow(En, ms, 0, 0)[0].max_len == 1  # bound 0 is still taken
+
+
+def test_enumeration_matches_the_recursive_reference():
+    checked = 0
+    for name, En, ms, bound in flow_instances():
+        bounds = (None, 0, 1, 2) if bound is None else (bound,)
+        for w in En.objects:
+            for z in En.objects:
+                for b in bounds:
+                    got = enumerate_zigzags(En, ms, w, z, b)
+                    assert got == enumerate_zigzags_reference(En, ms, w, z, b), (name, w, z, b)
+                    checked += len(got)
+    assert checked > 1000
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_long_sigma_chains_need_no_recursion():
+    # The path matching e_i > v_(i+1) on a 300-cycle: the one nontrivial
+    # zigzag from e299 to v0 backs through all 299 arrows.
+    n = 300
+    cx = cycle_graph_complex(n)
+    En = entrance_path_category(cx)
+    ms = matching_to_morse_system(cx, Matching(tuple((f"e{i}", f"v{i + 1}") for i in range(n - 1))), En)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        zigzags = enumerate_zigzags(En, ms, f"e{n - 1}", "v0", None)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [len(z.lefts) for z in zigzags] == [0, n - 1]
+    assert zigzag_to_text(zigzags[1]).endswith("< e1 > v1 < e0 > v0")
+
+
+def test_every_flow_class_has_exactly_one_irreducible_member():
+    # On calc63 only the critical pairs: hom(b, y) has one class with three
+    # irreducible members (b > y, b > x > y, b > z > y).
+    classes = 0
+    for name, En, ms, bound in flow_instances():
+        objects = En.objects if bound is None else ms.critical
+        for w in objects:
+            for z in objects:
+                for cls in hom_poset_loc(En, ms, w, z, bound).elements:
+                    irreducible = [m for m in cls.members if next(_contractions(En, m), None) is None]
+                    assert irreducible == [cls.canonical], (name, cls)
+                    classes += 1
+    assert classes > 400
+
+
+def test_chains_of_a_cyclic_singleton_system_repeat_no_arrow():
+    # Matching every edge of a 4-cycle to its next vertex makes the order on
+    # the system a 4-cycle; each chain still uses each arrow at most once.
+    cx = cycle_graph_complex(4)
+    En = entrance_path_category(cx)
+    ms = matching_to_morse_system(cx, Matching(tuple((f"e{i}", f"v{(i + 1) % 4}") for i in range(4))), En)
+    for bound in (6, None):  # the bounded pass first: a missing guard fails there, not by hanging
+        for w in En.objects:
+            for z in En.objects:
+                got = enumerate_zigzags(En, ms, w, z, bound)
+                assert got == enumerate_zigzags_reference(En, ms, w, z, bound), (w, z, bound)
+                assert all(len(set(zg.lefts)) == len(zg.lefts) for zg in got)
+    longest = enumerate_zigzags(En, ms, "e0", "v0", None)[-1]
+    assert zigzag_to_text(longest) == "e0 > v0 < e3 > v3 < e2 > v2 < e1 > v1 < e0 > v0"

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -173,3 +174,21 @@ def test_flow_nerve_matches_the_per_candidate_reference(cat, ms, max_len):
 def test_entrance_path_nerve_matches_the_per_candidate_reference():
     En = entrance_path_category(simplicial_to_complex(SPHERE2_FACETS))
     assert geometric_nerve(En, 3).simplices == geometric_nerve_reference(En, 3).simplices
+
+
+def test_order_complex_lists_every_chain_in_lexicographic_order():
+    rng = random.Random(8)
+    for _ in range(30):
+        els = rng.sample(range(1, 40), rng.randint(1, 7))
+        leq = lambda a, b: b % a == 0  # divisibility
+        ordered = sorted(els, key=repr)  # order_complex sorts plain values by repr
+        for maxdim in (None, 1, 2):
+            oc = order_complex(els, leq, maxdim)
+            top = len(els) - 1 if maxdim is None else maxdim
+            assert sorted(oc.simplices) == list(range(top + 1))
+            for d in range(top + 1):
+                chains = [
+                    p for p in permutations(ordered, d + 1)
+                    if all(a != b and leq(a, b) for a, b in zip(p, p[1:]))
+                ]
+                assert [s.objects for s in oc.simplices[d]] == sorted(chains, key=lambda p: [ordered.index(x) for x in p])
