@@ -33,19 +33,26 @@ def identity_morphism(obj: str) -> Morphism:
 class HomPoset:
     """Explicit finite poset of morphisms; leq pairs are stored closed.
 
-    Generating relations are closed by ``_close_order``: the elements get
-    integer ids, each up-set is a bitmask, Warshall's algorithm closes them,
-    and two distinct elements comparable both ways are rejected.
+    Generating relations are closed by ``_close_order``.  Construction keeps
+    each element's down-set as a bitmask over the element positions, so
+    ``below_all``, ``minimum`` and ``covers`` are mask operations.
     """
 
     elements: tuple
     relation: frozenset  # (f, g) pairs meaning f => g, reflexive-transitive
 
+    def __post_init__(self):
+        index = {e: i for i, e in enumerate(self.elements)}
+        down = dict.fromkeys(self.elements, 0)
+        for a, b in self.relation:
+            down[b] |= 1 << index[a]
+        object.__setattr__(self, "_down", down)
+
     @staticmethod
     def build(elements, pairs) -> "HomPoset":
         """Close the given pairs reflexively and transitively; must stay antisymmetric."""
         elements = tuple(elements)
-        rel, _ = _close_order(
+        rel = _close_order(
             elements, pairs, lambda a, b: ValueError(f"hom-poset order is not antisymmetric: {a!r} <=> {b!r}")
         )
         return HomPoset(elements, rel)
@@ -59,11 +66,15 @@ class HomPoset:
     def leq(self, f, g) -> bool:
         return (f, g) in self.relation
 
+    def below_all(self, bounds) -> int:
+        """Bitmask of the element positions lying below every bound (all of them for no bound)."""
+        mask = (1 << len(self.elements)) - 1
+        for b in bounds:
+            mask &= self._down.get(b, 0)
+        return mask
+
     def minimum(self):
-        for f in self.elements:
-            if all(self.leq(f, g) for g in self.elements):
-                return f
-        return None
+        return next((self.elements[i] for i in _bits(self.below_all(self.elements))), None)
 
     def maximum(self):
         for f in self.elements:
@@ -74,21 +85,20 @@ class HomPoset:
     def covers(self):
         """Covering pairs (f, g) of the strict order, for compact reports."""
         els = self.elements
-        _, up = _close_order(els, self.relation, _not_antisymmetric)
-        strict = [m & ~(1 << i) for i, m in enumerate(up)]
+        strict = [m & ~(1 << i) for i, m in enumerate(self._down.values())]
         out = []
         for i, m in enumerate(strict):
-            above = 0
+            below = 0
             for j in _bits(m):
-                above |= strict[j]
-            out.extend((els[i], els[j]) for j in _bits(m & ~above))
+                below |= strict[j]
+            out.extend((els[j], els[i]) for j in _bits(m & ~below))
         return sorted(out, key=_pair_key)
 
     def check_partial_order(self):
         for f in self.elements:
             if (f, f) not in self.relation:
                 raise ValueError(f"relation not reflexive at {f}")
-        if _close_order(self.elements, self.relation, _not_antisymmetric)[0] != self.relation:
+        if _close_order(self.elements, self.relation, _not_antisymmetric) != self.relation:
             raise ValueError("relation not transitive")
 
 
@@ -125,7 +135,7 @@ def _walks(starts, succ, max_steps=None):
 
 
 def _close_order(elements, pairs, violation):
-    """Reflexive-transitive closure of ``pairs``: (frozenset of pairs, up-set bitmask per element).
+    """Reflexive-transitive closure of ``pairs`` (a frozenset), by Warshall on up-set bitmasks.
 
     Raises ``violation(a, b)`` for the first two distinct elements, in
     element order, that end up comparable both ways.
@@ -147,7 +157,7 @@ def _close_order(elements, pairs, violation):
             if j != i and up[j] >> i & 1:
                 raise violation(a, els[j])
             rel.append((a, els[j]))
-    return frozenset(rel), up
+    return frozenset(rel)
 
 
 def _pair_key(pair):

@@ -159,16 +159,12 @@ def cosheaf_chain_complex(c: Complex, signs, F: Cosheaf) -> ChainComplex:
                 yield (y, i), ring.mul(s, block[i, j])
 
     cells = [c.cells_of_dim(d) for d in range(max(c.top_dim, 0) + 1)]
-    return ChainComplex.from_faces(ring, _stalk_generators(F, cells), faces, label=_stalk_label)
+    return ChainComplex.from_faces(ring, _stalk_generators(F, cells), faces)
 
 
 def _stalk_generators(F: Cosheaf, cells) -> list:
     """Per degree, one (cell, k) generator per stalk basis vector of ``cells[d]``."""
     return [[(cid, k) for cid in level for k in range(F.stalk(cid))] for level in cells]
-
-
-def _stalk_label(g) -> str:
-    return f"{g[0]}[{g[1]}]"
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +195,7 @@ def transport(c: Complex, F: Cosheaf, m: Matching, z: Zigzag) -> Mat:
 @dataclass
 class MorseComplex:
     chain: ChainComplex
-    critical: tuple  # cell ids per degree, aligned with chain.labels
+    critical: tuple  # cell ids per degree; the chain's generators are their stalk vectors, in order
 
 
 def morse_chain_complex(c: Complex, signs, F: Cosheaf, m: Matching) -> MorseComplex:
@@ -278,5 +274,5 @@ def morse_chain_complex(c: Complex, signs, F: Cosheaf, m: Matching) -> MorseComp
                 yield (tgt, i), block[i, j]
 
     cells = [[cid for cid in c.cells_of_dim(d) if cid not in matched] for d in range(max(c.top_dim, 0) + 1)]
-    cc = ChainComplex.from_faces(ring, _stalk_generators(F, cells), faces, label=_stalk_label)
+    cc = ChainComplex.from_faces(ring, _stalk_generators(F, cells), faces)
     return MorseComplex(cc, tuple(map(tuple, cells)))

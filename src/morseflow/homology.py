@@ -166,7 +166,6 @@ class ChainComplex:
     ring: Ring
     ranks: tuple[int, ...]
     boundaries: dict  # degree n >= 1 -> SparseMat of shape ranks[n-1] x ranks[n]
-    labels: tuple = ()  # optional generator names per degree, for reports
 
     def __post_init__(self):
         for n, d in self.boundaries.items():
@@ -182,14 +181,13 @@ class ChainComplex:
         self.check_boundary_squares_to_zero()
 
     @staticmethod
-    def from_faces(ring: Ring, gens, faces, label=str) -> "ChainComplex":
+    def from_faces(ring: Ring, gens, faces) -> "ChainComplex":
         """Assemble a complex from generators and their boundary faces.
 
         ``gens[d]`` lists the generators of degree d; ``faces(g)`` yields the
         ``(face, coefficient)`` pairs of the boundary of a generator g of
         positive degree, each face a generator one degree lower.  Repeated
-        faces add up and zero sums are dropped.  ``label(g)`` names g in
-        ``labels``.
+        faces add up and zero sums are dropped.
         """
         index = [{g: i for i, g in enumerate(level)} for level in gens]
         boundaries = {}
@@ -202,12 +200,7 @@ class ChainComplex:
                     acc[i] = ring.add(acc[i], coeff) if i in acc else ring.normalize(coeff)
                 columns.append(tuple((i, x) for i, x in sorted(acc.items()) if x))
             boundaries[d] = SparseMat(len(gens[d - 1]), len(gens[d]), tuple(columns))
-        return ChainComplex(
-            ring,
-            tuple(len(level) for level in gens),
-            boundaries,
-            labels=tuple(tuple(label(g) for g in level) for level in gens),
-        )
+        return ChainComplex(ring, tuple(len(level) for level in gens), boundaries)
 
     @property
     def top(self) -> int:

@@ -25,6 +25,8 @@ from itertools import product
 from .categories import HomPoset, PCategory, _close_order, _walks
 from .matchings import MorseSystem
 
+STABILIZATION_NERVE_DIM = 3  # successive bounds must agree on nerve homology through degree 2
+
 
 class OrderViolation(Exception):
     """Antisymmetry of the localized order failed; carries a witness pair."""
@@ -197,6 +199,9 @@ def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4
     at most ``max_len`` backward arrows are used (and a bound is required).
     """
     _check_max_len(max_len)
+    for end in (w, z):
+        if end not in cat.objects:
+            raise ValueError(f"zigzag endpoint {end!r} is not an object of the category")
     singleton = ms.all_singleton_homs(cat)
     if max_len is None and not singleton:
         raise ValueError("a length bound is required for this system")
@@ -328,7 +333,7 @@ def close_order_relation(elements, rel) -> frozenset:
         elements,
         rel,
         lambda a, b: OrderViolation(f"localized order is not antisymmetric between {a!r} and {b!r}"),
-    )[0]
+    )
 
 
 def hom_poset_loc(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4) -> HomPoset:
@@ -459,7 +464,7 @@ def _flow_signature(flow: FlowCategory):
     return sig
 
 
-def stabilized_flow(cat: PCategory, ms: MorseSystem, start_len=4, cap=8, nerve_dim=3):
+def stabilized_flow(cat: PCategory, ms: MorseSystem, start_len=4, cap=8):
     """Flow category with a stabilization verdict.
 
     Singleton systems are complete outright.  Otherwise the bound is raised
@@ -475,7 +480,7 @@ def stabilized_flow(cat: PCategory, ms: MorseSystem, start_len=4, cap=8, nerve_d
         return flow_category(cat, ms, start_len), "complete"
 
     def betti_of(flow):
-        skel = geometric_nerve(flow.category, nerve_dim)
+        skel = geometric_nerve(flow.category, STABILIZATION_NERVE_DIM)
         return homology(normalized_chain_complex(skel, QQ)).betti()
 
     length = start_len

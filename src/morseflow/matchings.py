@@ -23,6 +23,7 @@ from .complexes import Complex, ValidationReport
 CERTIFIED = "CERTIFIED"
 ACYCLIC = "ACYCLIC"
 FAIL = "FAIL"
+MILDNESS_NERVE_DIM = 4  # the ACYCLIC verdict reads nerve homology through degree 3
 
 
 class BadPair(Exception):
@@ -322,7 +323,7 @@ class MildnessReport:
         return {"all_mild": self.all_mild, "entries": [e.as_dict() for e in self.entries]}
 
 
-def check_mildness(cat: PCategory, ms: MorseSystem, max_nerve_dim: int = 4) -> MildnessReport:
+def check_mildness(cat: PCategory, ms: MorseSystem) -> MildnessReport:
     """Grade each system arrow by the shape of its restriction category.
 
     CERTIFIED: a homotopy-extremal object exists, or the order complex of the
@@ -359,7 +360,7 @@ def check_mildness(cat: PCategory, ms: MorseSystem, max_nerve_dim: int = 4) -> M
         if greedy_collapses_to_point(oc):
             entries.append(MildnessEntry(f, finite, loopfree, CERTIFIED, "order complex collapses to a point"))
             continue
-        betti = nerve_homology(sub, max_nerve_dim, QQ).betti()
+        betti = nerve_homology(sub, MILDNESS_NERVE_DIM, QQ).betti()
         if betti and betti[0] == 1 and all(b == 0 for b in betti[1:]):
             entries.append(MildnessEntry(f, finite, loopfree, ACYCLIC, f"reduced homology vanishes to degree {len(betti) - 1}"))
         else:

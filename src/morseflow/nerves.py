@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .categories import PCategory, _walks, sort_key
+from .categories import PCategory, _bits, _walks, sort_key
 from .homology import ChainComplex, HomologySummary, homology
 from .rings import Ring
 
@@ -46,9 +46,7 @@ class Simplex:
 
 
 def is_degenerate(cat: PCategory | None, s: Simplex) -> bool:
-    """A simplex collapses at k when vertices k, k+1 repeat with identity glue."""
-    if s.fs is None:
-        return False
+    """A simplex collapses at k when vertices k, k+1 repeat with identity glue (chains never do)."""
     for k in range(s.dim):
         if s.objects[k] != s.objects[k + 1]:
             continue
@@ -67,19 +65,23 @@ class SimplicialSetSkeleton:
     maxdim: int
     simplices: dict  # dim -> list of Simplex (degenerate ones included)
     cat: PCategory | None = None
+    nondegenerate: dict = field(init=False)  # dim -> list of the nondegenerate simplices
 
-    def nondegenerate(self, d: int):
-        return [s for s in self.simplices.get(d, []) if not is_degenerate(self.cat, s)]
+    def __post_init__(self):
+        self.nondegenerate = {
+            d: [s for s in self.simplices.get(d, []) if not is_degenerate(self.cat, s)]
+            for d in range(self.maxdim + 1)
+        }
 
     def sizes(self):
-        return {d: len(self.nondegenerate(d)) for d in range(self.maxdim + 1)}
+        return {d: len(level) for d, level in self.nondegenerate.items()}
 
 
 def geometric_nerve(cat: PCategory, maxdim: int) -> SimplicialSetSkeleton:
     """Simplices are tuples of objects with compatible morphism triangles.
 
     Beyond dimension 2 a simplex exists exactly when all its triangles do, so
-    each dimension extends the previous one by a vertex.
+    each dimension extends the previous one by a vertex x, filling its column as a walk.
     """
     objects = sorted(cat.objects)
     simplices = {0: [Simplex((x,), ()) for x in objects]}
@@ -90,25 +92,19 @@ def geometric_nerve(cat: PCategory, maxdim: int) -> SimplicialSetSkeleton:
                 hom_last = cat.hom(s.objects[-1], x)
                 if hom_last.is_empty():
                     continue
-                choices = [None] * d  # choices[i] = f_(i, d)
 
-                def fill(i, acc):
-                    if i < 0:
-                        fs = tuple(
-                            s.fs[j] + (acc[j],) for j in range(d - 1)
-                        ) + ((acc[d - 1],),)
+                def succ(col):
+                    # col holds f_(d-1, d) .. f_(i+1, d); f_(i, d) lies below every
+                    # composite f_(i, j) o f_(j, d), computed once for all candidates.
+                    i = d - 1 - len(col)
+                    hp = cat.hom(s.objects[i], x)
+                    bounds = [cat.compose(s.f(i, j), col[d - 1 - j]) for j in range(i + 1, d)]
+                    return [hp.elements[k] for k in _bits(hp.below_all(bounds))]
+
+                for col in _walks(hom_last.elements, succ, d - 1):
+                    if len(col) == d:
+                        fs = tuple(s.fs[j] + (col[d - 1 - j],) for j in range(d - 1)) + ((col[0],),)
                         level.append(Simplex(s.objects + (x,), fs))
-                        return
-                    # f_(i, d) must lie below every composite f_(i, j) o f_(j, d);
-                    # those bounds do not depend on the candidate.
-                    bounds = [cat.compose(s.f(i, j), acc[j]) for j in range(i + 1, d)]
-                    for m in cat.hom(s.objects[i], x).elements:
-                        if all(cat.leq(m, b) for b in bounds):
-                            acc2 = list(acc)
-                            acc2[i] = m
-                            fill(i - 1, acc2)
-
-                fill(d - 1, choices)
         level.sort(key=Simplex.key)
         simplices[d] = level
     return SimplicialSetSkeleton(maxdim, simplices, cat)
@@ -135,15 +131,16 @@ def _poset_key(el):
 
 def normalized_chain_complex(skel: SimplicialSetSkeleton, ring: Ring) -> ChainComplex:
     """Generators are the nondegenerate simplices; degenerate faces are dropped."""
+    gens = [skel.nondegenerate[d] for d in range(skel.maxdim + 1)]
+    kept = [set(level) for level in gens]
 
     def faces(s):
         for k in range(s.dim + 1):
             face = s.face(k)
-            if not is_degenerate(skel.cat, face):
+            if face in kept[s.dim - 1]:
                 yield face, 1 if k % 2 == 0 else -1
 
-    gens = [skel.nondegenerate(d) for d in range(skel.maxdim + 1)]
-    return ChainComplex.from_faces(ring, gens, faces, label=lambda s: repr(s.objects))
+    return ChainComplex.from_faces(ring, gens, faces)
 
 
 def nerve_homology(cat: PCategory, maxdim: int, ring: Ring) -> HomologySummary:
@@ -161,10 +158,7 @@ def greedy_collapses_to_point(skel: SimplicialSetSkeleton) -> bool:
     Works on order complexes (no morphism data).  Returns True when the
     complex collapses to a single vertex; False is inconclusive.
     """
-    cells = set()
-    for d in range(skel.maxdim + 1):
-        for s in skel.nondegenerate(d):
-            cells.add(s.objects)
+    cells = {s.objects for level in skel.nondegenerate.values() for s in level}
     if not cells:
         return False
 

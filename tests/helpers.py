@@ -10,6 +10,7 @@ ACCEPTANCE_LINES: list = []  # per-criterion pass/fail lines, shown in the summa
 
 from morseflow import (
     Cell,
+    ChainComplex,
     Complex,
     IncidenceSigns,
     Matching,
@@ -32,7 +33,7 @@ from morseflow.localization import (
     reduce_zigzag,
     zigzag_class_of,
 )
-from morseflow.nerves import Simplex, SimplicialSetSkeleton
+from morseflow.nerves import Simplex, SimplicialSetSkeleton, is_degenerate
 from morseflow.rings import mat_inverse
 
 
@@ -501,3 +502,18 @@ def geometric_nerve_reference(cat, maxdim):
         level.sort(key=Simplex.key)
         simplices[d] = level
     return SimplicialSetSkeleton(maxdim, simplices, cat)
+
+
+def normalized_chain_complex_reference(skel, ring):
+    """Reference normalized complex: decides degeneracy again for every simplex and every face."""
+    def faces(s):
+        for k in range(s.dim + 1):
+            face = s.face(k)
+            if not is_degenerate(skel.cat, face):
+                yield face, 1 if k % 2 == 0 else -1
+
+    gens = [
+        [s for s in skel.simplices.get(d, []) if not is_degenerate(skel.cat, s)]
+        for d in range(skel.maxdim + 1)
+    ]
+    return ChainComplex.from_faces(ring, gens, faces)

@@ -183,6 +183,30 @@ def test_order_closure_matches_the_pairwise_reference():
     assert violations > 25 and orders > 200
 
 
+def test_mask_scans_match_brute_force():
+    rng = random.Random(11)
+    orders = 0
+    for trial in range(400):
+        els, pairs = _random_relation(rng, acyclic=trial % 2 == 0)
+        closed, both = close_order_reference(els, pairs)
+        if both:
+            continue
+        orders += 1
+        hp = HomPoset.build(els, pairs)
+        # the same masks whether the poset was built or constructed from a closed relation
+        for poset in (hp, HomPoset(tuple(els), closed)):
+            for _ in range(5):
+                bounds = rng.sample(els, rng.randint(0, min(3, len(els))))
+                below = [i for i, e in enumerate(els) if all((e, b) in closed for b in bounds)]
+                assert poset.below_all(bounds) == sum(1 << i for i in below)
+            bottoms = [e for e in els if all((e, g) in closed for g in els)]
+            assert poset.minimum() == (bottoms[0] if bottoms else None)
+            assert poset.covers() == covers_reference(els, closed)
+    assert orders > 200
+    assert HomPoset((), frozenset()).minimum() is None
+    assert HomPoset((), frozenset()).below_all(()) == 0
+
+
 def test_walks_are_depth_first_preorder_with_a_step_bound():
     succ = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": []}
     nxt = lambda walk: succ[walk[-1]]

@@ -109,6 +109,17 @@ def test_flow_command(fixture_files, capsys):
     assert doc["results"]["class_count"] == 0
 
 
+def test_flow_refuses_an_unknown_cell(fixture_files, capsys):
+    files = fixture_files["calc61"]
+    for category in ("entrance-path", "face-poset"):
+        argv = ["flow", files["complex"], files["matching"], "--from", "nope", "--to", "w", "--category", category]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: zigzag endpoint 'nope' is not an object of the category\n"
+
+
 def test_flow_face_poset_mode(fixture_files, capsys):
     code, doc = run_json(
         capsys,

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -232,3 +233,13 @@ def test_flow_nerve_route_agrees_with_cellular(facets):
     for ring in (ZZ, QQ):
         cellular = homology(cellular_chain_complex(cx, signs, ring))
         assert _groups(homology(normalized_chain_complex(skel, ring)), 2) == _groups(cellular, 2)
+
+
+def test_flow_nerve_route_agrees_with_cellular_on_the_3_sphere():
+    cx = simplicial_to_complex(list(combinations(range(1, 6), 4)))  # the boundary of the 4-simplex
+    En = entrance_path_category(cx)
+    ms = matching_to_morse_system(cx, random_acyclic_matching(random.Random(5), cx), En)
+    skel = geometric_nerve(flow_category(En, ms, None).category, 3)  # H_0..H_2
+    assert [len(skel.simplices[d]) for d in range(4)] == [4, 480, 3780, 20060]
+    cellular = homology(cellular_chain_complex(cx, assign_incidence_signs(cx), QQ))
+    assert _groups(homology(normalized_chain_complex(skel, QQ)), 2) == _groups(cellular, 2)

@@ -298,7 +298,7 @@ def test_generalized_matching_stabilizes():
     S = sphere_complex()
     En = entrance_path_category(S)
     ms = matching_to_morse_system(S, Matching((("b", "y"),), "generalized"), En)
-    flow, status = stabilized_flow(En, ms, 2, 6, 3)
+    flow, status = stabilized_flow(En, ms, 2, 6)
     assert status == "stable"
     assert len(flow.hom("t", "w")) == 10
     hp = flow.hom("t", "w")
@@ -482,6 +482,17 @@ def test_negative_length_bounds_are_refused():
     with pytest.raises(ValueError, match="at least 0"):
         stabilized_flow(En2, ms2, -1)
     assert stabilized_flow(En, ms, 0, 0)[0].max_len == 1  # bound 0 is still taken
+
+
+def test_endpoints_outside_the_category_are_refused():
+    fx = get_fixture("calc61")
+    En = entrance_path_category(fx.complex)
+    ms = matching_to_morse_system(fx.complex, fx.matching, En)
+    for w, z, bad in (("nope", "w", "nope"), ("t", "nada", "nada")):
+        with pytest.raises(ValueError, match=f"endpoint '{bad}' is not an object"):
+            enumerate_zigzags(En, ms, w, z, None)
+        with pytest.raises(ValueError, match=f"endpoint '{bad}' is not an object"):
+            hom_poset_loc(En, ms, w, z, None)
 
 
 def test_enumeration_matches_the_recursive_reference():

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import permutations
 
@@ -27,6 +28,7 @@ from helpers import (
     cycle_graph_complex,
     flow_instances,
     geometric_nerve_reference,
+    normalized_chain_complex_reference,
     random_complex,
     simplicial_to_complex,
 )
@@ -174,6 +176,26 @@ def test_flow_nerve_matches_the_per_candidate_reference(cat, ms, max_len):
 def test_entrance_path_nerve_matches_the_per_candidate_reference():
     En = entrance_path_category(simplicial_to_complex(SPHERE2_FACETS))
     assert geometric_nerve(En, 3).simplices == geometric_nerve_reference(En, 3).simplices
+
+
+def test_normalized_chain_complex_matches_the_per_face_reference():
+    cats = [(name, flow_category(cat, ms, n).category) for name, cat, ms, n in flow_instances()]
+    cats.append(("entrance-sphere2", entrance_path_category(simplicial_to_complex(SPHERE2_FACETS))))
+    for name, cat in cats:
+        skel = geometric_nerve(cat, 3)
+        for ring in (QQ, ZZ):
+            cc = normalized_chain_complex(skel, ring)
+            ref = normalized_chain_complex_reference(skel, ring)
+            assert cc.ranks == ref.ranks, name
+            assert cc.boundaries == ref.boundaries, name
+
+
+def test_geometric_nerve_leaves_no_reference_cycles():
+    En = entrance_path_category(simplicial_to_complex(SPHERE2_FACETS))
+    gc.collect()
+    skel = geometric_nerve(En, 3)
+    assert gc.collect() == 0
+    assert sum(len(level) for level in skel.simplices.values()) > 0
 
 
 def test_order_complex_lists_every_chain_in_lexicographic_order():
