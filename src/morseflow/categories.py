@@ -21,6 +21,14 @@ class Morphism:
     target: str
     label: tuple
 
+    def __post_init__(self):
+        # Morphisms key every column, class and order lookup: hash the
+        # fields once.  Equality and ordering stay field-wise.
+        object.__setattr__(self, "_hash", hash((self.source, self.target, self.label)))
+
+    def __hash__(self):
+        return self._hash
+
     def __repr__(self):
         return f"<{' > '.join(map(str, self.label))}>" if self.label else f"<{self.source}->{self.target}>"
 

@@ -19,7 +19,7 @@ from .fixtures import FIXTURES, get_fixture
 from .homology import NotAComplex, homology
 from .localization import OrderViolation, hom_poset_loc, stabilized_flow, zigzag_to_text
 from .matchings import BadPair, Matching, check_acyclic, check_mildness, matching_to_morse_system, validate_morse_system
-from .nerves import nerve_homology
+from .nerves import geometric_nerve, nerve_homology
 from .rings import NotInvertible, ring_from_name
 
 
@@ -179,7 +179,7 @@ def cmd_homology(args) -> int:
     elif args.mode == "nerve-en":
         cat = _valid_category(complex_, "entrance-path")
         results["max_nerve_dim"] = args.max_nerve_dim
-        results["homology"] = _summary_dict(nerve_homology(cat, args.max_nerve_dim, ring))
+        results["homology"] = _summary_dict(nerve_homology(geometric_nerve(cat, args.max_nerve_dim), ring))
     elif args.mode == "nerve-flow":
         if not args.matching:
             raise ValueError("mode nerve-flow needs a matching file")
@@ -190,7 +190,7 @@ def cmd_homology(args) -> int:
         results["status"] = status
         results["critical"] = list(system.critical)
         results["max_nerve_dim"] = args.max_nerve_dim
-        results["homology"] = _summary_dict(nerve_homology(flow.category, args.max_nerve_dim, ring))
+        results["homology"] = _summary_dict(nerve_homology(flow.nerve(args.max_nerve_dim), ring))
     elif args.mode == "cosheaf":
         if not args.matching:
             raise ValueError("mode cosheaf needs a cosheaf file")

@@ -9,7 +9,8 @@ one rewriter: it applies the first contraction until none is left, and flow
 composition uses it.  The order on classes is generated by single-slot steps
 (one forward morphism raised in its hom-poset, which generates the
 componentwise order of same-shape zigzags) together with column erasures
-(the longer zigzag sits below), closed through the classes.
+(the longer zigzag sits below), closed through the classes.  Every move acts
+on one column or one morphism, so a move table computes each once.
 
 For systems whose arrows span singleton hom-posets (classical matchings,
 codimension 1) the strictly descending enumeration is complete and no length
@@ -19,7 +20,7 @@ compares successive bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .categories import HomPoset, PCategory, _close_order, _walks
@@ -126,59 +127,101 @@ def zigzag_from_text(cat: PCategory, ms: MorseSystem, text: str) -> Zigzag:
 # ---------------------------------------------------------------------------
 
 
-def _contractions(cat: PCategory, z: Zigzag):
-    """All one-step cancellations of a column through a common splitting point."""
+class _MoveTable:
+    """The localization moves of one category, computed once per column.
+
+    A contraction or an erasure replaces one column (g_i, f_i, g_(i+1)) of a
+    zigzag by a single forward morphism, and which morphisms qualify depends
+    on the column alone; a single-slot step depends on the morphism alone.
+    So each column's merged morphisms, each column's erasure replacements and
+    each morphism's strictly larger hom-poset elements are computed on first
+    use, in first-seen order, and kept for the table's lifetime (one flow
+    category or one localized hom-poset).  Zigzags are only spliced.
+    """
+
+    def __init__(self, cat: PCategory):
+        self.cat = cat
+        self._merged: dict = {}  # (g1, f, g2) -> merged morphisms of its contractions
+        self._erased: dict = {}  # (g1, f, g2) -> replacements of its erasures
+        self._above: dict = {}  # g -> strictly larger elements of its hom-poset
+
+    def merged(self, g1, f, g2) -> tuple:
+        """Cancellations of a column through a common splitting point a: g1 ends
+        with p: a -> y, g2 starts with q: x -> a, and f lies below q o p."""
+        key = (g1, f, g2)
+        out = self._merged.get(key)
+        if out is None:
+            cat = self.cat
+            heads = cat.splittings(g2)
+            out = []
+            for p_head, a, p in cat.splittings(g1):
+                for q, a2, h_tail in heads:
+                    if a == a2 and cat.leq(f, cat.compose(q, p)):
+                        out.append(cat.compose(p_head, h_tail))
+            out = self._merged[key] = tuple(dict.fromkeys(out))
+        return out
+
+    def erased(self, g1, f, g2) -> tuple:
+        """Replacements of a column by one morphism lying above it in the order."""
+        key = (g1, f, g2)
+        out = self._erased.get(key)
+        if out is None:
+            cat = self.cat
+            out = [
+                cat.compose(g1, r)
+                for r in cat.hom(f.target, g2.target).elements
+                if cat.leq(g2, cat.compose(f, r))
+            ]
+            out.extend(
+                cat.compose(r, g2)
+                for r in cat.hom(g1.source, f.source).elements
+                if cat.leq(g1, cat.compose(r, f))
+            )
+            out = self._erased[key] = tuple(dict.fromkeys(out))
+        return out
+
+    def above(self, g) -> tuple:
+        """The elements strictly above g in its hom-poset, in element order."""
+        out = self._above.get(g)
+        if out is None:
+            hp = self.cat.hom(g.source, g.target)
+            out = self._above[g] = tuple(g2 for g2 in hp.elements if g2 != g and hp.leq(g, g2))
+        return out
+
+    def contractions(self, z: Zigzag):
+        """All one-step cancellations of a column through a common splitting point."""
+        return _spliced(z, self.merged)
+
+    def erasures(self, z: Zigzag):
+        """Order moves deleting one column; the longer zigzag lies below the result."""
+        return _spliced(z, self.erased)
+
+    def reduce(self, z: Zigzag) -> Zigzag:
+        """Apply the first contraction until none is left; the result is irreducible."""
+        while True:
+            nxt = next(self.contractions(z), None)
+            if nxt is None:
+                return z
+            z = nxt
+
+
+def _spliced(z: Zigzag, replacements):
+    """Each zigzag made by replacing one column of z with one of its replacements, once."""
     seen = set()
     for i, f in enumerate(z.lefts):
-        g1, g2 = z.rights[i], z.rights[i + 1]
-        for p_head, a, p in cat.splittings(g1):
-            for q, a2, h_tail in cat.splittings(g2):
-                if a != a2:
-                    continue
-                if not cat.leq(f, cat.compose(q, p)):
-                    continue
-                merged = cat.compose(p_head, h_tail)
-                out = Zigzag(
-                    z.rights[:i] + (merged,) + z.rights[i + 2:],
-                    z.lefts[:i] + z.lefts[i + 1:],
-                )
-                if out not in seen:
-                    seen.add(out)
-                    yield out
+        for g in replacements(z.rights[i], f, z.rights[i + 1]):
+            out = Zigzag(
+                z.rights[:i] + (g,) + z.rights[i + 2:],
+                z.lefts[:i] + z.lefts[i + 1:],
+            )
+            if out not in seen:
+                seen.add(out)
+                yield out
 
 
 def reduce_zigzag(cat: PCategory, z: Zigzag) -> Zigzag:
     """Apply the first contraction until none is left; the result is irreducible."""
-    while True:
-        nxt = next(_contractions(cat, z), None)
-        if nxt is None:
-            return z
-        z = nxt
-
-
-def _erasures(cat: PCategory, z: Zigzag):
-    """Order moves deleting one column; the longer zigzag lies below the result."""
-    seen = set()
-    for i, f in enumerate(z.lefts):
-        g1, g2 = z.rights[i], z.rights[i + 1]
-        for r in cat.hom(f.target, g2.target).elements:
-            if cat.leq(g2, cat.compose(f, r)):
-                out = Zigzag(
-                    z.rights[:i] + (cat.compose(g1, r),) + z.rights[i + 2:],
-                    z.lefts[:i] + z.lefts[i + 1:],
-                )
-                if out not in seen:
-                    seen.add(out)
-                    yield out
-        for r in cat.hom(g1.source, f.source).elements:
-            if cat.leq(g1, cat.compose(r, f)):
-                out = Zigzag(
-                    z.rights[:i] + (cat.compose(r, g2),) + z.rights[i + 2:],
-                    z.lefts[:i] + z.lefts[i + 1:],
-                )
-                if out not in seen:
-                    seen.add(out)
-                    yield out
+    return _MoveTable(cat).reduce(z)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +284,9 @@ class ZigzagClass:
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.canonical, self.members)))
+        # Classes are sorted, compared across bounds and keyed in nerve
+        # simplices: build the canonical label tuples once.
+        object.__setattr__(self, "_key", self.canonical.key())
 
     def __hash__(self):
         return self._hash
@@ -258,13 +304,13 @@ class ZigzagClass:
         return ("[" + zigzag_to_text(self.canonical) + "]",)
 
     def key(self):
-        return self.canonical.key()
+        return self._key
 
     def __repr__(self):
         return f"[{zigzag_to_text(self.canonical)}]"
 
 
-def _partition_into_classes(cat: PCategory, zigzags):
+def _partition_into_classes(moves: _MoveTable, zigzags):
     parent = {z: z for z in zigzags}
 
     def find(a):
@@ -281,7 +327,7 @@ def _partition_into_classes(cat: PCategory, zigzags):
     pool = set(zigzags)
     reducible = set()
     for zg in zigzags:
-        for tgt in _contractions(cat, zg):
+        for tgt in moves.contractions(zg):
             reducible.add(zg)
             if tgt not in pool:
                 raise AssertionError(f"contraction left the enumerated set: {tgt!r}")
@@ -302,9 +348,9 @@ def _partition_into_classes(cat: PCategory, zigzags):
     return classes, member_to_class
 
 
-def _loc_hom(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4):
-    zigzags = enumerate_zigzags(cat, ms, w, z, max_len)
-    classes, member_to_class = _partition_into_classes(cat, zigzags)
+def _loc_hom(moves: _MoveTable, ms: MorseSystem, w: str, z: str, max_len=4):
+    zigzags = enumerate_zigzags(moves.cat, ms, w, z, max_len)
+    classes, member_to_class = _partition_into_classes(moves, zigzags)
 
     # Single-slot steps generate the componentwise order of same-shape
     # zigzags; every step stays in the enumerated product of the slots.
@@ -312,11 +358,10 @@ def _loc_hom(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4):
     for zg in zigzags:
         below = member_to_class[zg]
         for i, g in enumerate(zg.rights):
-            for g2 in cat.hom(g.source, g.target).elements:
-                if g2 != g and cat.leq(g, g2):
-                    step = Zigzag(zg.rights[:i] + (g2,) + zg.rights[i + 1:], zg.lefts)
-                    rel.add((below, member_to_class[step]))
-        for tgt in _erasures(cat, zg):
+            for g2 in moves.above(g):
+                step = Zigzag(zg.rights[:i] + (g2,) + zg.rights[i + 1:], zg.lefts)
+                rel.add((below, member_to_class[step]))
+        for tgt in moves.erasures(zg):
             rel.add((below, member_to_class[tgt]))
 
     rel = close_order_relation(classes, rel)
@@ -338,7 +383,7 @@ def close_order_relation(elements, rel) -> frozenset:
 
 def hom_poset_loc(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4) -> HomPoset:
     """Hom-poset of the localization between two objects."""
-    return _loc_hom(cat, ms, w, z, max_len)[0]
+    return _loc_hom(_MoveTable(cat), ms, w, z, max_len)[0]
 
 
 def zigzag_class_of(hom: HomPoset, z: Zigzag) -> ZigzagClass:
@@ -397,6 +442,7 @@ def essential_chain(cat: PCategory, z: Zigzag) -> EssentialChain:
 class FlowCategory:
     category: PCategory
     max_len: object  # int or None
+    _nerves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def objects(self):
@@ -405,6 +451,15 @@ class FlowCategory:
     def hom(self, a: str, b: str) -> HomPoset:
         return self.category.hom(a, b)
 
+    def nerve(self, maxdim: int):
+        """The geometric nerve through ``maxdim``, built once per dimension and kept."""
+        from .nerves import geometric_nerve
+
+        skel = self._nerves.get(maxdim)
+        if skel is None:
+            skel = self._nerves[maxdim] = geometric_nerve(self.category, maxdim)
+        return skel
+
 
 def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
     """Full localized subcategory on the critical objects."""
@@ -412,11 +467,12 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
     critical = ms.critical
     singleton = ms.all_singleton_homs(cat)
     effective = None if singleton else max_len
+    moves = _MoveTable(cat)
     homs = {}
     lookups = {}
     for m in critical:
         for m2 in critical:
-            hp, lookup = _loc_hom(cat, ms, m, m2, effective)
+            hp, lookup = _loc_hom(moves, ms, m, m2, effective)
             if not hp.is_empty():
                 homs[(m, m2)] = hp
             lookups[(m, m2)] = lookup
@@ -436,7 +492,7 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
             z1.rights[:-1] + (cat.compose(z1.rights[-1], z2.rights[0]),) + z2.rights[1:],
             z1.lefts + z2.lefts,
         )
-        reduced = reduce_zigzag(cat, joined)
+        reduced = moves.reduce(joined)
         lookup = lookups[(z1.source, z2.target)]
         if reduced not in lookup:
             raise ValueError(
@@ -454,12 +510,8 @@ def _flow_signature(flow: FlowCategory):
     for m in flow.objects:
         for m2 in flow.objects:
             hp = flow.hom(m, m2)
-            keys = {c.canonical.key() for c in hp.elements}
-            rel = {
-                (a.canonical.key(), b.canonical.key())
-                for (a, b) in hp.relation
-                if a != b
-            }
+            keys = {c.key() for c in hp.elements}
+            rel = {(a.key(), b.key()) for (a, b) in hp.relation if a != b}
             sig[(m, m2)] = (keys, rel)
     return sig
 
@@ -472,26 +524,27 @@ def stabilized_flow(cat: PCategory, ms: MorseSystem, start_len=4, cap=8):
     classes, their order and the truncated nerve homology agree at two
     consecutive bounds; the verdict is then "stable", else "unstable".
     """
-    from .nerves import geometric_nerve, normalized_chain_complex
+    from .nerves import normalized_chain_complex
     from .homology import homology
     from .rings import QQ
 
     if ms.all_singleton_homs(cat):
         return flow_category(cat, ms, start_len), "complete"
 
-    def betti_of(flow):
-        skel = geometric_nerve(flow.category, STABILIZATION_NERVE_DIM)
-        return homology(normalized_chain_complex(skel, QQ)).betti()
+    def verdict_of(flow):
+        skel = flow.nerve(STABILIZATION_NERVE_DIM)
+        return _flow_signature(flow), homology(normalized_chain_complex(skel, QQ)).betti()
 
     length = start_len
-    current = flow_category(cat, ms, length)
-    cur_sig, cur_betti = _flow_signature(current), betti_of(current)
+    flow = flow_category(cat, ms, length)
+    previous = verdict_of(flow)
     while True:
         length += 1
-        nxt = flow_category(cat, ms, length)
-        nxt_sig, nxt_betti = _flow_signature(nxt), betti_of(nxt)
-        if cur_sig == nxt_sig and cur_betti == nxt_betti:
-            return nxt, "stable"
-        current, cur_sig, cur_betti = nxt, nxt_sig, nxt_betti
+        del flow  # a flow keeps its nerve: hold one at a time
+        flow = flow_category(cat, ms, length)
+        current = verdict_of(flow)
+        if current == previous:
+            return flow, "stable"
         if length >= cap:
-            return current, "unstable"
+            return flow, "unstable"
+        previous = current

@@ -330,7 +330,7 @@ def check_mildness(cat: PCategory, ms: MorseSystem) -> MildnessReport:
     reachability poset collapses greedily to a point.  ACYCLIC: all reduced
     nerve homology vanishes (contractibility uncertified).  FAIL otherwise.
     """
-    from .nerves import greedy_collapses_to_point, nerve_homology, order_complex
+    from .nerves import geometric_nerve, greedy_collapses_to_point, nerve_homology, order_complex
     from .rings import QQ
 
     entries = []
@@ -360,7 +360,7 @@ def check_mildness(cat: PCategory, ms: MorseSystem) -> MildnessReport:
         if greedy_collapses_to_point(oc):
             entries.append(MildnessEntry(f, finite, loopfree, CERTIFIED, "order complex collapses to a point"))
             continue
-        betti = nerve_homology(sub, MILDNESS_NERVE_DIM, QQ).betti()
+        betti = nerve_homology(geometric_nerve(sub, MILDNESS_NERVE_DIM), QQ).betti()
         if betti and betti[0] == 1 and all(b == 0 for b in betti[1:]):
             entries.append(MildnessEntry(f, finite, loopfree, ACYCLIC, f"reduced homology vanishes to degree {len(betti) - 1}"))
         else:

@@ -143,13 +143,13 @@ def normalized_chain_complex(skel: SimplicialSetSkeleton, ring: Ring) -> ChainCo
     return ChainComplex.from_faces(ring, gens, faces)
 
 
-def nerve_homology(cat: PCategory, maxdim: int, ring: Ring) -> HomologySummary:
-    """Homology of the nerve through dimension maxdim, in degrees below maxdim.
+def nerve_homology(skel: SimplicialSetSkeleton, ring: Ring) -> HomologySummary:
+    """Homology of a nerve skeleton through dimension maxdim, in degrees below maxdim.
 
     The top degree is dropped: H_n needs the simplices through n + 1.
     """
-    summary = homology(normalized_chain_complex(geometric_nerve(cat, maxdim), ring))
-    return HomologySummary(summary.ring_name, summary.groups[:maxdim])
+    summary = homology(normalized_chain_complex(skel, ring))
+    return HomologySummary(summary.ring_name, summary.groups[:skel.maxdim])
 
 
 def greedy_collapses_to_point(skel: SimplicialSetSkeleton) -> bool:

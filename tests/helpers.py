@@ -27,10 +27,9 @@ from morseflow.cosheaves import Cosheaf
 from morseflow.fixtures import get_fixture
 from morseflow.localization import (
     Zigzag,
-    _erasures,
+    _MoveTable,
     _partition_into_classes,
     enumerate_zigzags,
-    reduce_zigzag,
     zigzag_class_of,
 )
 from morseflow.nerves import Simplex, SimplicialSetSkeleton, is_degenerate
@@ -372,6 +371,61 @@ def covers_reference(elements, relation) -> list:
     return out
 
 
+def contractions_reference(cat, z):
+    """Reference contractions: every column of every zigzag scans the splittings afresh."""
+    seen = set()
+    for i, f in enumerate(z.lefts):
+        g1, g2 = z.rights[i], z.rights[i + 1]
+        for p_head, a, p in cat.splittings(g1):
+            for q, a2, h_tail in cat.splittings(g2):
+                if a != a2:
+                    continue
+                if not cat.leq(f, cat.compose(q, p)):
+                    continue
+                merged = cat.compose(p_head, h_tail)
+                out = Zigzag(
+                    z.rights[:i] + (merged,) + z.rights[i + 2:],
+                    z.lefts[:i] + z.lefts[i + 1:],
+                )
+                if out not in seen:
+                    seen.add(out)
+                    yield out
+
+
+def reduce_reference(cat, z):
+    """Reference reduction: the first reference contraction until none is left."""
+    while True:
+        nxt = next(contractions_reference(cat, z), None)
+        if nxt is None:
+            return z
+        z = nxt
+
+
+def erasures_reference(cat, z):
+    """Reference erasures: every column of every zigzag scans its hom-posets afresh."""
+    seen = set()
+    for i, f in enumerate(z.lefts):
+        g1, g2 = z.rights[i], z.rights[i + 1]
+        for r in cat.hom(f.target, g2.target).elements:
+            if cat.leq(g2, cat.compose(f, r)):
+                out = Zigzag(
+                    z.rights[:i] + (cat.compose(g1, r),) + z.rights[i + 2:],
+                    z.lefts[:i] + z.lefts[i + 1:],
+                )
+                if out not in seen:
+                    seen.add(out)
+                    yield out
+        for r in cat.hom(g1.source, f.source).elements:
+            if cat.leq(g1, cat.compose(r, f)):
+                out = Zigzag(
+                    z.rights[:i] + (cat.compose(r, g2),) + z.rights[i + 2:],
+                    z.lefts[:i] + z.lefts[i + 1:],
+                )
+                if out not in seen:
+                    seen.add(out)
+                    yield out
+
+
 def loc_order_reference(cat, ms, w, z, max_len):
     """Reference localized order: componentwise pairs over all n^2 same-shape
     zigzag pairs plus column erasures, closed by ``close_order_reference``.
@@ -379,7 +433,7 @@ def loc_order_reference(cat, ms, w, z, max_len):
     Returns the classes, the closed relation and the pairs comparable both ways.
     """
     zigzags = enumerate_zigzags(cat, ms, w, z, max_len)
-    classes, member_to_class = _partition_into_classes(cat, zigzags)
+    classes, member_to_class = _partition_into_classes(_MoveTable(cat), zigzags)
     pairs = set()
     by_shape: dict = {}
     for zg in zigzags:
@@ -390,7 +444,7 @@ def loc_order_reference(cat, ms, w, z, max_len):
                 if z1 is not z2 and all(cat.leq(g1, g2) for g1, g2 in zip(z1.rights, z2.rights)):
                     pairs.add((member_to_class[z1], member_to_class[z2]))
     for zg in zigzags:
-        for tgt in _erasures(cat, zg):
+        for tgt in erasures_reference(cat, zg):
             pairs.add((member_to_class[zg], member_to_class[tgt]))
     closed, both = close_order_reference(classes, pairs)
     return classes, closed, both
@@ -473,7 +527,7 @@ def flow_compose_reference(cat, flow, c1, c2):
         z1.rights[:-1] + (cat.compose(z1.rights[-1], z2.rights[0]),) + z2.rights[1:],
         z1.lefts + z2.lefts,
     )
-    return zigzag_class_of(flow.hom(z1.source, z2.target), reduce_zigzag(cat, joined))
+    return zigzag_class_of(flow.hom(z1.source, z2.target), reduce_reference(cat, joined))
 
 
 def geometric_nerve_reference(cat, maxdim):

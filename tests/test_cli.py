@@ -179,6 +179,29 @@ def test_homology_nerve_flow_modes(fixture_files, capsys):
     assert doc["results"]["homology"]["betti"] == [1, 0, 1]
 
 
+def test_nerve_flow_builds_each_flow_nerve_once(fixture_files, capsys, monkeypatch):
+    # calc63 stabilizes at bounds 4 and 5; the CLI reads the nerve of the
+    # returned flow that the stabilization loop already built.
+    from morseflow import nerves
+
+    built = []
+    geometric_nerve = nerves.geometric_nerve
+
+    def counting(cat, maxdim):
+        built.append(maxdim)
+        return geometric_nerve(cat, maxdim)
+
+    monkeypatch.setattr(nerves, "geometric_nerve", counting)
+    code, doc = run_json(
+        capsys, "homology", "nerve-flow",
+        fixture_files["calc63"]["complex"], fixture_files["calc63"]["matching"],
+        "--max-zigzag-len", "4",
+    )
+    assert code == 0 and doc["results"]["status"] == "stable"
+    assert doc["results"]["homology"]["betti"] == [1, 0, 1]
+    assert built == [3, 3]
+
+
 def test_homology_morse(fixture_files, capsys):
     code, doc = run_json(
         capsys, "homology", "morse",

@@ -23,11 +23,13 @@ from morseflow import (
     zigzag_to_text,
 )
 from morseflow import localization
-from morseflow.localization import Zigzag, _contractions, zigzag_class_of
+from morseflow.localization import Zigzag, _MoveTable, zigzag_class_of
 
 from helpers import (
+    contractions_reference,
     cycle_graph_complex,
     enumerate_zigzags_reference,
+    erasures_reference,
     flow_compose_reference,
     flow_instances,
     loc_order_reference,
@@ -220,7 +222,7 @@ def test_reduction_reaches_an_irreducible_member_of_the_same_class():
             for member in cls.members:
                 reduced = reduce_zigzag(cat, member)
                 assert reduced in cls.members
-                assert next(_contractions(cat, reduced), None) is None
+                assert next(contractions_reference(cat, reduced), None) is None
 
 
 def test_irreducible_members_have_strictly_descending_chains():
@@ -428,23 +430,25 @@ def test_antisymmetry_guard():
 def test_flow_composition_table_matches_a_fresh_reduction(cat, ms, max_len, monkeypatch):
     flow = flow_category(cat, ms, max_len)
     reductions = []
+    reduce = _MoveTable.reduce
 
-    def counting(c, z):
+    def counting(moves, z):
         reductions.append(z)
-        return reduce_zigzag(c, z)
+        return reduce(moves, z)
 
-    monkeypatch.setattr(localization, "reduce_zigzag", counting)
+    monkeypatch.setattr(_MoveTable, "reduce", counting)
     pairs = 0
     for a in flow.objects:
         for b in flow.objects:
             for c in flow.objects:
                 for c1 in flow.hom(a, b).elements:
                     for c2 in flow.hom(b, c).elements:
-                        first = flow.category.compose(c1, c2)
-                        assert first == flow_compose_reference(cat, flow, c1, c2)
                         before = len(reductions)
+                        first = flow.category.compose(c1, c2)
+                        assert len(reductions) == before + 1  # reduced through the move table
+                        assert first == flow_compose_reference(cat, flow, c1, c2)
                         assert flow.category.compose(c1, c2) is first
-                        assert len(reductions) == before  # answered from the table
+                        assert len(reductions) == before + 1  # answered from the table
                         pairs += 1
     assert pairs > 0
 
@@ -458,10 +462,14 @@ def test_zigzag_and_class_hashes_agree_with_equality():
     for c1, c2 in zip(first.elements, second.elements):
         assert c1 is not c2 and c1 == c2 and hash(c1) == hash(c2)
         assert hash(c1) == hash((c1.canonical, c1.members))
+        assert c1.key() == c1.canonical.key() == c2.key()
         for z in c1.members:
             rebuilt = Zigzag(tuple(z.rights), tuple(z.lefts))
             assert rebuilt == z and hash(rebuilt) == hash(z)
             assert hash(z) == hash((z.rights, z.lefts))
+            for g in z.rights + z.lefts:
+                copy = type(g)(g.source, g.target, tuple(g.label))
+                assert copy == g and hash(copy) == hash(g) == hash((g.source, g.target, g.label))
 
 
 def test_negative_length_bounds_are_refused():
@@ -532,6 +540,51 @@ def test_long_sigma_chains_need_no_recursion():
     assert zigzag_to_text(zigzags[1]).endswith("< e1 > v1 < e0 > v0")
 
 
+def _move_table_instances():
+    """flow_instances() plus calc63 at bound 1, every instance with every cell pair."""
+    instances = flow_instances()
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    instances.append(("calc63-L1", En, matching_to_morse_system(fx.complex, fx.matching, En), 1))
+    return instances
+
+
+def test_move_table_matches_the_per_zigzag_references():
+    # Every cell pair, so calc63's non-critical hom(b, y) is included.
+    zigzags = 0
+    for name, En, ms, bound in _move_table_instances():
+        moves = _MoveTable(En)
+        for w in En.objects:
+            for z in En.objects:
+                for zg in enumerate_zigzags(En, ms, w, z, bound):
+                    assert list(moves.contractions(zg)) == list(contractions_reference(En, zg)), (name, zg)
+                    assert list(moves.erasures(zg)) == list(erasures_reference(En, zg)), (name, zg)
+                    zigzags += 1
+    assert zigzags > 5000
+
+
+def test_splittings_run_at_most_twice_per_distinct_column(monkeypatch):
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    ms = matching_to_morse_system(fx.complex, fx.matching, En)
+    calls = []
+    splittings = En.splittings
+    monkeypatch.setattr(En, "splittings", lambda f: calls.append(f) or splittings(f))
+    visits = []
+    merged = _MoveTable.merged
+    monkeypatch.setattr(_MoveTable, "merged", lambda self, *col: visits.append(col) or merged(self, *col))
+    flow = flow_category(En, ms, 4)
+    for a in flow.objects:
+        for b in flow.objects:
+            for c in flow.objects:
+                for c1 in flow.hom(a, b).elements:
+                    for c2 in flow.hom(b, c).elements:
+                        flow.category.compose(c1, c2)
+    columns = set(visits)
+    assert len(visits) > 10 * len(columns)  # columns repeat across zigzags
+    assert 0 < len(calls) <= 2 * len(columns)
+
+
 def test_every_flow_class_has_exactly_one_irreducible_member():
     # On calc63 only the critical pairs: hom(b, y) has one class with three
     # irreducible members (b > y, b > x > y, b > z > y).
@@ -541,7 +594,7 @@ def test_every_flow_class_has_exactly_one_irreducible_member():
         for w in objects:
             for z in objects:
                 for cls in hom_poset_loc(En, ms, w, z, bound).elements:
-                    irreducible = [m for m in cls.members if next(_contractions(En, m), None) is None]
+                    irreducible = [m for m in cls.members if next(contractions_reference(En, m), None) is None]
                     assert irreducible == [cls.canonical], (name, cls)
                     classes += 1
     assert classes > 400
