@@ -43,7 +43,7 @@ class HomPoset:
 
     Generating relations are closed by ``_close_order``.  Construction keeps
     each element's down-set as a bitmask over the element positions, so
-    ``below_all``, ``minimum`` and ``covers`` are mask operations.
+    ``below_all``, ``minimum``, ``maximum`` and ``covers`` are mask operations.
     """
 
     elements: tuple
@@ -85,10 +85,8 @@ class HomPoset:
         return next((self.elements[i] for i in _bits(self.below_all(self.elements))), None)
 
     def maximum(self):
-        for f in self.elements:
-            if all(self.leq(g, f) for g in self.elements):
-                return f
-        return None
+        full = self.below_all(())
+        return next((f for f, down in self._down.items() if down == full), None)
 
     def covers(self):
         """Covering pairs (f, g) of the strict order, for compact reports."""

@@ -10,7 +10,8 @@ composition uses it.  The order on classes is generated by single-slot steps
 (one forward morphism raised in its hom-poset, which generates the
 componentwise order of same-shape zigzags) together with column erasures
 (the longer zigzag sits below), closed through the classes.  Every move acts
-on one column or one morphism, so a move table computes each once.
+on one column or one morphism, so a move table computes each once, as ids
+of morphisms, and moves splice zigzags keyed by those ids.
 
 For systems whose arrows span singleton hom-posets (classical matchings,
 codimension 1) the strictly descending enumeration is complete and no length
@@ -128,100 +129,157 @@ def zigzag_from_text(cat: PCategory, ms: MorseSystem, text: str) -> Zigzag:
 
 
 class _MoveTable:
-    """The localization moves of one category, computed once per column.
+    """The localization moves of one category, computed once per column, on morphism ids.
 
-    A contraction or an erasure replaces one column (g_i, f_i, g_(i+1)) of a
-    zigzag by a single forward morphism, and which morphisms qualify depends
-    on the column alone; a single-slot step depends on the morphism alone.
-    So each column's merged morphisms, each column's erasure replacements and
-    each morphism's strictly larger hom-poset elements are computed on first
-    use, in first-seen order, and kept for the table's lifetime (one flow
-    category or one localized hom-poset).  Zigzags are only spliced.
+    The table gives each morphism it sees a small int id and keys a zigzag by
+    the tuple (g_0, f_0, g_1, ..., g_k) of its ids.  A contraction or an
+    erasure replaces one column (g_i, f_i, g_(i+1)) of a zigzag by a single
+    forward morphism, and which morphisms qualify depends on the column
+    alone; a single-slot step depends on the morphism alone.  So each
+    column's merged morphisms, each column's erasure replacements and each
+    morphism's strictly larger hom-poset elements are computed on first use,
+    in first-seen order, checked once and kept as ids for the table's
+    lifetime (one flow category or one localized hom-poset).  Moves splice
+    keys; a zigzag is built only to decode a key.
     """
 
     def __init__(self, cat: PCategory):
         self.cat = cat
-        self._merged: dict = {}  # (g1, f, g2) -> merged morphisms of its contractions
-        self._erased: dict = {}  # (g1, f, g2) -> replacements of its erasures
-        self._above: dict = {}  # g -> strictly larger elements of its hom-poset
+        self._ids: dict = {}  # morphism -> id
+        self._morphisms: list = []  # id -> morphism
+        self._merged: dict = {}  # column ids (g1, f, g2) -> ids of its contractions' merged morphisms
+        self._erased: dict = {}  # column ids (g1, f, g2) -> ids of its erasures' replacements
+        self._above: dict = {}  # id of g -> ids of the strictly larger elements of its hom-poset
 
-    def merged(self, g1, f, g2) -> tuple:
+    def _id(self, g) -> int:
+        i = self._ids.get(g)
+        if i is None:
+            i = self._ids[g] = len(self._morphisms)
+            self._morphisms.append(g)
+        return i
+
+    def key(self, z: Zigzag) -> tuple:
+        """The ids of z's morphisms g_0, f_0, g_1, ..., g_k."""
+        slots = [None] * (2 * len(z.lefts) + 1)
+        slots[0::2] = z.rights
+        slots[1::2] = z.lefts
+        return tuple(map(self._id, slots))
+
+    def zigzag(self, key) -> Zigzag:
+        ms = self._morphisms
+        return Zigzag(tuple(ms[i] for i in key[0::2]), tuple(ms[i] for i in key[1::2]))
+
+    def _replacements(self, table, span, moves, key, a, b) -> tuple:
+        """Compute and keep the ids of the morphisms ``moves`` finds for key[a:b].
+
+        Each is checked here, once, to span the same endpoints as key[a:b],
+        and a mismatch raises the error of building the spliced zigzag.
+        """
+        ms = self._morphisms
+        out = table[span] = tuple(dict.fromkeys(map(self._id, moves(*(ms[i] for i in key[a:b])))))
+        first, last = ms[key[a]], ms[key[b - 1]]
+        for r in out:
+            g = ms[r]
+            if g.source != first.source or g.target != last.target:
+                self.zigzag(key[:a] + (r,) + key[b:])
+                raise ValueError(f"{g!r} does not span {first.source} -> {last.target}")
+        return out
+
+    def merged(self, key, i) -> tuple:
+        """Ids of the merged morphisms of column i's contractions."""
+        col = key[2 * i:2 * i + 3]
+        out = self._merged.get(col)
+        if out is None:
+            out = self._replacements(self._merged, col, self._merge, key, 2 * i, 2 * i + 3)
+        return out
+
+    def erased(self, key, i) -> tuple:
+        """Ids of the replacements of column i's erasures."""
+        col = key[2 * i:2 * i + 3]
+        out = self._erased.get(col)
+        if out is None:
+            out = self._replacements(self._erased, col, self._erase, key, 2 * i, 2 * i + 3)
+        return out
+
+    def _merge(self, g1, f, g2):
         """Cancellations of a column through a common splitting point a: g1 ends
         with p: a -> y, g2 starts with q: x -> a, and f lies below q o p."""
-        key = (g1, f, g2)
-        out = self._merged.get(key)
-        if out is None:
-            cat = self.cat
-            heads = cat.splittings(g2)
-            out = []
-            for p_head, a, p in cat.splittings(g1):
-                for q, a2, h_tail in heads:
-                    if a == a2 and cat.leq(f, cat.compose(q, p)):
-                        out.append(cat.compose(p_head, h_tail))
-            out = self._merged[key] = tuple(dict.fromkeys(out))
-        return out
+        cat = self.cat
+        heads = cat.splittings(g2)
+        for p_head, a, p in cat.splittings(g1):
+            for q, a2, h_tail in heads:
+                if a == a2 and cat.leq(f, cat.compose(q, p)):
+                    yield cat.compose(p_head, h_tail)
 
-    def erased(self, g1, f, g2) -> tuple:
+    def _erase(self, g1, f, g2):
         """Replacements of a column by one morphism lying above it in the order."""
-        key = (g1, f, g2)
-        out = self._erased.get(key)
-        if out is None:
-            cat = self.cat
-            out = [
-                cat.compose(g1, r)
-                for r in cat.hom(f.target, g2.target).elements
-                if cat.leq(g2, cat.compose(f, r))
-            ]
-            out.extend(
-                cat.compose(r, g2)
-                for r in cat.hom(g1.source, f.source).elements
-                if cat.leq(g1, cat.compose(r, f))
-            )
-            out = self._erased[key] = tuple(dict.fromkeys(out))
+        cat = self.cat
+        for r in cat.hom(f.target, g2.target).elements:
+            if cat.leq(g2, cat.compose(f, r)):
+                yield cat.compose(g1, r)
+        for r in cat.hom(g1.source, f.source).elements:
+            if cat.leq(g1, cat.compose(r, f)):
+                yield cat.compose(r, g2)
+
+    def _larger(self, g):
+        """The elements strictly above g in its hom-poset, in element order."""
+        hp = self.cat.hom(g.source, g.target)
+        return (g2 for g2 in hp.elements if g2 != g and hp.leq(g, g2))
+
+    def contraction_keys(self, key) -> list:
+        """All one-step cancellations of a column through a common splitting point."""
+        return self._splices(key, self.merged)
+
+    def erasure_keys(self, key) -> list:
+        """Order moves deleting one column; the longer zigzag lies below the result."""
+        return self._splices(key, self.erased)
+
+    def step_keys(self, key) -> list:
+        """Single-slot steps: one forward morphism raised in its hom-poset."""
+        above = self._above
+        out = []
+        for a in range(0, len(key), 2):
+            ups = above.get(key[a])
+            if ups is None:
+                ups = self._replacements(above, key[a], self._larger, key, a, a + 1)
+            if ups:
+                head, tail = key[:a], key[a + 1:]
+                out += [head + (r,) + tail for r in ups]
         return out
 
-    def above(self, g) -> tuple:
-        """The elements strictly above g in its hom-poset, in element order."""
-        out = self._above.get(g)
-        if out is None:
-            hp = self.cat.hom(g.source, g.target)
-            out = self._above[g] = tuple(g2 for g2 in hp.elements if g2 != g and hp.leq(g, g2))
-        return out
+    def _splices(self, key, replacements) -> list:
+        """Each key made by replacing one column with one of its replacements, once."""
+        out = []
+        for i in range(len(key) // 2):
+            rs = replacements(key, i)
+            if rs:
+                head, tail = key[:2 * i], key[2 * i + 3:]
+                out += [head + (r,) + tail for r in rs]
+        return list(dict.fromkeys(out)) if len(out) > 1 else out
 
     def contractions(self, z: Zigzag):
-        """All one-step cancellations of a column through a common splitting point."""
-        return _spliced(z, self.merged)
+        return map(self.zigzag, self.contraction_keys(self.key(z)))
 
     def erasures(self, z: Zigzag):
-        """Order moves deleting one column; the longer zigzag lies below the result."""
-        return _spliced(z, self.erased)
+        return map(self.zigzag, self.erasure_keys(self.key(z)))
 
-    def reduce(self, z: Zigzag) -> Zigzag:
-        """Apply the first contraction until none is left; the result is irreducible."""
-        while True:
-            nxt = next(self.contractions(z), None)
-            if nxt is None:
-                return z
-            z = nxt
-
-
-def _spliced(z: Zigzag, replacements):
-    """Each zigzag made by replacing one column of z with one of its replacements, once."""
-    seen = set()
-    for i, f in enumerate(z.lefts):
-        for g in replacements(z.rights[i], f, z.rights[i + 1]):
-            out = Zigzag(
-                z.rights[:i] + (g,) + z.rights[i + 2:],
-                z.lefts[:i] + z.lefts[i + 1:],
-            )
-            if out not in seen:
-                seen.add(out)
-                yield out
+    def reduce(self, key) -> tuple:
+        """Apply the first contraction to a key until none is left; the result is irreducible."""
+        i = 0
+        while i < len(key) // 2:
+            merged = self.merged(key, i)
+            if merged:
+                key = key[:2 * i] + (merged[0],) + key[2 * i + 3:]
+                i = max(i - 1, 0)  # the columns before i - 1 are unchanged and still do not contract
+            else:
+                i += 1
+        return key
 
 
 def reduce_zigzag(cat: PCategory, z: Zigzag) -> Zigzag:
     """Apply the first contraction until none is left; the result is irreducible."""
-    return _MoveTable(cat).reduce(z)
+    moves = _MoveTable(cat)
+    return moves.zigzag(moves.reduce(moves.key(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +307,15 @@ def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4
     if max_len is None and not singleton:
         raise ValueError("a length bound is required for this system")
 
-    def succ(chain):
-        last = chain[-1]
-        if singleton:
-            return [f for f in ms.sigma if (last, f) in ms.rel and f not in chain]
-        return [f for f in ms.sigma if f == last or (last, f) in ms.rel]
+    if singleton:
+        def succ(chain):
+            return [f for f in ms.successors[chain[-1]] if f not in chain]
+    else:  # an arrow may repeat: it follows itself and its successors, in sigma order
+        position = {f: i for i, f in enumerate(ms.sigma)}
+        again = {f: sorted({f, *after}, key=position.__getitem__) for f, after in ms.successors.items()}
+
+        def succ(chain):
+            return again[chain[-1]]
 
     # A chain whose first slot hom(w, f.target) is empty stays empty however
     # it is extended, so walks start only where that slot is filled.
@@ -311,7 +373,13 @@ class ZigzagClass:
 
 
 def _partition_into_classes(moves: _MoveTable, zigzags):
-    parent = {z: z for z in zigzags}
+    """The classes of the enumerated zigzags under contraction, sorted, on list positions.
+
+    Returns the classes, each zigzag's key mapped to its position, and each
+    position's class number.
+    """
+    index = {moves.key(zg): p for p, zg in enumerate(zigzags)}
+    parent = list(range(len(zigzags)))
 
     def find(a):
         while parent[a] != a:
@@ -319,53 +387,47 @@ def _partition_into_classes(moves: _MoveTable, zigzags):
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    pool = set(zigzags)
-    reducible = set()
-    for zg in zigzags:
-        for tgt in moves.contractions(zg):
-            reducible.add(zg)
-            if tgt not in pool:
-                raise AssertionError(f"contraction left the enumerated set: {tgt!r}")
-            union(zg, tgt)
+    for key, p in index.items():
+        for tgt in moves.contraction_keys(key):
+            q = index.get(tgt)
+            if q is None:
+                raise AssertionError(f"contraction left the enumerated set: {moves.zigzag(tgt)!r}")
+            ra, rb = find(p), find(q)
+            if ra != rb:
+                parent[rb] = ra
     groups: dict = {}
-    for zg in zigzags:
-        groups.setdefault(find(zg), []).append(zg)
-    classes = []
-    member_to_class: dict = {}
-    for members in groups.values():
-        irreducible = [m for m in members if m not in reducible]
-        canonical = min(irreducible, key=Zigzag.key)
-        cls = ZigzagClass(canonical, frozenset(members))
-        classes.append(cls)
-        for m in members:
-            member_to_class[m] = cls
-    classes.sort(key=ZigzagClass.key)
-    return classes, member_to_class
+    for p in range(len(zigzags)):
+        groups.setdefault(find(p), []).append(p)
+    # Zigzags come sorted by key, and a contraction drops a column, so it
+    # lowers the key: a class's first member is its smallest irreducible one,
+    # its canonical, and the groups come sorted by their canonicals.
+    classes, number = [], [0] * len(zigzags)
+    for n, members in enumerate(groups.values()):
+        classes.append(ZigzagClass(zigzags[members[0]], frozenset(zigzags[p] for p in members)))
+        for p in members:
+            number[p] = n
+    return classes, index, number
 
 
 def _loc_hom(moves: _MoveTable, ms: MorseSystem, w: str, z: str, max_len=4):
     zigzags = enumerate_zigzags(moves.cat, ms, w, z, max_len)
-    classes, member_to_class = _partition_into_classes(moves, zigzags)
+    classes, index, number = _partition_into_classes(moves, zigzags)
 
     # Single-slot steps generate the componentwise order of same-shape
     # zigzags; every step stays in the enumerated product of the slots.
-    rel = {(c, c) for c in classes}
-    for zg in zigzags:
-        below = member_to_class[zg]
-        for i, g in enumerate(zg.rights):
-            for g2 in moves.above(g):
-                step = Zigzag(zg.rights[:i] + (g2,) + zg.rights[i + 1:], zg.lefts)
-                rel.add((below, member_to_class[step]))
-        for tgt in moves.erasures(zg):
-            rel.add((below, member_to_class[tgt]))
+    # Pairs are gathered as class numbers.
+    pairs = {(n, n) for n in range(len(classes))}
+    for key, p in index.items():
+        below = number[p]
+        for tgt in moves.step_keys(key) + moves.erasure_keys(key):
+            q = index.get(tgt)
+            if q is None:
+                raise KeyError(moves.zigzag(tgt))
+            pairs.add((below, number[q]))
 
-    rel = close_order_relation(classes, rel)
-    return HomPoset(tuple(classes), rel), member_to_class
+    rel = close_order_relation(classes, {(classes[a], classes[b]) for a, b in pairs})
+    lookup = {key: classes[number[p]] for key, p in index.items()}
+    return HomPoset(tuple(classes), rel), lookup
 
 
 def close_order_relation(elements, rel) -> frozenset:
@@ -478,8 +540,7 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
             lookups[(m, m2)] = lookup
     identities = {}
     for m in critical:
-        ident = Zigzag((cat.identity(m),), ())
-        identities[m] = lookups[(m, m)][ident]
+        identities[m] = lookups[(m, m)][moves.key(Zigzag((cat.identity(m),), ()))]
 
     table = {}  # (c1, c2) -> class of the composite; failures are not stored
 
@@ -492,13 +553,12 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
             z1.rights[:-1] + (cat.compose(z1.rights[-1], z2.rights[0]),) + z2.rights[1:],
             z1.lefts + z2.lefts,
         )
-        reduced = moves.reduce(joined)
-        lookup = lookups[(z1.source, z2.target)]
-        if reduced not in lookup:
+        cls = lookups[(z1.source, z2.target)].get(moves.reduce(moves.key(joined)))
+        if cls is None:
             raise ValueError(
                 "composite zigzag leaves the enumerated range; raise the length bound"
             )
-        table[(c1, c2)] = cls = lookup[reduced]
+        table[(c1, c2)] = cls
         return cls
 
     pcat = PCategory(critical, homs, compose, identities, name="flow")

@@ -9,7 +9,7 @@ arrows is graded for mildness of its restriction category.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .categories import (
     NoAtom,
@@ -128,6 +128,16 @@ class MorseSystem:
     rel: frozenset  # (f0, f1) pairs, f0 != f1, meaning f0 comes before f1
     critical: tuple  # object ids
     span: tuple  # (arrow, frozenset of objects) pairs, aligned with sigma
+    successors: dict = field(init=False, repr=False, compare=False)  # f -> (g with (f, g) in rel), sigma order
+
+    def __post_init__(self):
+        # Built once per system: zigzag enumeration and the order axiom read it.
+        position = {f: i for i, f in enumerate(self.sigma)}
+        successors = {f: [] for f in self.sigma}
+        pairs = [(f, g) for f, g in self.rel if f in position and g in position]
+        for f, g in sorted(pairs, key=lambda pair: position[pair[1]]):
+            successors[f].append(g)
+        object.__setattr__(self, "successors", {f: tuple(after) for f, after in successors.items()})
 
     def span_of(self, f) -> frozenset:
         for g, s in self.span:
@@ -206,7 +216,7 @@ def validate_morse_system(cat: PCategory, ms: MorseSystem) -> ValidationReport:
                     )
 
     # order: the relation generates a partial order iff its digraph is acyclic
-    cyc = _find_cycle(sigma, {f: [g for g in sigma if (f, g) in ms.rel] for f in sigma})
+    cyc = _find_cycle(sigma, ms.successors)
     if cyc is not None:
         names = tuple(repr(x) for x in cyc)
         report.add("order", "order relation has a cycle: " + " -> ".join(names), names)

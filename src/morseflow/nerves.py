@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .categories import PCategory, _bits, _walks, sort_key
@@ -161,21 +162,38 @@ def greedy_collapses_to_point(skel: SimplicialSetSkeleton) -> bool:
     cells = {s.objects for level in skel.nondegenerate.values() for s in level}
     if not cells:
         return False
-
-    def faces(tup):
-        return [tup[:k] + tup[k + 1:] for k in range(len(tup))] if len(tup) > 1 else []
-
-    changed = True
-    while changed:
-        changed = False
-        cofaces: dict = {}
-        for c in cells:
-            for f in faces(c):
-                cofaces.setdefault(f, []).append(c)
-        for f, over in sorted(cofaces.items()):
-            if len(over) == 1 and f in cells:
-                cells.discard(f)
-                cells.discard(over[0])
-                changed = True
-                break
+    for _ in _greedy_collapses(cells):
+        pass
     return len(cells) == 1 and len(next(iter(cells))) == 1
+
+
+def _facets(cell):
+    return [cell[:k] + cell[k + 1:] for k in range(len(cell))] if len(cell) > 1 else []
+
+
+def _greedy_collapses(cells: set):
+    """Remove the smallest free face of ``cells`` and its one coface until none is free.
+
+    A face is free when it is a cell and exactly one cell has it as a facet.
+    Yields each (face, coface) as it is removed.  The coface lists are kept
+    across collapses, and a heap holds every face that became free.
+    """
+    cofaces: dict = {}
+    for c in cells:
+        for f in _facets(c):
+            cofaces.setdefault(f, []).append(c)
+    free = [f for f, over in cofaces.items() if len(over) == 1 and f in cells]
+    heapq.heapify(free)
+    while free:
+        f = heapq.heappop(free)
+        if f not in cells or len(cofaces[f]) != 1:
+            continue  # collapsed already, or lost its coface since it was pushed
+        c = cofaces[f][0]
+        yield f, c
+        for gone in (f, c):
+            cells.discard(gone)
+            for g in _facets(gone):
+                over = cofaces[g]
+                over.remove(gone)
+                if len(over) == 1 and g in cells:
+                    heapq.heappush(free, g)

@@ -427,22 +427,23 @@ def erasures_reference(cat, z):
 
 
 def loc_order_reference(cat, ms, w, z, max_len):
-    """Reference localized order: componentwise pairs over all n^2 same-shape
-    zigzag pairs plus column erasures, closed by ``close_order_reference``.
+    """Reference localized order: every componentwise pair of same-shape
+    zigzags plus column erasures, closed by ``close_order_reference``.
 
-    Returns the classes, the closed relation and the pairs comparable both ways.
+    The zigzags componentwise above z1 are the product of the up-sets of its
+    forward morphisms, each read off its hom-poset's order.  Returns the
+    classes, the closed relation and the pairs comparable both ways.
     """
     zigzags = enumerate_zigzags(cat, ms, w, z, max_len)
-    classes, member_to_class = _partition_into_classes(_MoveTable(cat), zigzags)
+    classes = _partition_into_classes(_MoveTable(cat), zigzags)[0]
+    member_to_class = {m: cls for cls in classes for m in cls.members}
     pairs = set()
-    by_shape: dict = {}
-    for zg in zigzags:
-        by_shape.setdefault(zg.lefts, []).append(zg)
-    for shaped in by_shape.values():
-        for z1 in shaped:
-            for z2 in shaped:
-                if z1 is not z2 and all(cat.leq(g1, g2) for g1, g2 in zip(z1.rights, z2.rights)):
-                    pairs.add((member_to_class[z1], member_to_class[z2]))
+    for z1 in zigzags:
+        ups = [[g2 for g2 in cat.hom(g.source, g.target).elements if cat.leq(g, g2)] for g in z1.rights]
+        for combo in product(*ups):
+            z2 = Zigzag(combo, z1.lefts)
+            if z2 != z1:
+                pairs.add((member_to_class[z1], member_to_class[z2]))
     for zg in zigzags:
         for tgt in erasures_reference(cat, zg):
             pairs.add((member_to_class[zg], member_to_class[tgt]))
@@ -571,3 +572,34 @@ def normalized_chain_complex_reference(skel, ring):
         for d in range(skel.maxdim + 1)
     ]
     return ChainComplex.from_faces(ring, gens, faces)
+
+
+def greedy_collapses_reference(skel):
+    """Reference greedy collapse: rebuilds every coface list after each collapse.
+
+    Returns the collapses as (face, coface) pairs, in order, and whether the
+    complex collapsed to a single vertex.
+    """
+    cells = {s.objects for level in skel.nondegenerate.values() for s in level}
+    if not cells:
+        return [], False
+
+    def faces(tup):
+        return [tup[:k] + tup[k + 1:] for k in range(len(tup))] if len(tup) > 1 else []
+
+    sequence = []
+    changed = True
+    while changed:
+        changed = False
+        cofaces: dict = {}
+        for c in cells:
+            for f in faces(c):
+                cofaces.setdefault(f, []).append(c)
+        for f, over in sorted(cofaces.items()):
+            if len(over) == 1 and f in cells:
+                cells.discard(f)
+                cells.discard(over[0])
+                sequence.append((f, over[0]))
+                changed = True
+                break
+    return sequence, len(cells) == 1 and len(next(iter(cells))) == 1

@@ -189,7 +189,9 @@ def test_mask_scans_match_brute_force():
     for trial in range(400):
         els, pairs = _random_relation(rng, acyclic=trial % 2 == 0)
         closed, both = close_order_reference(els, pairs)
-        if both:
+        tops = [e for e in els if all((g, e) in closed for g in els)]
+        if both:  # not an order, but a directly constructed relation still has its top test
+            assert HomPoset(tuple(els), closed).maximum() == (tops[0] if tops else None)
             continue
         orders += 1
         hp = HomPoset.build(els, pairs)
@@ -201,9 +203,11 @@ def test_mask_scans_match_brute_force():
                 assert poset.below_all(bounds) == sum(1 << i for i in below)
             bottoms = [e for e in els if all((e, g) in closed for g in els)]
             assert poset.minimum() == (bottoms[0] if bottoms else None)
+            assert poset.maximum() == (tops[0] if tops else None)
             assert poset.covers() == covers_reference(els, closed)
     assert orders > 200
     assert HomPoset((), frozenset()).minimum() is None
+    assert HomPoset((), frozenset()).maximum() is None
     assert HomPoset((), frozenset()).below_all(()) == 0
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -23,6 +24,7 @@ from morseflow import (
     zigzag_to_text,
 )
 from morseflow import localization
+from morseflow.categories import Morphism
 from morseflow.localization import Zigzag, _MoveTable, zigzag_class_of
 
 from helpers import (
@@ -35,6 +37,7 @@ from helpers import (
     loc_order_reference,
     random_acyclic_matching,
     random_complex,
+    reduce_reference,
 )
 from morseflow.fixtures import get_fixture, sphere_complex
 
@@ -179,6 +182,7 @@ def _assert_matches_reference(cat, ms, w, z, max_len):
     classes, closed, both = loc_order_reference(cat, ms, w, z, max_len)
     assert not both
     assert hp.elements == tuple(classes)
+    assert list(hp.elements) == sorted(hp.elements, key=lambda cls: cls.canonical.key())
     assert hp.relation == closed
 
 
@@ -202,7 +206,7 @@ def test_localized_order_matches_pairwise_reference_on_calc63():
     fx = get_fixture("calc63")
     En = entrance_path_category(fx.complex)
     ms = matching_to_morse_system(fx.complex, fx.matching, En)
-    for max_len in (1, 2, 3):
+    for max_len in (1, 2, 3, 4, 5):
         for w in fx.complex.ids():
             for z in fx.complex.ids():
                 _assert_matches_reference(En, ms, w, z, max_len)
@@ -557,8 +561,15 @@ def test_move_table_matches_the_per_zigzag_references():
         for w in En.objects:
             for z in En.objects:
                 for zg in enumerate_zigzags(En, ms, w, z, bound):
-                    assert list(moves.contractions(zg)) == list(contractions_reference(En, zg)), (name, zg)
-                    assert list(moves.erasures(zg)) == list(erasures_reference(En, zg)), (name, zg)
+                    contractions = list(contractions_reference(En, zg))
+                    erasures = list(erasures_reference(En, zg))
+                    assert list(moves.contractions(zg)) == contractions, (name, zg)
+                    assert list(moves.erasures(zg)) == erasures, (name, zg)
+                    key = moves.key(zg)
+                    assert moves.zigzag(key) == zg
+                    assert [moves.zigzag(k) for k in moves.contraction_keys(key)] == contractions, (name, zg)
+                    assert [moves.zigzag(k) for k in moves.erasure_keys(key)] == erasures, (name, zg)
+                    assert moves.zigzag(moves.reduce(key)) == reduce_reference(En, zg), (name, zg)
                     zigzags += 1
     assert zigzags > 5000
 
@@ -570,9 +581,11 @@ def test_splittings_run_at_most_twice_per_distinct_column(monkeypatch):
     calls = []
     splittings = En.splittings
     monkeypatch.setattr(En, "splittings", lambda f: calls.append(f) or splittings(f))
-    visits = []
+    visits = []  # the id triple of every column looked up, one flow category's table
     merged = _MoveTable.merged
-    monkeypatch.setattr(_MoveTable, "merged", lambda self, *col: visits.append(col) or merged(self, *col))
+    monkeypatch.setattr(
+        _MoveTable, "merged", lambda self, key, i: visits.append(key[2 * i:2 * i + 3]) or merged(self, key, i)
+    )
     flow = flow_category(En, ms, 4)
     for a in flow.objects:
         for b in flow.objects:
@@ -583,6 +596,19 @@ def test_splittings_run_at_most_twice_per_distinct_column(monkeypatch):
     columns = set(visits)
     assert len(visits) > 10 * len(columns)  # columns repeat across zigzags
     assert 0 < len(calls) <= 2 * len(columns)
+
+
+def test_the_canonical_member_is_the_smallest_irreducible_one():
+    # calc63's hom(b, y) is one class with three irreducible members.
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    ms = matching_to_morse_system(fx.complex, fx.matching, En)
+    for bound in (1, 2, 3):
+        (cls,) = hom_poset_loc(En, ms, "b", "y", bound).elements
+        irreducible = [m for m in cls.members if next(contractions_reference(En, m), None) is None]
+        assert sorted(map(zigzag_to_text, irreducible)) == ["b > x > y", "b > y", "b > z > y"]
+        assert cls.canonical == min(irreducible, key=Zigzag.key)
+        assert zigzag_to_text(cls.canonical) == "b > x > y"
 
 
 def test_every_flow_class_has_exactly_one_irreducible_member():
@@ -614,3 +640,33 @@ def test_chains_of_a_cyclic_singleton_system_repeat_no_arrow():
                 assert all(len(set(zg.lefts)) == len(zg.lefts) for zg in got)
     longest = enumerate_zigzags(En, ms, "e0", "v0", None)[-1]
     assert zigzag_to_text(longest) == "e0 > v0 < e3 > v3 < e2 > v2 < e1 > v1 < e0 > v0"
+
+
+@pytest.mark.parametrize(
+    "label, end, message",
+    [
+        (("b", "x", "y"), "target", "column 1: forward target y? != y"),
+        (("b", "w"), "source", "column 0: next forward source != b"),
+        (("t", "x", "w"), "target", "<t > x > w> does not span t -> w"),
+    ],
+)
+def test_a_replacement_with_moved_endpoints_is_refused(label, end, message):
+    # A composition that moves one endpoint of the morphism ``label``: the move
+    # table checks each replacement when it computes it and raises what building
+    # the spliced zigzag raises; where that zigzag would not see the end, it
+    # still refuses the replacement.
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    ms = matching_to_morse_system(fx.complex, fx.matching, En)
+    compose = En._compose
+
+    def moved(f, g):
+        h = compose(f, g)
+        if h.label != label:
+            return h
+        return Morphism("x?", h.target, h.label) if end == "source" else Morphism(h.source, "y?", h.label)
+
+    En._compose = moved
+    with pytest.raises(ValueError, match=re.escape(message)):
+        for z in En.objects:
+            hom_poset_loc(En, ms, "t", z, 3)

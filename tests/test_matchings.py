@@ -21,7 +21,13 @@ from morseflow import (
 from morseflow.categories import Morphism
 from morseflow.matchings import CERTIFIED, FAIL, _find_cycle
 
-from helpers import close_order_reference, cycle_graph_complex, random_acyclic_matching, random_complex
+from helpers import (
+    close_order_reference,
+    cycle_graph_complex,
+    flow_instances,
+    random_acyclic_matching,
+    random_complex,
+)
 from morseflow.fixtures import fig2_complex, sphere_complex
 
 
@@ -217,3 +223,19 @@ def test_find_cycle_witness_is_a_closed_walk():
             assert cyc[0] == cyc[-1] and len(set(cyc)) == len(cyc) - 1 >= 2
             assert all(b in succ[a] for a, b in zip(cyc, cyc[1:]))
     assert cycles > 50
+
+
+def test_successor_lists_match_the_sigma_scan():
+    # Each system keeps {f: arrows g of sigma with (f, g) in rel}, in sigma order; the
+    # order axiom reads it, so a cyclic order (every edge of a 4-cycle matched to its
+    # next vertex) is still reported with the scan's witness.
+    cx = cycle_graph_complex(4)
+    En = entrance_path_category(cx)
+    cyclic = matching_to_morse_system(cx, Matching(tuple((f"e{i}", f"v{(i + 1) % 4}") for i in range(4))), En)
+    systems = [cyclic] + [ms for _, _, ms, _ in flow_instances()]
+    for ms in systems:
+        scan = {f: tuple(g for g in ms.sigma if (f, g) in ms.rel) for f in ms.sigma}
+        assert ms.successors == scan
+    witness = _find_cycle(cyclic.sigma, {f: [g for g in cyclic.sigma if (f, g) in cyclic.rel] for f in cyclic.sigma})
+    order = [f for f in validate_morse_system(En, cyclic).findings if f.code == "order"]
+    assert witness is not None and [f.witness for f in order] == [tuple(repr(f) for f in witness)]
