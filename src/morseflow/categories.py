@@ -182,13 +182,12 @@ def sort_key(el):
 class PCategory:
     """Small category enriched over posets, stored extensionally."""
 
-    def __init__(self, objects, homs, compose_fn, identities, splittings_fn=None, name=""):
+    def __init__(self, objects, homs, compose_fn, identities, splittings_fn=None):
         self.objects = tuple(objects)
         self._homs = dict(homs)
         self._compose = compose_fn
         self._identities = dict(identities)
         self._splittings = splittings_fn
-        self.name = name
 
     # -- structure ---------------------------------------------------------
 
@@ -313,7 +312,7 @@ def entrance_path_category(c) -> PCategory:
             if f != g and _subsequence(f.label, g.label)
         ]
         homs[(a, b)] = HomPoset.build(els, pairs)
-    return PCategory(ids, homs, _path_compose, identities, _path_splittings, name="entrance_paths")
+    return PCategory(ids, homs, _path_compose, identities, _path_splittings)
 
 
 def _poset_compose(f, g):
@@ -343,7 +342,7 @@ def face_poset_category(c) -> PCategory:
             (f, f.target, identities[f.target]),
         ]
 
-    return PCategory(ids, homs, _poset_compose, identities, splittings, name="face_poset")
+    return PCategory(ids, homs, _poset_compose, identities, splittings)
 
 
 def poset_as_pcategory(elements, leq) -> PCategory:
@@ -362,7 +361,7 @@ def poset_as_pcategory(elements, leq) -> PCategory:
                 na, nb = names[a], names[b]
                 homs[(na, nb)] = HomPoset.build([Morphism(na, nb, (na, nb))], [])
 
-    cat = PCategory(ids, homs, _poset_compose, identities, name="poset")
+    cat = PCategory(ids, homs, _poset_compose, identities)
     cat.poset_element = back  # object id -> original poset element
     return cat
 
@@ -376,7 +375,7 @@ def full_subcategory(cat: PCategory, objects) -> PCategory:
         if a in keep and b in keep
     }
     identities = {a: cat.identity(a) for a in objects}
-    return PCategory(objects, homs, cat._compose, identities, cat._splittings, name=cat.name + "|sub")
+    return PCategory(objects, homs, cat._compose, identities, cat._splittings)
 
 
 # ---------------------------------------------------------------------------

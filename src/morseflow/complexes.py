@@ -80,10 +80,8 @@ class Complex:
                 raise ValueError(f"cover ({u!r}, {l!r}) references unknown cell")
         self.covers = covers
         self.cover_faces = {c.id: [] for c in self.cells}
-        self.cover_cofaces = {c.id: [] for c in self.cells}
         for u, l in sorted(covers):
             self.cover_faces[u].append(l)
-            self.cover_cofaces[l].append(u)
         self.reach, self._strict_faces = self._transitive_closure()
 
     def _transitive_closure(self):

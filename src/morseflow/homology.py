@@ -252,19 +252,14 @@ def homology(cc: ChainComplex) -> HomologySummary:
     """Betti numbers (and torsion over Z) of an exact chain complex."""
     ring = cc.ring
     top = cc.top
+    # The nonzero invariant factors of each boundary; over a field they are all units.
     if ring.is_field():
-        ranks = {n: rank_over_field(cc.boundary(n), ring) for n in range(1, top + 1)}
-        groups = []
-        for n in range(top + 1):
-            b = cc.ranks[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
-            groups.append((b, ()))
-        return HomologySummary(ring.name, tuple(groups))
-    factor_lists = {n: invariant_factors(cc.boundary(n)) for n in range(1, top + 1)}
+        factors = {n: [1] * rank_over_field(cc.boundary(n), ring) for n in range(1, top + 1)}
+    else:
+        factors = {n: invariant_factors(cc.boundary(n)) for n in range(1, top + 1)}
     groups = []
     for n in range(top + 1):
-        rank_dn = len(factor_lists.get(n, []))
-        rank_dn1 = len(factor_lists.get(n + 1, []))
-        betti = cc.ranks[n] - rank_dn - rank_dn1
-        torsion = tuple(f for f in factor_lists.get(n + 1, []) if f > 1)
-        groups.append((betti, torsion))
+        f_n, f_next = factors.get(n, []), factors.get(n + 1, [])
+        betti = cc.ranks[n] - len(f_n) - len(f_next)
+        groups.append((betti, tuple(f for f in f_next if f > 1)))
     return HomologySummary(ring.name, tuple(groups))

@@ -4,14 +4,15 @@ A zigzag alternates forward morphisms of the base category with backward
 system arrows.  Two zigzags represent the same localized morphism when they
 are connected by contractions: a column (g_i, f_i, g_(i+1)) contracts
 through a splitting point a whenever g_i ends with p: a -> y_i, g_(i+1)
-starts with q: x_i -> a, and f_i lies below q o p.  ``reduce_zigzag`` is the
-one rewriter: it applies the first contraction until none is left, and flow
-composition uses it.  The order on classes is generated by single-slot steps
-(one forward morphism raised in its hom-poset, which generates the
-componentwise order of same-shape zigzags) together with column erasures
-(the longer zigzag sits below), closed through the classes.  Every move acts
-on one column or one morphism, so a move table computes each once, as ids
-of morphisms, and moves splice zigzags keyed by those ids.
+starts with q: x_i -> a, and f_i lies below q o p.  The move table's
+``reduce`` is the one rewriter: it applies the first contraction until none
+is left, and ``reduce_zigzag`` and flow composition use it.  The order on
+classes is generated by single-slot steps (one forward morphism raised in
+its hom-poset, which generates the componentwise order of same-shape
+zigzags) together with column erasures (the longer zigzag sits below),
+closed through the classes.  Every move replaces one column or one
+morphism, so a move table computes each once, as ids of morphisms, and
+moves splice zigzags keyed by those ids.
 
 For systems whose arrows span singleton hom-posets (classical matchings,
 codimension 1) the strictly descending enumeration is complete and no length
@@ -129,27 +130,25 @@ def zigzag_from_text(cat: PCategory, ms: MorseSystem, text: str) -> Zigzag:
 
 
 class _MoveTable:
-    """The localization moves of one category, computed once per column, on morphism ids.
+    """The localization moves of one category, computed once per span, on morphism ids.
 
     The table gives each morphism it sees a small int id and keys a zigzag by
-    the tuple (g_0, f_0, g_1, ..., g_k) of its ids.  A contraction or an
-    erasure replaces one column (g_i, f_i, g_(i+1)) of a zigzag by a single
-    forward morphism, and which morphisms qualify depends on the column
-    alone; a single-slot step depends on the morphism alone.  So each
-    column's merged morphisms, each column's erasure replacements and each
-    morphism's strictly larger hom-poset elements are computed on first use,
-    in first-seen order, checked once and kept as ids for the table's
-    lifetime (one flow category or one localized hom-poset).  Moves splice
-    keys; a zigzag is built only to decode a key.
+    the tuple (g_0, f_0, g_1, ..., g_k) of its ids.  A move replaces one span
+    of a key by a single forward morphism: a contraction (``_merge``) or an
+    erasure (``_erase``) replaces a column (g_i, f_i, g_(i+1)), a single-slot
+    step (``_larger``) one forward morphism g_i.  Which morphisms qualify
+    depends on the move and the span alone, so each span's replacements are
+    computed on first use, in first-seen order, checked once and kept as ids
+    in one cache, by move and span, for the table's lifetime (one flow
+    category or one localized hom-poset).  ``splices`` and ``reduce`` read
+    it; moves splice keys, and a zigzag is built only to decode a key.
     """
 
     def __init__(self, cat: PCategory):
         self.cat = cat
         self._ids: dict = {}  # morphism -> id
         self._morphisms: list = []  # id -> morphism
-        self._merged: dict = {}  # column ids (g1, f, g2) -> ids of its contractions' merged morphisms
-        self._erased: dict = {}  # column ids (g1, f, g2) -> ids of its erasures' replacements
-        self._above: dict = {}  # id of g -> ids of the strictly larger elements of its hom-poset
+        self._cache: dict = {}  # move -> {ids of a span -> ids of its replacements}
 
     def _id(self, g) -> int:
         i = self._ids.get(g)
@@ -169,14 +168,15 @@ class _MoveTable:
         ms = self._morphisms
         return Zigzag(tuple(ms[i] for i in key[0::2]), tuple(ms[i] for i in key[1::2]))
 
-    def _replacements(self, table, span, moves, key, a, b) -> tuple:
-        """Compute and keep the ids of the morphisms ``moves`` finds for key[a:b].
+    def _replacements(self, move, key, a, b) -> tuple:
+        """Compute and keep the ids of the morphisms ``move`` finds for key[a:b].
 
         Each is checked here, once, to span the same endpoints as key[a:b],
         and a mismatch raises the error of building the spliced zigzag.
         """
         ms = self._morphisms
-        out = table[span] = tuple(dict.fromkeys(map(self._id, moves(*(ms[i] for i in key[a:b])))))
+        found = move(*(ms[i] for i in key[a:b]))
+        out = self._cache[move][key[a:b]] = tuple(dict.fromkeys(map(self._id, found)))
         first, last = ms[key[a]], ms[key[b - 1]]
         for r in out:
             g = ms[r]
@@ -185,25 +185,44 @@ class _MoveTable:
                 raise ValueError(f"{g!r} does not span {first.source} -> {last.target}")
         return out
 
-    def merged(self, key, i) -> tuple:
-        """Ids of the merged morphisms of column i's contractions."""
-        col = key[2 * i:2 * i + 3]
-        out = self._merged.get(col)
-        if out is None:
-            out = self._replacements(self._merged, col, self._merge, key, 2 * i, 2 * i + 3)
-        return out
+    def splices(self, move, key) -> list:
+        """Each key made by replacing one span of key with one of its ``move``
+        replacements, once: a column for contractions and erasures, one forward
+        morphism for steps."""
+        width = 1 if move == self._larger else 3
+        cache = self._cache.setdefault(move, {})
+        out = []
+        for a in range(0, len(key) - width + 1, 2):
+            b = a + width
+            rs = cache.get(key[a:b])
+            if rs is None:
+                rs = self._replacements(move, key, a, b)
+            if rs:
+                head, tail = key[:a], key[b:]
+                out += [head + (r,) + tail for r in rs]
+        # Steps on different slots differ there: only column splices can repeat.
+        return list(dict.fromkeys(out)) if width == 3 and len(out) > 1 else out
 
-    def erased(self, key, i) -> tuple:
-        """Ids of the replacements of column i's erasures."""
-        col = key[2 * i:2 * i + 3]
-        out = self._erased.get(col)
-        if out is None:
-            out = self._replacements(self._erased, col, self._erase, key, 2 * i, 2 * i + 3)
-        return out
+    def reduce(self, key) -> tuple:
+        """Apply the first contraction to a key until none is left; the result is irreducible."""
+        merge = self._merge
+        cache = self._cache.setdefault(merge, {})
+        a = 0
+        while a < len(key) - 2:
+            rs = cache.get(key[a:a + 3])
+            if rs is None:
+                rs = self._replacements(merge, key, a, a + 3)
+            if rs:
+                key = key[:a] + (rs[0],) + key[a + 3:]
+                a = max(a - 2, 0)  # the columns before the previous one still do not contract
+            else:
+                a += 2
+        return key
 
     def _merge(self, g1, f, g2):
-        """Cancellations of a column through a common splitting point a: g1 ends
-        with p: a -> y, g2 starts with q: x -> a, and f lies below q o p."""
+        """Contractions: cancellations of a column through a common splitting
+        point a: g1 ends with p: a -> y, g2 starts with q: x -> a, and f lies
+        below q o p."""
         cat = self.cat
         heads = cat.splittings(g2)
         for p_head, a, p in cat.splittings(g1):
@@ -212,7 +231,8 @@ class _MoveTable:
                     yield cat.compose(p_head, h_tail)
 
     def _erase(self, g1, f, g2):
-        """Replacements of a column by one morphism lying above it in the order."""
+        """Erasures: replacements of a column by one morphism lying above it in
+        the order; the longer zigzag lies below the result."""
         cat = self.cat
         for r in cat.hom(f.target, g2.target).elements:
             if cat.leq(g2, cat.compose(f, r)):
@@ -222,58 +242,9 @@ class _MoveTable:
                 yield cat.compose(r, g2)
 
     def _larger(self, g):
-        """The elements strictly above g in its hom-poset, in element order."""
+        """Single-slot steps: the elements strictly above g in its hom-poset, in element order."""
         hp = self.cat.hom(g.source, g.target)
         return (g2 for g2 in hp.elements if g2 != g and hp.leq(g, g2))
-
-    def contraction_keys(self, key) -> list:
-        """All one-step cancellations of a column through a common splitting point."""
-        return self._splices(key, self.merged)
-
-    def erasure_keys(self, key) -> list:
-        """Order moves deleting one column; the longer zigzag lies below the result."""
-        return self._splices(key, self.erased)
-
-    def step_keys(self, key) -> list:
-        """Single-slot steps: one forward morphism raised in its hom-poset."""
-        above = self._above
-        out = []
-        for a in range(0, len(key), 2):
-            ups = above.get(key[a])
-            if ups is None:
-                ups = self._replacements(above, key[a], self._larger, key, a, a + 1)
-            if ups:
-                head, tail = key[:a], key[a + 1:]
-                out += [head + (r,) + tail for r in ups]
-        return out
-
-    def _splices(self, key, replacements) -> list:
-        """Each key made by replacing one column with one of its replacements, once."""
-        out = []
-        for i in range(len(key) // 2):
-            rs = replacements(key, i)
-            if rs:
-                head, tail = key[:2 * i], key[2 * i + 3:]
-                out += [head + (r,) + tail for r in rs]
-        return list(dict.fromkeys(out)) if len(out) > 1 else out
-
-    def contractions(self, z: Zigzag):
-        return map(self.zigzag, self.contraction_keys(self.key(z)))
-
-    def erasures(self, z: Zigzag):
-        return map(self.zigzag, self.erasure_keys(self.key(z)))
-
-    def reduce(self, key) -> tuple:
-        """Apply the first contraction to a key until none is left; the result is irreducible."""
-        i = 0
-        while i < len(key) // 2:
-            merged = self.merged(key, i)
-            if merged:
-                key = key[:2 * i] + (merged[0],) + key[2 * i + 3:]
-                i = max(i - 1, 0)  # the columns before i - 1 are unchanged and still do not contract
-            else:
-                i += 1
-        return key
 
 
 def reduce_zigzag(cat: PCategory, z: Zigzag) -> Zigzag:
@@ -387,8 +358,9 @@ def _partition_into_classes(moves: _MoveTable, zigzags):
             a = parent[a]
         return a
 
+    merge = moves._merge
     for key, p in index.items():
-        for tgt in moves.contraction_keys(key):
+        for tgt in moves.splices(merge, key):
             q = index.get(tgt)
             if q is None:
                 raise AssertionError(f"contraction left the enumerated set: {moves.zigzag(tgt)!r}")
@@ -410,6 +382,7 @@ def _partition_into_classes(moves: _MoveTable, zigzags):
 
 
 def _loc_hom(moves: _MoveTable, ms: MorseSystem, w: str, z: str, max_len=4):
+    """The localized hom-poset from w to z, each zigzag key's position and each position's class number."""
     zigzags = enumerate_zigzags(moves.cat, ms, w, z, max_len)
     classes, index, number = _partition_into_classes(moves, zigzags)
 
@@ -417,17 +390,17 @@ def _loc_hom(moves: _MoveTable, ms: MorseSystem, w: str, z: str, max_len=4):
     # zigzags; every step stays in the enumerated product of the slots.
     # Pairs are gathered as class numbers.
     pairs = {(n, n) for n in range(len(classes))}
+    splices, step, erase = moves.splices, moves._larger, moves._erase
     for key, p in index.items():
         below = number[p]
-        for tgt in moves.step_keys(key) + moves.erasure_keys(key):
+        for tgt in splices(step, key) + splices(erase, key):
             q = index.get(tgt)
             if q is None:
                 raise KeyError(moves.zigzag(tgt))
             pairs.add((below, number[q]))
 
     rel = close_order_relation(classes, {(classes[a], classes[b]) for a, b in pairs})
-    lookup = {key: classes[number[p]] for key, p in index.items()}
-    return HomPoset(tuple(classes), rel), lookup
+    return HomPoset(tuple(classes), rel), index, number
 
 
 def close_order_relation(elements, rel) -> frozenset:
@@ -530,17 +503,19 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
     singleton = ms.all_singleton_homs(cat)
     effective = None if singleton else max_len
     moves = _MoveTable(cat)
-    homs = {}
-    lookups = {}
+    homs, identities = {}, {}
+    partitions = {}  # (m, m2) -> (classes, zigzag key -> position, class numbers)
+    canonical = {}  # class -> the key of its canonical zigzag
     for m in critical:
         for m2 in critical:
-            hp, lookup = _loc_hom(moves, ms, m, m2, effective)
+            hp, index, number = _loc_hom(moves, ms, m, m2, effective)
             if not hp.is_empty():
                 homs[(m, m2)] = hp
-            lookups[(m, m2)] = lookup
-    identities = {}
-    for m in critical:
-        identities[m] = lookups[(m, m)][moves.key(Zigzag((cat.identity(m),), ()))]
+            partitions[(m, m2)] = hp.elements, index, number
+            for cls in hp.elements:
+                canonical[cls] = moves.key(cls.canonical)
+            if m == m2:
+                identities[m] = hp.elements[number[index[(moves._id(cat.identity(m)),)]]]
 
     table = {}  # (c1, c2) -> class of the composite; failures are not stored
 
@@ -548,20 +523,16 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
         known = table.get((c1, c2))
         if known is not None:
             return known
-        z1, z2 = c1.canonical, c2.canonical
-        joined = Zigzag(
-            z1.rights[:-1] + (cat.compose(z1.rights[-1], z2.rights[0]),) + z2.rights[1:],
-            z1.lefts + z2.lefts,
-        )
-        cls = lookups[(z1.source, z2.target)].get(moves.reduce(moves.key(joined)))
-        if cls is None:
-            raise ValueError(
-                "composite zigzag leaves the enumerated range; raise the length bound"
-            )
-        table[(c1, c2)] = cls
+        k1, k2 = canonical[c1], canonical[c2]
+        middle = moves._id(cat.compose(c1.canonical.rights[-1], c2.canonical.rights[0]))
+        classes, index, number = partitions[(c1.source, c2.target)]
+        p = index.get(moves.reduce(k1[:-1] + (middle,) + k2[1:]))
+        if p is None:
+            raise ValueError("composite zigzag leaves the enumerated range; raise the length bound")
+        cls = table[(c1, c2)] = classes[number[p]]
         return cls
 
-    pcat = PCategory(critical, homs, compose, identities, name="flow")
+    pcat = PCategory(critical, homs, compose, identities)
     return FlowCategory(pcat, effective)
 
 
@@ -584,16 +555,14 @@ def stabilized_flow(cat: PCategory, ms: MorseSystem, start_len=4, cap=8):
     classes, their order and the truncated nerve homology agree at two
     consecutive bounds; the verdict is then "stable", else "unstable".
     """
-    from .nerves import normalized_chain_complex
-    from .homology import homology
+    from .nerves import nerve_homology
     from .rings import QQ
 
     if ms.all_singleton_homs(cat):
         return flow_category(cat, ms, start_len), "complete"
 
     def verdict_of(flow):
-        skel = flow.nerve(STABILIZATION_NERVE_DIM)
-        return _flow_signature(flow), homology(normalized_chain_complex(skel, QQ)).betti()
+        return _flow_signature(flow), nerve_homology(flow.nerve(STABILIZATION_NERVE_DIM), QQ).betti()
 
     length = start_len
     flow = flow_category(cat, ms, length)

@@ -426,6 +426,14 @@ def erasures_reference(cat, z):
                     yield out
 
 
+def steps_reference(cat, z):
+    """Reference single-slot steps: each forward morphism raised to each strictly larger element, slot by slot."""
+    for i, g in enumerate(z.rights):
+        for g2 in cat.hom(g.source, g.target).elements:
+            if g2 != g and cat.leq(g, g2):
+                yield Zigzag(z.rights[:i] + (g2,) + z.rights[i + 1:], z.lefts)
+
+
 def loc_order_reference(cat, ms, w, z, max_len):
     """Reference localized order: every componentwise pair of same-shape
     zigzags plus column erasures, closed by ``close_order_reference``.

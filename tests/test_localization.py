@@ -38,6 +38,7 @@ from helpers import (
     random_acyclic_matching,
     random_complex,
     reduce_reference,
+    steps_reference,
 )
 from morseflow.fixtures import get_fixture, sphere_complex
 
@@ -457,6 +458,23 @@ def test_flow_composition_table_matches_a_fresh_reduction(cat, ms, max_len, monk
     assert pairs > 0
 
 
+def test_flow_composition_builds_no_zigzag(monkeypatch):
+    flows = [flow_category(cat, ms, max_len) for _, cat, ms, max_len in flow_instances()]
+    built = []
+    post_init = Zigzag.__post_init__
+    monkeypatch.setattr(Zigzag, "__post_init__", lambda z: built.append(z) or post_init(z))
+    pairs = 0
+    for flow in flows:
+        for a in flow.objects:
+            for b in flow.objects:
+                for c in flow.objects:
+                    for c1 in flow.hom(a, b).elements:
+                        for c2 in flow.hom(b, c).elements:
+                            flow.category.compose(c1, c2)
+                            pairs += 1
+    assert pairs > 0 and built == []
+
+
 def test_zigzag_and_class_hashes_agree_with_equality():
     fx = get_fixture("calc63")
     En = entrance_path_category(fx.complex)
@@ -561,14 +579,14 @@ def test_move_table_matches_the_per_zigzag_references():
         for w in En.objects:
             for z in En.objects:
                 for zg in enumerate_zigzags(En, ms, w, z, bound):
-                    contractions = list(contractions_reference(En, zg))
-                    erasures = list(erasures_reference(En, zg))
-                    assert list(moves.contractions(zg)) == contractions, (name, zg)
-                    assert list(moves.erasures(zg)) == erasures, (name, zg)
                     key = moves.key(zg)
                     assert moves.zigzag(key) == zg
-                    assert [moves.zigzag(k) for k in moves.contraction_keys(key)] == contractions, (name, zg)
-                    assert [moves.zigzag(k) for k in moves.erasure_keys(key)] == erasures, (name, zg)
+                    for move, reference in (
+                        (moves._merge, contractions_reference(En, zg)),
+                        (moves._erase, erasures_reference(En, zg)),
+                        (moves._larger, steps_reference(En, zg)),
+                    ):
+                        assert [moves.zigzag(k) for k in moves.splices(move, key)] == list(reference), (name, zg)
                     assert moves.zigzag(moves.reduce(key)) == reduce_reference(En, zg), (name, zg)
                     zigzags += 1
     assert zigzags > 5000
@@ -581,11 +599,20 @@ def test_splittings_run_at_most_twice_per_distinct_column(monkeypatch):
     calls = []
     splittings = En.splittings
     monkeypatch.setattr(En, "splittings", lambda f: calls.append(f) or splittings(f))
-    visits = []  # the id triple of every column looked up, one flow category's table
-    merged = _MoveTable.merged
-    monkeypatch.setattr(
-        _MoveTable, "merged", lambda self, key, i: visits.append(key[2 * i:2 * i + 3]) or merged(self, key, i)
-    )
+    visits = []  # the id triple of every column whose contractions are looked up, cache hits included
+
+    class CountingColumns(dict):
+        def get(self, column, default=None):
+            visits.append(column)
+            return super().get(column, default)
+
+    init = _MoveTable.__init__
+
+    def counting_init(self, cat):
+        init(self, cat)
+        self._cache[self._merge] = CountingColumns()
+
+    monkeypatch.setattr(_MoveTable, "__init__", counting_init)
     flow = flow_category(En, ms, 4)
     for a in flow.objects:
         for b in flow.objects:
