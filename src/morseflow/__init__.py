@@ -36,6 +36,7 @@ from .matchings import (
 from .localization import (
     EssentialChain,
     FlowCategory,
+    LocalizationInconsistency,
     OrderViolation,
     Zigzag,
     ZigzagClass,

@@ -1,7 +1,8 @@
 """Command-line interface: validation, flow hom-posets and homology reports.
 
 Exit codes: 0 success, 1 validation or input failure, 2 computation-level
-inconsistency (order violation, boundary square nonzero, singular matched
+inconsistency (order violation, a localization move or composite outside
+the enumerated zigzags, boundary square nonzero, singular matched
 extension).
 """
 
@@ -17,7 +18,7 @@ from .complexes import Complex, SignInconsistency, assign_incidence_signs, cellu
 from .cosheaves import Cosheaf, constant_cosheaf, cosheaf_homology, morse_chain_complex
 from .fixtures import FIXTURES, get_fixture
 from .homology import NotAComplex, homology
-from .localization import OrderViolation, hom_poset_loc, stabilized_flow, zigzag_to_text
+from .localization import LocalizationInconsistency, OrderViolation, hom_poset_loc, stabilized_flow, zigzag_to_text
 from .matchings import BadPair, Matching, check_acyclic, check_mildness, matching_to_morse_system, validate_morse_system
 from .nerves import geometric_nerve, nerve_homology
 from .rings import NotInvertible, ring_from_name
@@ -310,7 +311,7 @@ def main(argv=None) -> int:
     try:
         _check_bounds(vars(args))
         return args.func(args)
-    except (OrderViolation, NotAComplex, NotInvertible) as exc:
+    except (OrderViolation, LocalizationInconsistency, NotAComplex, NotInvertible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, BadPair, SignInconsistency, KeyError, OSError) as exc:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from .homology import ChainComplex
-from .rings import Ring
+from .rings import ZZ, Ring
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -250,6 +250,10 @@ def assign_incidence_signs(c: Complex) -> IncidenceSigns:
 
 
 def cellular_chain_complex(c: Complex, signs: IncidenceSigns, ring: Ring) -> ChainComplex:
-    """One generator per cell; boundary entries are the cover signs."""
+    """One generator per cell; boundary entries are the cover signs.
+
+    The entries are integers, so the complex is built and checked over Z and
+    read over ``ring``.
+    """
     gens = [c.cells_of_dim(d) for d in range(max(c.top_dim, 0) + 1)]
-    return ChainComplex.from_faces(ring, gens, lambda x: ((y, signs(x, y)) for y in c.cover_faces[x]))
+    return ChainComplex.from_faces(ZZ, gens, lambda x: ((y, signs(x, y)) for y in c.cover_faces[x])).over(ring)

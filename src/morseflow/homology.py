@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
-from .rings import ZZ, Mat, Ring, SparseMat, eliminate_units, rank_over_field, to_sparse
+from .rings import ZZ, Mat, Ring, SparseMat, _sparse_column, eliminate_units, rank_over_field, to_sparse
 
 
 class NotAComplex(Exception):
@@ -141,12 +142,22 @@ def invariant_factors(m) -> list[int]:
     entries ever reaches the dense routine.
     """
     units, core = eliminate_units(m, ZZ)
-    factors = [1] * units
-    if core.rows and core.cols:
-        _, d, _ = smith_normal_form(core)
-        factors.extend(int(d[i, i]) for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
-    factors.sort()
-    return factors
+    return [1] * units + _core_factors(core, ZZ)
+
+
+def _core_factors(core: SparseMat, ring: Ring) -> list[int]:
+    """The nonzero invariant factors over ``ring`` of a core left by ``eliminate_units``.
+
+    Over Z the core's Smith form gives them; over a field they are all 1,
+    as many as the rank of the core's entries mapped into the field.
+    """
+    if not (core.rows and core.cols):
+        return []
+    if ring.is_field():
+        columns = tuple(_sparse_column(dict(col), ring) for col in core.columns)
+        return [1] * rank_over_field(SparseMat(core.rows, core.cols, columns), ring)
+    _, d, _ = smith_normal_form(core)
+    return sorted(int(d[i, i]) for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +169,23 @@ def invariant_factors(m) -> list[int]:
 class ChainComplex:
     """Free chain complex: ranks per degree and boundaries d_n: C_n -> C_(n-1).
 
-    Boundaries are stored as ``SparseMat``; a dense ``Mat`` given by the
-    caller is converted on construction.  Construction checks d o d = 0 once
-    and raises ``NotAComplex`` otherwise, so every instance is a complex.
+    Boundaries are stored as ``SparseMat`` with entries in ``ring``; a dense
+    ``Mat`` given by the caller is converted on construction.  Construction
+    checks d o d = 0 once, in ``ring``, and raises ``NotAComplex`` otherwise,
+    so every instance is a complex.  ``coefficients`` is the ring that
+    ``homology`` reads the complex over: ``ring`` itself, or for a complex
+    over Z any ring it is read over through ``over``.
     """
 
     ring: Ring
     ranks: tuple[int, ...]
     boundaries: dict  # degree n >= 1 -> SparseMat of shape ranks[n-1] x ranks[n]
+    coefficients: Ring = field(init=False)
+    # degree n -> eliminate_units(d_n, ring), shared by every read of the complex
+    _eliminated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "coefficients", self.ring)
         for n, d in self.boundaries.items():
             if n < 1 or n >= len(self.ranks):
                 raise ValueError(f"boundary degree {n} out of range")
@@ -192,13 +210,14 @@ class ChainComplex:
         index = [{g: i for i, g in enumerate(level)} for level in gens]
         boundaries = {}
         for d in range(1, len(gens)):
+            where = index[d - 1]
             columns = []
             for g in gens[d]:
                 acc: dict = {}
                 for face, coeff in faces(g):
-                    i = index[d - 1][face]
-                    acc[i] = ring.add(acc[i], coeff) if i in acc else ring.normalize(coeff)
-                columns.append(tuple((i, x) for i, x in sorted(acc.items()) if x))
+                    i = where[face]
+                    acc[i] = acc.get(i, 0) + coeff
+                columns.append(_sparse_column(acc, ring))
             boundaries[d] = SparseMat(len(gens[d - 1]), len(gens[d]), tuple(columns))
         return ChainComplex(ring, tuple(len(level) for level in gens), boundaries)
 
@@ -213,7 +232,23 @@ class ChainComplex:
         cols = self.ranks[n] if 0 <= n <= self.top else 0
         return SparseMat.zeros(rows, cols)
 
+    def over(self, ring: Ring) -> "ChainComplex":
+        """This complex read over ``ring``: the same boundaries, checked once.
+
+        Only a complex over Z reads over another ring.  Its d o d = 0 was
+        checked in plain integers, which implies it over every ring, so the
+        check is not run again.
+        """
+        if ring.name == self.coefficients.name:
+            return self
+        if self.ring.name != ZZ.name:
+            raise ValueError(f"a complex over {self.ring.name} cannot be read over {ring.name}")
+        view = copy.copy(self)
+        object.__setattr__(view, "coefficients", ring)
+        return view
+
     def check_boundary_squares_to_zero(self):
+        """Raise ``NotAComplex`` unless d o d = 0 in ``ring``; over Z the sums are plain ints."""
         for n in range(2, self.top + 1):
             prod = self.boundary(n - 1).mul(self.boundary(n), self.ring)
             if any(prod.columns):
@@ -249,14 +284,27 @@ class HomologySummary:
 
 
 def homology(cc: ChainComplex) -> HomologySummary:
-    """Betti numbers (and torsion over Z) of an exact chain complex."""
-    ring = cc.ring
+    """Betti numbers (and torsion over Z) of an exact chain complex over its coefficient ring.
+
+    One loop over the boundaries: ``eliminate_units`` takes each boundary's
+    unit pivots over the complex's own ring, and the core left over is
+    finished over ``cc.coefficients``, by a Smith form over Z or by a rank
+    over Q or F_p.  Unit pivots over Z are unimodular and commute with
+    Z -> Q and Z -> F_p, so one complex over Z gives the homology over every
+    ring (the universal coefficient theorem); over a field every nonzero
+    entry is a unit and the core is empty.  The elimination does not depend
+    on the coefficient ring, so it runs once per complex and every read
+    shares it.
+    """
+    ring = cc.coefficients
     top = cc.top
     # The nonzero invariant factors of each boundary; over a field they are all units.
-    if ring.is_field():
-        factors = {n: [1] * rank_over_field(cc.boundary(n), ring) for n in range(1, top + 1)}
-    else:
-        factors = {n: invariant_factors(cc.boundary(n)) for n in range(1, top + 1)}
+    factors = {}
+    for n in range(1, top + 1):
+        if n not in cc._eliminated:
+            cc._eliminated[n] = eliminate_units(cc.boundary(n), cc.ring)
+        units, core = cc._eliminated[n]
+        factors[n] = [1] * units + _core_factors(core, ring)
     groups = []
     for n in range(top + 1):
         f_n, f_next = factors.get(n, []), factors.get(n + 1, [])

@@ -35,6 +35,10 @@ class OrderViolation(Exception):
     """Antisymmetry of the localized order failed; carries a witness pair."""
 
 
+class LocalizationInconsistency(Exception):
+    """A move or a composite left the enumerated zigzags: the computation, not the input, is at fault."""
+
+
 # ---------------------------------------------------------------------------
 # Zigzags
 # ---------------------------------------------------------------------------
@@ -363,7 +367,7 @@ def _partition_into_classes(moves: _MoveTable, zigzags):
         for tgt in moves.splices(merge, key):
             q = index.get(tgt)
             if q is None:
-                raise AssertionError(f"contraction left the enumerated set: {moves.zigzag(tgt)!r}")
+                raise LocalizationInconsistency(f"contraction left the enumerated set: {moves.zigzag(tgt)!r}")
             ra, rb = find(p), find(q)
             if ra != rb:
                 parent[rb] = ra
@@ -396,7 +400,7 @@ def _loc_hom(moves: _MoveTable, ms: MorseSystem, w: str, z: str, max_len=4):
         for tgt in splices(step, key) + splices(erase, key):
             q = index.get(tgt)
             if q is None:
-                raise KeyError(moves.zigzag(tgt))
+                raise LocalizationInconsistency(repr(moves.zigzag(tgt)))
             pairs.add((below, number[q]))
 
     rel = close_order_relation(classes, {(classes[a], classes[b]) for a, b in pairs})
@@ -528,7 +532,7 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
         classes, index, number = partitions[(c1.source, c2.target)]
         p = index.get(moves.reduce(k1[:-1] + (middle,) + k2[1:]))
         if p is None:
-            raise ValueError("composite zigzag leaves the enumerated range; raise the length bound")
+            raise LocalizationInconsistency("composite zigzag leaves the enumerated range; raise the length bound")
         cls = table[(c1, c2)] = classes[number[p]]
         return cls
 

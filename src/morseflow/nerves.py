@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .categories import PCategory, _bits, _walks, sort_key
 from .homology import ChainComplex, HomologySummary, homology
-from .rings import Ring
+from .rings import ZZ, Ring
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,8 @@ class SimplicialSetSkeleton:
     simplices: dict  # dim -> list of Simplex (degenerate ones included)
     cat: PCategory | None = None
     nondegenerate: dict = field(init=False)  # dim -> list of the nondegenerate simplices
+    # the normalized chain complex over Z, built by the first normalized_chain_complex call
+    _chain: ChainComplex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.nondegenerate = {
@@ -131,23 +133,33 @@ def _poset_key(el):
 
 
 def normalized_chain_complex(skel: SimplicialSetSkeleton, ring: Ring) -> ChainComplex:
-    """Generators are the nondegenerate simplices; degenerate faces are dropped."""
-    gens = [skel.nondegenerate[d] for d in range(skel.maxdim + 1)]
-    kept = [set(level) for level in gens]
+    """The normalized chain complex of a skeleton, read over ``ring``.
 
-    def faces(s):
-        for k in range(s.dim + 1):
-            face = s.face(k)
-            if face in kept[s.dim - 1]:
-                yield face, 1 if k % 2 == 0 else -1
+    Generators are the nondegenerate simplices; degenerate faces are dropped.
+    The boundary entries are integers, so the complex is built over Z once
+    per skeleton, checked there (d o d = 0 in plain ints) and kept on the
+    skeleton; every ring reads that one complex.
+    """
+    if skel._chain is None:
+        gens = [skel.nondegenerate[d] for d in range(skel.maxdim + 1)]
+        kept = [set(level) for level in gens]
 
-    return ChainComplex.from_faces(ring, gens, faces)
+        def faces(s):
+            for k in range(s.dim + 1):
+                face = s.face(k)
+                if face in kept[s.dim - 1]:
+                    yield face, 1 if k % 2 == 0 else -1
+
+        skel._chain = ChainComplex.from_faces(ZZ, gens, faces)
+    return skel._chain.over(ring)
 
 
 def nerve_homology(skel: SimplicialSetSkeleton, ring: Ring) -> HomologySummary:
     """Homology of a nerve skeleton through dimension maxdim, in degrees below maxdim.
 
-    The top degree is dropped: H_n needs the simplices through n + 1.
+    The skeleton's one complex over Z is read over ``ring``: its unit pivots
+    are taken in ints and only the core left over meets ``ring``.  The top
+    degree is dropped: H_n needs the simplices through n + 1.
     """
     summary = homology(normalized_chain_complex(skel, ring))
     return HomologySummary(summary.ring_name, summary.groups[:skel.maxdim])

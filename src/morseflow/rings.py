@@ -81,6 +81,8 @@ class IntegerRing(Ring):
     name = "Z"
 
     def normalize(self, x):
+        if type(x) is int:
+            return x
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ValueError(f"{x} is not an integer")
@@ -333,7 +335,11 @@ class SparseMat:
         return next((x for r, x in self.columns[j] if r == i), 0)
 
     def mul(self, other: "SparseMat", ring: Ring) -> "SparseMat":
-        """Product touching only nonzeros: each column of ``other`` combines columns of self."""
+        """Product touching only nonzeros: each column of ``other`` combines columns of self.
+
+        The products of an entry are added up raw and the sum is normalized
+        once, so over Z the whole product is plain ``int`` arithmetic.
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         out = []
@@ -341,9 +347,19 @@ class SparseMat:
             acc: dict = {}
             for k, b in col:
                 for i, a in self.columns[k]:
-                    acc[i] = ring.add(acc[i], ring.mul(a, b)) if i in acc else ring.mul(a, b)
-            out.append(tuple((i, x) for i, x in sorted(acc.items()) if x))
+                    acc[i] = acc.get(i, 0) + a * b
+            out.append(_sparse_column(acc, ring))
         return SparseMat(self.rows, other.cols, tuple(out))
+
+
+def _sparse_column(acc: dict, ring: Ring) -> tuple:
+    """The ``(row, coeff)`` pairs of raw sums by row: each normalized once, zeros dropped."""
+    column = []
+    for i in sorted(acc):
+        x = ring.normalize(acc[i])
+        if x:
+            column.append((i, x))
+    return tuple(column)
 
 
 def to_sparse(m, ring: Ring) -> SparseMat:
@@ -365,7 +381,9 @@ def eliminate_units(m, ring: Ring):
     which leaves the rank and, over Z, the Smith form unchanged.  Over a
     field every nonzero is a unit, so the core comes back empty; over Z the
     core is a SparseMat on the surviving rows and columns with no unit
-    entry left.
+    entry left.  The steps over Z are unimodular, so they commute with
+    Z -> Q and Z -> F_p: over either field the rank of ``m`` is the number
+    of pivots plus the rank of the core's entries mapped into the field.
     """
     m = to_sparse(m, ring)
     rows: dict = {}  # row -> {col: coeff}

@@ -32,8 +32,9 @@ from morseflow.localization import (
     enumerate_zigzags,
     zigzag_class_of,
 )
+from morseflow.homology import HomologySummary, invariant_factors
 from morseflow.nerves import Simplex, SimplicialSetSkeleton, is_degenerate
-from morseflow.rings import mat_inverse
+from morseflow.rings import ZZ, SparseMat, mat_inverse, rank_over_field
 
 
 def cell_name(vertices) -> str:
@@ -74,6 +75,27 @@ RP2_FACETS = [
 SPHERE2_FACETS = list(combinations(range(1, 5), 3))
 TORUS_FACETS = [
     tuple(sorted((i + a) % 7 + 1 for a in t)) for i in range(7) for t in ((0, 1, 3), (0, 2, 3))
+]
+
+
+
+
+def _klein_vertex(i, j):
+    # the 3 x 3 grid glued with a flip: (i, j + 3) ~ (-i, j), (i + 3, j) ~ (i, j)
+    if j >= 3:
+        i, j = -i, j - 3
+    return 3 * (i % 3) + j + 1
+
+
+# A 9-vertex Klein bottle: each grid square split along its diagonal.
+KLEIN_FACETS = [
+    tri
+    for i in range(3)
+    for j in range(3)
+    for tri in (
+        (_klein_vertex(i, j), _klein_vertex(i + 1, j), _klein_vertex(i + 1, j + 1)),
+        (_klein_vertex(i, j), _klein_vertex(i, j + 1), _klein_vertex(i + 1, j + 1)),
+    )
 ]
 
 
@@ -580,6 +602,84 @@ def normalized_chain_complex_reference(skel, ring):
         for d in range(skel.maxdim + 1)
     ]
     return ChainComplex.from_faces(ring, gens, faces)
+
+
+def homology_reference(cc, ring):
+    """Ring-direct homology of a complex over Z: the complex is built again over
+    ``ring``, with its entries normalized there and d o d = 0 checked there, and
+    every boundary is eliminated over ``ring`` (a rank over a field, the
+    invariant factors over Z)."""
+    boundaries = {}
+    for n, d in cc.boundaries.items():
+        columns = [[(i, ring.normalize(x)) for i, x in col] for col in d.columns]
+        boundaries[n] = SparseMat(d.rows, d.cols, tuple(tuple((i, x) for i, x in col if x) for col in columns))
+    direct = ChainComplex(ring, cc.ranks, boundaries)
+    if ring.is_field():
+        factors = {n: [1] * rank_over_field(direct.boundary(n), ring) for n in range(1, direct.top + 1)}
+    else:
+        factors = {n: invariant_factors(direct.boundary(n)) for n in range(1, direct.top + 1)}
+    groups = []
+    for n in range(direct.top + 1):
+        f_n, f_next = factors.get(n, []), factors.get(n + 1, [])
+        groups.append((direct.ranks[n] - len(f_n) - len(f_next), tuple(f for f in f_next if f > 1)))
+    return HomologySummary(ring.name, tuple(groups))
+
+
+def random_integer_complex(rng, top=3, max_rank=5, weights=(1, 2, 3, 4, 6)):
+    """A random complex over Z and its homology over Z, Q, F_2 and F_3, known by construction.
+
+    Every generator is a cycle that bounds nothing, or one end of a pair
+    x -> k*y with k drawn from ``weights``.  Each degree then gets a random
+    unimodular change of basis, so the boundaries are dense integer matrices
+    whose Smith forms are the pairs' k.  Returns the complex and, by ring
+    name, its groups as ``(betti, torsion)`` pairs.
+    """
+    ranks = [rng.randint(1, max_rank) for _ in range(top + 1)]
+    free = [list(range(r)) for r in ranks]  # generators not yet in a pair
+    pairs = {n: [] for n in range(1, top + 1)}  # n -> (source in C_n, target in C_(n-1), k)
+    for n in range(1, top + 1):
+        for _ in range(rng.randint(0, min(ranks[n], ranks[n - 1]))):
+            if free[n] and free[n - 1]:
+                x = free[n].pop(rng.randrange(len(free[n])))
+                y = free[n - 1].pop(rng.randrange(len(free[n - 1])))
+                pairs[n].append((x, y, rng.choice(weights)))
+    changes = [_random_unimodular(rng, r) for r in ranks]
+    boundaries = {}
+    for n in range(1, top + 1):
+        d = [[0] * ranks[n] for _ in range(ranks[n - 1])]
+        for x, y, k in pairs[n]:
+            d[y][x] = k
+        u, _ = changes[n - 1]
+        _, v_inv = changes[n]
+        boundaries[n] = u.mul(Mat(ranks[n - 1], ranks[n], tuple(map(tuple, d))), ZZ).mul(v_inv, ZZ)
+    expected = {}
+    for name in ("Z", "Q", "Fp:2", "Fp:3"):
+        p = int(name[3:]) if name.startswith("Fp:") else None
+        groups = []
+        for n in range(top + 1):
+            divisible = [k for m in (n, n + 1) for _, _, k in pairs.get(m, ()) if p and k % p == 0]
+            torsion = ()
+            if name == "Z":
+                ks = [k for _, _, k in pairs.get(n + 1, ())]
+                diagonal = Mat(len(ks), len(ks), tuple(tuple(k if i == j else 0 for j in range(len(ks)))
+                                                       for i, k in enumerate(ks)))
+                torsion = tuple(f for f in minors_gcd_invariant_factors(diagonal) if f > 1)
+            groups.append((len(free[n]) + len(divisible), torsion))
+        expected[name] = tuple(groups)
+    return ChainComplex(ZZ, tuple(ranks), boundaries), expected
+
+
+def _random_unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1 and its inverse, as a product of elementary moves."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]  # u <- (I + c e_ij) u
+        for row in u_inv:  # u_inv <- u_inv (I - c e_ij)
+            row[j] -= c * row[i]
+    return Mat(n, n, tuple(map(tuple, u))), Mat(n, n, tuple(map(tuple, u_inv)))
 
 
 def greedy_collapses_reference(skel):

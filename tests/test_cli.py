@@ -6,6 +6,7 @@ import pytest
 from morseflow import entrance_path_category, matching_to_morse_system
 from morseflow.cli import main
 from morseflow.fixtures import FIXTURES, get_fixture
+from morseflow.localization import _MoveTable
 
 from helpers import RP2_FACETS, coned_complex
 
@@ -202,6 +203,45 @@ def test_nerve_flow_builds_each_flow_nerve_once(fixture_files, capsys, monkeypat
     assert built == [3, 3]
 
 
+def test_nerve_flow_builds_and_checks_each_nerve_complex_once(fixture_files, capsys, monkeypatch):
+    # Stabilization reads the bound-5 nerve over Q and the CLI reads it over Z:
+    # both read the one complex over Z that the first read built and checked.
+    from morseflow import nerves
+    from morseflow.homology import ChainComplex
+
+    skeletons, checked, reads = [], [], []
+    geometric_nerve, homology = nerves.geometric_nerve, nerves.homology
+    check = ChainComplex.check_boundary_squares_to_zero
+
+    def counting_nerve(cat, maxdim):
+        skeletons.append(geometric_nerve(cat, maxdim))
+        return skeletons[-1]
+
+    def counting_check(cc):
+        checked.append(cc)
+        check(cc)
+
+    def counting_homology(cc):
+        reads.append(cc)
+        return homology(cc)
+
+    monkeypatch.setattr(nerves, "geometric_nerve", counting_nerve)
+    monkeypatch.setattr(ChainComplex, "check_boundary_squares_to_zero", counting_check)
+    monkeypatch.setattr(nerves, "homology", counting_homology)
+    code, doc = run_json(
+        capsys, "homology", "nerve-flow",
+        fixture_files["calc63"]["complex"], fixture_files["calc63"]["matching"],
+        "--max-zigzag-len", "4",
+    )
+    assert code == 0 and doc["results"]["status"] == "stable"
+    assert doc["results"]["homology"]["betti"] == [1, 0, 1]
+    last = skeletons[-1]._chain  # the bound-5 nerve's complex
+    assert [(cc.ring.name, cc.coefficients.name) for cc in reads if cc.boundaries is last.boundaries] == [
+        ("Z", "Q"), ("Z", "Z")]
+    assert sum(cc.boundaries is last.boundaries for cc in checked) == 1
+    assert len(checked) == len(skeletons) == 2  # every complex built is checked: one per skeleton
+
+
 def test_homology_morse(fixture_files, capsys):
     code, doc = run_json(
         capsys, "homology", "morse",
@@ -327,6 +367,52 @@ def test_out_of_range_bounds_exit_1(fixture_files, capsys):
         argv = ("homology", mode, files["complex"], files["matching"])
         assert run(capsys, *argv, "--max-nerve-dim", "0") == (1, "")
     assert run(capsys, "homology", "nerve-en", files["complex"], "--max-nerve-dim", "1")[0] == 0
+
+
+def _phantom_splices(monkeypatch, patched_move):
+    """Make every ``patched_move`` splice of the move table also yield the identity
+    zigzag of an object other than the key's source, which no hom from that
+    source enumerates."""
+    splices = _MoveTable.splices
+
+    def phantom(self, move, key):
+        out = splices(self, move, key)
+        if move.__func__ is patched_move:
+            source = self._morphisms[key[0]].source
+            other = next(x for x in sorted(self.cat.objects) if x != source)
+            out = out + [(self._id(self.cat.identity(other)),)]
+        return out
+
+    monkeypatch.setattr(_MoveTable, "splices", phantom)
+
+
+def _exit_2_with_one_error_line(capsys, argv, message):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_a_contraction_outside_the_enumerated_set_exits_2(fixture_files, capsys, monkeypatch):
+    files = fixture_files["calc61"]
+    _phantom_splices(monkeypatch, _MoveTable._merge)
+    flow = ("flow", files["complex"], files["matching"], "--from", "t", "--to", "w")
+    _exit_2_with_one_error_line(capsys, flow, "error: contraction left the enumerated set: Zigzag('b')\n")
+
+
+def test_a_step_outside_the_enumerated_set_exits_2(fixture_files, capsys, monkeypatch):
+    files = fixture_files["calc61"]
+    _phantom_splices(monkeypatch, _MoveTable._larger)
+    flow = ("flow", files["complex"], files["matching"], "--from", "t", "--to", "w")
+    _exit_2_with_one_error_line(capsys, flow, "error: Zigzag('b')\n")  # the zigzag the step reached
+
+
+def test_a_composite_outside_the_enumerated_range_exits_2(fixture_files, capsys, monkeypatch):
+    files = fixture_files["calc61"]
+    monkeypatch.setattr(_MoveTable, "reduce", lambda self, key: key + key)
+    nerve = ("homology", "nerve-flow", files["complex"], files["matching"])
+    _exit_2_with_one_error_line(capsys, nerve, "composite zigzag leaves the enumerated range; raise the length bound")
 
 
 def _write_json(path, doc):

@@ -23,17 +23,21 @@ from morseflow import (
     smith_normal_form,
 )
 from morseflow.cosheaves import constant_cosheaf, morse_chain_complex
+from morseflow.fixtures import FIXTURES
 from morseflow.rings import eliminate_units, mat_inverse, NotInvertible, rank_over_field, ring_from_name, to_sparse
 
 from helpers import (
+    KLEIN_FACETS,
     RP2_FACETS,
     SPHERE2_FACETS,
     TORUS_FACETS,
     dense_rank_over_field,
     det_int,
+    homology_reference,
     minors_gcd_invariant_factors,
     random_acyclic_matching,
     random_int_matrix,
+    random_integer_complex,
     simplicial_to_complex,
 )
 
@@ -243,3 +247,53 @@ def test_flow_nerve_route_agrees_with_cellular_on_the_3_sphere():
     assert [len(skel.simplices[d]) for d in range(4)] == [4, 480, 3780, 20060]
     cellular = homology(cellular_chain_complex(cx, assign_incidence_signs(cx), QQ))
     assert _groups(homology(normalized_chain_complex(skel, QQ)), 2) == _groups(cellular, 2)
+
+
+def test_a_z_complex_read_over_each_ring_matches_the_ring_direct_path():
+    # One complex over Z, read over Z, Q, F_2 and F_3 through its unit pivots
+    # and the core finished over the ring, against the same complex built and
+    # eliminated over each ring (the universal coefficient theorem).
+    rings = (ZZ, QQ, PrimeField(2), PrimeField(3))
+    cases = []
+    for name, fx in sorted(FIXTURES.items()):
+        cases.append((f"{name} entrance-path nerve", normalized_chain_complex(
+            geometric_nerve(entrance_path_category(fx.complex), 3), ZZ)))
+    sphere3 = simplicial_to_complex(list(combinations(range(1, 6), 4)))
+    En = entrance_path_category(sphere3)
+    ms = matching_to_morse_system(sphere3, random_acyclic_matching(random.Random(5), sphere3), En)
+    flow_nerve = geometric_nerve(flow_category(En, ms, None).category, 3)
+    cases.append(("3-sphere flow nerve", normalized_chain_complex(flow_nerve, ZZ)))
+    for name, facets in (("rp2", RP2_FACETS), ("klein", KLEIN_FACETS)):
+        cx = simplicial_to_complex(facets)
+        cases.append((f"{name} cellular", cellular_chain_complex(cx, assign_incidence_signs(cx), ZZ)))
+    # One cell per degree: RP2 is Z --2--> Z --0--> Z, the Klein bottle Z --(2, 0)--> Z^2 --0--> Z.
+    cases.append(("rp2 minimal", ChainComplex(ZZ, (1, 1, 1), {1: Mat.zeros(1, 1), 2: Mat.from_rows([[2]])})))
+    cases.append(("klein minimal", ChainComplex(ZZ, (1, 2, 1), {1: Mat.zeros(1, 2), 2: Mat.from_rows([[2], [0]])})))
+    rng = random.Random(13)
+    for k in range(60):
+        cc, expected = random_integer_complex(rng)
+        for ring in rings:
+            assert homology(cc.over(ring)).groups == expected[ring.name], (k, ring)
+        cases.append((f"random {k}", cc))
+    with_core = set()
+    for name, cc in cases:
+        for n in range(1, cc.top + 1):
+            core = eliminate_units(cc.boundary(n), ZZ)[1]
+            if core.rows and core.cols:
+                with_core.add(name)
+        for ring in rings:
+            got = homology(cc.over(ring))
+            assert got.ring_name == ring.name
+            assert got.groups == homology_reference(cc, ring).groups, (name, ring)
+    # torsion leaves a core with no unit entry, and the fields finish it
+    assert {"rp2 cellular", "klein cellular", "rp2 minimal", "klein minimal"} <= with_core
+    assert len(with_core) >= 40
+
+
+def test_the_integer_d_o_d_check_is_stronger_than_any_field_check():
+    # d_1 o d_2 = 2 e: zero over F_2, not over Z.
+    d1 = Mat.from_rows([[1, 1]])
+    d2 = Mat.from_rows([[1], [1]])
+    assert ChainComplex(PrimeField(2), (1, 2, 1), {1: d1, 2: d2}).ranks == (1, 2, 1)
+    with pytest.raises(NotAComplex, match=r"d_1 o d_2 != 0"):
+        ChainComplex(ZZ, (1, 2, 1), {1: d1, 2: d2})
