@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     except (OrderViolation, LocalizationInconsistency, NotAComplex, NotInvertible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, BadPair, SignInconsistency, KeyError, OSError) as exc:
+    except (ValueError, BadPair, SignInconsistency, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 
 from .categories import PCategory, _bits, _walks, sort_key
 from .homology import ChainComplex, HomologySummary, homology
@@ -61,56 +63,209 @@ def is_degenerate(cat: PCategory | None, s: Simplex) -> bool:
     return False
 
 
-@dataclass
 class SimplicialSetSkeleton:
-    maxdim: int
-    simplices: dict  # dim -> list of Simplex (degenerate ones included)
-    cat: PCategory | None = None
-    nondegenerate: dict = field(init=False)  # dim -> list of the nondegenerate simplices
-    # the normalized chain complex over Z, built by the first normalized_chain_complex call
-    _chain: ChainComplex | None = field(default=None, init=False, repr=False, compare=False)
+    """The simplices of a nerve or an order complex through dimension ``maxdim``.
 
-    def __post_init__(self):
-        self.nondegenerate = {
-            d: [s for s in self.simplices.get(d, []) if not is_degenerate(self.cat, s)]
-            for d in range(self.maxdim + 1)
+    A d-simplex is stored flat, as ``(objects, ids, degenerate)``: ``ids``
+    lists the ids of its morphisms f_ij in row order (i = 0..d-1, then
+    j = i+1..d), numbered in one morphism table per skeleton, and
+    ``degenerate`` is the bitmask of the positions k where it collapses.
+    An order complex's simplices have ``ids == ()`` and are never
+    degenerate.  ``simplices`` (every simplex, degenerate ones included) and
+    ``nondegenerate`` are the same simplices as ``Simplex`` objects, built
+    on first read and kept.
+
+    ``SimplicialSetSkeleton(maxdim, simplices, cat)`` takes ``Simplex``
+    lists (dim -> list, in order), keeps them as ``simplices`` and stores
+    them flat, deciding degeneracy with ``is_degenerate``;
+    ``geometric_nerve`` and ``order_complex`` build the flat form directly.
+    """
+
+    def __init__(self, maxdim: int, simplices: dict, cat: PCategory | None = None):
+        ids: dict = {}
+        levels = {
+            d: [(s.objects, tuple(ids.setdefault(f, len(ids)) for row in s.fs or () for f in row),
+                 int(is_degenerate(cat, s))) for s in simplices.get(d, [])]
+            for d in range(maxdim + 1)
         }
+        self._set(maxdim, cat, tuple(ids), levels)
+        self._simplices = simplices
+
+    @classmethod
+    def _flat(cls, maxdim, cat, morphisms, levels) -> "SimplicialSetSkeleton":
+        skel = cls.__new__(cls)
+        skel._set(maxdim, cat, morphisms, levels)
+        return skel
+
+    def _set(self, maxdim, cat, morphisms, levels):
+        self.maxdim = maxdim
+        self.cat = cat
+        self._morphisms = morphisms  # id -> morphism
+        self._levels = levels  # dim -> every (objects, ids, degenerate), in order
+        # dim -> the nondegenerate (objects, ids): the generators of the chain complex
+        self._nondeg = {d: [(o, i) for o, i, deg in level if not deg] for d, level in levels.items()}
+        self._simplices = self._nondegenerate = None
+        # the normalized chain complex over Z, built by the first normalized_chain_complex call
+        self._chain: ChainComplex | None = None
+
+    @property
+    def simplices(self) -> dict:
+        """dim -> list of ``Simplex``, degenerate ones included."""
+        if self._simplices is None:
+            self._simplices = {d: [self._view(o, i) for o, i, _ in level] for d, level in self._levels.items()}
+        return self._simplices
+
+    @property
+    def nondegenerate(self) -> dict:
+        """dim -> list of the nondegenerate ``Simplex``es, in the order of ``simplices``."""
+        if self._nondegenerate is None:
+            self._nondegenerate = {d: [self._view(o, i) for o, i in level] for d, level in self._nondeg.items()}
+        return self._nondegenerate
+
+    def _view(self, objects, ids) -> Simplex:
+        if self.cat is None:
+            return Simplex(objects, None)
+        table = self._morphisms
+        return Simplex(objects, tuple(tuple(map(table.__getitem__, ids[a:b])) for a, b in _rows(len(objects) - 1)))
 
     def sizes(self):
-        return {d: len(level) for d, level in self.nondegenerate.items()}
+        return {d: len(level) for d, level in self._nondeg.items()}
+
+
+def _flat_index(d: int, i: int, j: int) -> int:
+    """Position of f_ij in the flat ids of a d-simplex."""
+    return i * d - i * (i - 1) // 2 + j - i - 1
+
+
+@lru_cache(maxsize=None)
+def _rows(d: int):
+    """(start, end) of each row of the flat ids of a d-simplex."""
+    return tuple((_flat_index(d, i, i + 1), _flat_index(d, i, d) + 1) for i in range(d))
+
+
+def _picker(positions):
+    """A function taking the tuple of the entries at ``positions`` (itemgetter returns a bare item for one)."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda t: (t[p],)
+    return itemgetter(*positions) if positions else lambda t: ()
+
+
+@lru_cache(maxsize=None)
+def _extension(d: int):
+    """For extending a (d-1)-simplex s by a column col = (f_(d-1,d), .., f_(0,d)).
+
+    Returns the picker of the new flat ids out of ``s_ids + col``; per slot
+    i < d - 1 of the column, the (position of f_ij in s_ids, position of
+    f_jd in col) of each composite bound f_ij o f_jd; and the positions of
+    f_(i,d-1) in s_ids for i < d - 1.
+    """
+    base = (d - 1) * d // 2
+    merge = [p for i in range(d)
+             for p in (*range(_flat_index(d - 1, i, i + 1), _flat_index(d - 1, i, d - 1) + 1), base + d - 1 - i)]
+    bounds = tuple(tuple((_flat_index(d - 1, i, j), d - 1 - j) for j in range(i + 1, d)) for i in range(d))
+    last = tuple(_flat_index(d - 1, i, d - 1) for i in range(d - 1))
+    return _picker(merge), bounds, last
+
+
+@lru_cache(maxsize=None)
+def _face_maps(d: int):
+    """(sign, objects picker, ids picker) of each face k of a d-simplex."""
+    out = []
+    for k in range(d + 1):
+        kept = [i for i in range(d + 1) if i != k]
+        ids = [_flat_index(d, kept[a], kept[b]) for a in range(d) for b in range(a + 1, d)]
+        out.append((1 if k % 2 == 0 else -1, _picker(kept), _picker(ids)))
+    return tuple(out)
+
+
+def _number_morphisms(cat: PCategory, objects):
+    """One id per morphism, hom by hom, each hom in ``sort_key`` order.
+
+    Returns the table (id -> morphism), per object a the dict b -> the ids
+    of ``hom(a, b).elements`` by position (nonempty homs only), and each
+    id's rank: the smallest id of its hom with an equal sort key.  Simplices
+    with the same objects compare their morphisms within one hom each, so
+    comparing ranks compares sort keys.
+    """
+    table, out, rank = [], {}, []
+    for a in objects:
+        out[a] = {}
+        for b in objects:
+            els = cat.hom(a, b).elements
+            if not els:
+                continue
+            keys = [sort_key(f) for f in els]
+            order = sorted(range(len(els)), key=keys.__getitem__)
+            base = len(table)
+            ids = [0] * len(els)
+            for r, k in enumerate(order):
+                ids[k] = base + r
+                rank.append(rank[-1] if r and keys[order[r - 1]] == keys[k] else base + r)
+            table.extend(els[k] for k in order)
+            out[a][b] = ids
+    return tuple(table), out, rank
 
 
 def geometric_nerve(cat: PCategory, maxdim: int) -> SimplicialSetSkeleton:
     """Simplices are tuples of objects with compatible morphism triangles.
 
     Beyond dimension 2 a simplex exists exactly when all its triangles do, so
-    each dimension extends the previous one by a vertex x, filling its column as a walk.
+    each dimension extends the previous one by a vertex x, filling its
+    column as a walk.  The candidates for f_(i,d) are the elements of
+    hom(x_i, x) below every composite f_ij o f_jd: the AND of their down-set
+    masks, each composite formed once per nerve.  Morphisms are numbered
+    once, so simplices are flat int tuples; degeneracy is decided as each
+    simplex is built (``SimplicialSetSkeleton``), and each level is sorted
+    by objects, then by the sort-key ranks of the morphisms row by row.
     """
     objects = sorted(cat.objects)
-    simplices = {0: [Simplex((x,), ()) for x in objects]}
+    table, homs, rank = _number_morphisms(cat, objects)
+    is_identity = [cat.is_identity(f) for f in table]
+    n = len(table)
+    below: dict = {}  # f_id * n + g_id -> down-set mask of f o g in its hom
+    ranked = None if all(r == i for i, r in enumerate(rank)) else (
+        lambda t: (t[0], tuple(map(rank.__getitem__, t[1]))))
+    levels = {0: [((x,), (), 0) for x in objects]}
     for d in range(1, maxdim + 1):
+        merge, bounds, last = _extension(d)
         level = []
-        for s in simplices[d - 1]:
-            for x in objects:
-                hom_last = cat.hom(s.objects[-1], x)
-                if hom_last.is_empty():
+        for objs, fids, degenerate in levels[d - 1]:
+            y = objs[-1]
+            for x, first in homs[y].items():
+                cols = [homs[a].get(x) for a in objs]  # ids of hom(x_i, x) by position
+                if None in cols:
                     continue
 
                 def succ(col):
-                    # col holds f_(d-1, d) .. f_(i+1, d); f_(i, d) lies below every
-                    # composite f_(i, j) o f_(j, d), computed once for all candidates.
+                    # col holds f_(d-1, d) .. f_(i+1, d); f_(i, d) lies below every f_ij o f_jd
                     i = d - 1 - len(col)
-                    hp = cat.hom(s.objects[i], x)
-                    bounds = [cat.compose(s.f(i, j), col[d - 1 - j]) for j in range(i + 1, d)]
-                    return [hp.elements[k] for k in _bits(hp.below_all(bounds))]
+                    mask = -1
+                    for p, c in bounds[i]:
+                        key = fids[p] * n + col[c]
+                        m = below.get(key)
+                        if m is None:
+                            m = below[key] = cat.hom(objs[i], x).below_all((cat.compose(table[fids[p]], table[col[c]]),))
+                        mask &= m
+                    ids = cols[i]
+                    return [ids[k] for k in _bits(mask)]
 
-                for col in _walks(hom_last.elements, succ, d - 1):
-                    if len(col) == d:
-                        fs = tuple(s.fs[j] + (col[d - 1 - j],) for j in range(d - 1)) + ((col[0],),)
-                        level.append(Simplex(s.objects + (x,), fs))
-        level.sort(key=Simplex.key)
-        simplices[d] = level
-    return SimplicialSetSkeleton(maxdim, simplices, cat)
+                grown = objs + (x,)
+                for col in _walks(first, succ, d - 1):
+                    if len(col) < d:
+                        continue
+                    # s.x collapses at k < d - 1 where s does and f_kd = f_(k+1)d, and at d - 1
+                    # where x repeats x_(d-1) through an identity and f_i(d-1) = f_id for all i
+                    collapsed = 0
+                    for k in _bits(degenerate):
+                        if col[d - 1 - k] == col[d - 2 - k]:
+                            collapsed |= 1 << k
+                    if x == y and is_identity[col[0]] and all(fids[p] == col[d - 1 - i] for i, p in enumerate(last)):
+                        collapsed |= 1 << (d - 1)
+                    level.append((grown, merge(fids + col), collapsed))
+        level.sort(key=ranked)
+        levels[d] = level
+    return SimplicialSetSkeleton._flat(maxdim, cat, table, levels)
 
 
 def order_complex(elements, leq, maxdim: int | None = None) -> SimplicialSetSkeleton:
@@ -119,10 +274,10 @@ def order_complex(elements, leq, maxdim: int | None = None) -> SimplicialSetSkel
     if maxdim is None:
         maxdim = max(len(elements) - 1, 0)
     above = {a: [b for b in elements if a != b and leq(a, b)] for a in elements}
-    simplices = {d: [] for d in range(maxdim + 1)}
+    levels = {d: [] for d in range(maxdim + 1)}
     for chain in _walks(elements, lambda ch: above[ch[-1]], maxdim):
-        simplices[len(chain) - 1].append(Simplex(chain, None))
-    return SimplicialSetSkeleton(maxdim, simplices, None)
+        levels[len(chain) - 1].append((chain, (), 0))
+    return SimplicialSetSkeleton._flat(maxdim, None, (), levels)
 
 
 def _poset_key(el):
@@ -135,20 +290,24 @@ def _poset_key(el):
 def normalized_chain_complex(skel: SimplicialSetSkeleton, ring: Ring) -> ChainComplex:
     """The normalized chain complex of a skeleton, read over ``ring``.
 
-    Generators are the nondegenerate simplices; degenerate faces are dropped.
-    The boundary entries are integers, so the complex is built over Z once
-    per skeleton, checked there (d o d = 0 in plain ints) and kept on the
-    skeleton; every ring reads that one complex.
+    Generators are the nondegenerate flat simplices; face k is taken
+    through index maps over the objects and the ids, made once per (d, k),
+    and kept when it is a nondegenerate simplex.  The boundary entries are
+    integers, so the complex is built over Z once per skeleton, checked
+    there (d o d = 0 in plain ints) and kept on the skeleton; every ring
+    reads that one complex.
     """
     if skel._chain is None:
-        gens = [skel.nondegenerate[d] for d in range(skel.maxdim + 1)]
+        gens = [skel._nondeg[d] for d in range(skel.maxdim + 1)]
         kept = [set(level) for level in gens]
 
         def faces(s):
-            for k in range(s.dim + 1):
-                face = s.face(k)
-                if face in kept[s.dim - 1]:
-                    yield face, 1 if k % 2 == 0 else -1
+            objects, ids = s
+            d = len(objects) - 1
+            for sign, pick_objects, pick_ids in _face_maps(d):
+                face = (pick_objects(objects), pick_ids(ids) if ids else ())
+                if face in kept[d - 1]:
+                    yield face, sign
 
         skel._chain = ChainComplex.from_faces(ZZ, gens, faces)
     return skel._chain.over(ring)
@@ -171,7 +330,7 @@ def greedy_collapses_to_point(skel: SimplicialSetSkeleton) -> bool:
     Works on order complexes (no morphism data).  Returns True when the
     complex collapses to a single vertex; False is inconclusive.
     """
-    cells = {s.objects for level in skel.nondegenerate.values() for s in level}
+    cells = {objects for level in skel._nondeg.values() for objects, _ in level}
     if not cells:
         return False
     for _ in _greedy_collapses(cells):

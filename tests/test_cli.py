@@ -485,3 +485,25 @@ def test_missing_cosheaf_data_and_unknown_fixtures_are_named(fixture_files, tmp_
 
     with pytest.raises(ValueError, match="no stalk rank for cell x"):
         Cosheaf(ZZ, {}, {}).stalk("x")
+
+
+def test_unknown_cells_in_matching_and_cosheaf_files_are_bad_input(fixture_files, tmp_path, capsys):
+    sphere = fixture_files["sphere"]["complex"]
+    matching = _write_json(tmp_path / "unknown-m.json", {"kind": "classical", "pairs": [["x", "nope"]]})
+    for argv in (["validate", sphere, matching], ["flow", sphere, matching, "--from", "t", "--to", "w"],
+                 ["homology", "nerve-flow", sphere, matching], ["homology", "morse", sphere, matching]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: pair (x, nope) references an unknown cell\n"
+    cosheaf = _write_json(tmp_path / "unknown-c.json", {"ring": "Z", "stalks": {"nope": 1}, "maps": {"nope>w": [[1]]}})
+    assert main(["homology", "cosheaf", sphere, cosheaf]) == 1
+    assert capsys.readouterr().err == "error: maps['nope>w'] has shape 1x1, expected 0x1\n"
+
+
+def test_an_internal_key_error_is_not_reported_as_bad_input(fixture_files, monkeypatch):
+    # exit 1 means bad input; a lookup that fails inside the computation is a bug
+    def lookup_bug(cat, maxdim):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("morseflow.cli.geometric_nerve", lookup_bug)
+    with pytest.raises(KeyError):
+        main(["homology", "nerve-en", fixture_files["sphere"]["complex"]])

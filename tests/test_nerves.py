@@ -1,6 +1,7 @@
 import gc
 import random
-from itertools import permutations
+from dataclasses import dataclass
+from itertools import combinations, permutations
 
 import pytest
 
@@ -17,14 +18,17 @@ from morseflow import (
     geometric_nerve,
     homology,
     matching_to_morse_system,
+    nerve_homology,
     normalized_chain_complex,
     order_complex,
     poset_as_pcategory,
     stabilized_flow,
 )
 from morseflow import nerves
-from morseflow.fixtures import FIXTURES
-from morseflow.nerves import _greedy_collapses, greedy_collapses_to_point
+from morseflow.categories import HomPoset, PCategory, sort_key
+from morseflow.cli import main
+from morseflow.fixtures import FIXTURES, get_fixture
+from morseflow.nerves import Simplex, _greedy_collapses, greedy_collapses_to_point, is_degenerate
 
 from helpers import (
     RP2_FACETS,
@@ -35,6 +39,7 @@ from helpers import (
     geometric_nerve_reference,
     greedy_collapses_reference,
     normalized_chain_complex_reference,
+    random_acyclic_matching,
     random_complex,
     simplicial_to_complex,
 )
@@ -254,3 +259,104 @@ def test_order_complex_lists_every_chain_in_lexicographic_order():
                     if all(a != b and leq(a, b) for a, b in zip(p, p[1:]))
                 ]
                 assert [s.objects for s in oc.simplices[d]] == sorted(chains, key=lambda p: [ordered.index(x) for x in p])
+
+
+def _calc63_flow(max_len):
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    return flow_category(En, matching_to_morse_system(fx.complex, fx.matching, En), max_len).category
+
+
+def test_dim_4_nerves_match_the_per_candidate_reference():
+    # At dimension 4 a simplex inherits degeneracy at inner positions through
+    # more than one extension.
+    boundary_of_3_simplex = entrance_path_category(simplicial_to_complex(list(combinations(range(4), 3))))
+    for cat in (boundary_of_3_simplex, _calc63_flow(2)):
+        skel, ref = geometric_nerve(cat, 4), geometric_nerve_reference(cat, 4)
+        assert skel.simplices == ref.simplices
+        assert any(is_degenerate(cat, s) for s in ref.simplices[4])
+        for d in range(5):
+            assert skel.nondegenerate[d] == [s for s in ref.simplices[d] if not is_degenerate(cat, s)]
+
+
+def test_nerve_order_follows_sort_keys_not_the_order_of_hom_elements():
+    boundary_of_3_simplex = entrance_path_category(simplicial_to_complex(list(combinations(range(4), 3))))
+    for cat in (boundary_of_3_simplex, _calc63_flow(2)):
+        homs = {key: HomPoset(hp.elements[::-1], hp.relation) for key, hp in cat._homs.items()}
+        reversed_cat = PCategory(cat.objects, homs, cat._compose, cat._identities)
+        assert any(hp.elements != tuple(sorted(hp.elements, key=sort_key)) for hp in homs.values())
+        skel = geometric_nerve(reversed_cat, 3)
+        assert skel.simplices == geometric_nerve_reference(reversed_cat, 3).simplices
+        assert skel.simplices == geometric_nerve(cat, 3).simplices
+
+
+@pytest.mark.parametrize("cat, ms, max_len", [pytest.param(*rest, id=name) for name, *rest in flow_instances()])
+def test_degeneracy_decided_during_construction_matches_is_degenerate(cat, ms, max_len):
+    flow = flow_category(cat, ms, max_len).category
+    skel, ref = geometric_nerve(flow, 3), geometric_nerve_reference(flow, 3)
+    for d in range(4):
+        assert skel.nondegenerate[d] == [s for s in ref.simplices[d] if not is_degenerate(flow, s)]
+    # the Simplex-list constructor reaches the same flat form
+    assert ref.sizes() == skel.sizes()
+    assert ref.nondegenerate == skel.nondegenerate
+    assert normalized_chain_complex(ref, ZZ).boundaries == normalized_chain_complex(skel, ZZ).boundaries
+
+
+@dataclass(frozen=True)
+class _Parallel:
+    """A morphism whose sort key is its endpoints only: parallel morphisms tie."""
+
+    source: str
+    target: str
+    name: str
+
+    def key(self):
+        return (self.source, self.target)
+
+
+def test_simplices_with_tied_sort_keys_keep_the_order_they_were_built_in():
+    # a -u-> b -r,s-> c with u o r = q and u o s = p: the triangles (u, q, r)
+    # and (u, p, s) tie, and are built in that order although p's id is lower.
+    ids = {x: _Parallel(x, x, "1") for x in "abc"}
+    u, r, s, p, q = (_Parallel(*m) for m in ("abu", "bcr", "bcs", "acp", "acq"))
+    homs = {(x, x): HomPoset.build([ids[x]], []) for x in "abc"}
+    homs.update({("a", "b"): HomPoset.build([u], []), ("b", "c"): HomPoset.build([r, s], []),
+                 ("a", "c"): HomPoset.build([p, q], [])})
+    table = {(u, r): q, (u, s): p}
+
+    def compose(f, g):
+        return g if f in ids.values() else f if g in ids.values() else table[(f, g)]
+
+    cat = PCategory("abc", homs, compose, ids)
+    skel, ref = geometric_nerve(cat, 3), geometric_nerve_reference(cat, 3)
+    assert [(t.f(0, 2), t.f(1, 2)) for t in skel.simplices[2] if t.objects == ("a", "b", "c")] == [(q, r), (p, s)]
+    assert skel.simplices == ref.simplices
+    assert skel.nondegenerate == ref.nondegenerate
+
+
+def test_the_dim_4_flow_nerve_of_the_3_sphere():
+    cx = simplicial_to_complex(list(combinations(range(5), 4)))  # the boundary of the 4-simplex
+    En = entrance_path_category(cx)
+    ms = matching_to_morse_system(cx, random_acyclic_matching(random.Random(5), cx), En)
+    skel = geometric_nerve(flow_category(En, ms, None).category, 4)
+    assert tuple(skel.sizes().values()) == (4, 476, 2824, 10156, 30376)
+    assert nerve_homology(skel, QQ).betti() == (1, 0, 0, 1)
+
+
+def test_homology_runs_build_no_simplex_objects(monkeypatch, tmp_path, capsys):
+    built = []
+    monkeypatch.setattr(nerves, "Simplex", lambda *args: built.append(args) or Simplex(*args))
+    fx = get_fixture("calc63")
+    files = [tmp_path / "complex.json", tmp_path / "matching.json"]
+    files[0].write_text(fx.complex.to_json(), encoding="utf-8")
+    files[1].write_text(fx.matching.to_json(), encoding="utf-8")
+    for mode in ("nerve-en", "nerve-flow"):
+        assert main(["homology", mode, *map(str, files)]) == 0
+    capsys.readouterr()
+    for _, En, ms, _ in flow_instances():
+        check_mildness(En, ms)
+        stabilized_flow(En, ms, 3)
+    assert built == []
+    skel = geometric_nerve(_calc63_flow(2), 3)
+    assert skel.simplices is skel.simplices  # built on first read, then kept
+    assert len(built) == sum(len(level) for level in skel.simplices.values())
