@@ -224,8 +224,6 @@ def geometric_nerve(cat: PCategory, maxdim: int) -> SimplicialSetSkeleton:
     is_identity = [cat.is_identity(f) for f in table]
     n = len(table)
     below: dict = {}  # f_id * n + g_id -> down-set mask of f o g in its hom
-    ranked = None if all(r == i for i, r in enumerate(rank)) else (
-        lambda t: (t[0], tuple(map(rank.__getitem__, t[1]))))
     levels = {0: [((x,), (), 0) for x in objects]}
     for d in range(1, maxdim + 1):
         merge, bounds, last = _extension(d)
@@ -263,7 +261,7 @@ def geometric_nerve(cat: PCategory, maxdim: int) -> SimplicialSetSkeleton:
                     if x == y and is_identity[col[0]] and all(fids[p] == col[d - 1 - i] for i, p in enumerate(last)):
                         collapsed |= 1 << (d - 1)
                     level.append((grown, merge(fids + col), collapsed))
-        level.sort(key=ranked)
+        level.sort(key=lambda t: (t[0], tuple(map(rank.__getitem__, t[1]))))
         levels[d] = level
     return SimplicialSetSkeleton._flat(maxdim, cat, table, levels)
 
