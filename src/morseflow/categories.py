@@ -7,6 +7,7 @@ hand-built categories use arbitrary labels plus a composition table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -41,9 +42,10 @@ def identity_morphism(obj: str) -> Morphism:
 class HomPoset:
     """Explicit finite poset of morphisms; leq pairs are stored closed.
 
-    Generating relations are closed by ``_close_order``.  Construction keeps
-    each element's down-set as a bitmask over the element positions, so
-    ``below_all``, ``minimum``, ``maximum`` and ``covers`` are mask operations.
+    Generating relations are closed by ``_close_order``, one topological
+    sweep.  Construction keeps each element's down-set as a bitmask over the
+    element positions, so ``below_all``, ``above``, ``minimum``, ``maximum``
+    and ``covers`` are mask operations.
     """
 
     elements: tuple
@@ -54,6 +56,7 @@ class HomPoset:
         down = dict.fromkeys(self.elements, 0)
         for a, b in self.relation:
             down[b] |= 1 << index[a]
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_down", down)
 
     @staticmethod
@@ -80,6 +83,11 @@ class HomPoset:
         for b in bounds:
             mask &= self._down.get(b, 0)
         return mask
+
+    def above(self, f) -> list:
+        """The elements strictly above f, in element order: those whose down-set holds f."""
+        bit = 1 << self._index[f]
+        return [g for g, down in self._down.items() if down & bit and g != f]
 
     def minimum(self):
         return next((self.elements[i] for i in _bits(self.below_all(self.elements))), None)
@@ -141,29 +149,84 @@ def _walks(starts, succ, max_steps=None):
 
 
 def _close_order(elements, pairs, violation):
-    """Reflexive-transitive closure of ``pairs`` (a frozenset), by Warshall on up-set bitmasks.
+    """Reflexive-transitive closure of ``pairs`` as a frozenset, by one topological sweep.
 
-    Raises ``violation(a, b)`` for the first two distinct elements, in
-    element order, that end up comparable both ways.
+    The elements are put in topological order over the generated pairs
+    (Kahn; self-pairs are ignored), and each up-set, a bitmask over the
+    element positions, is the element's own bit ORed with its successors'
+    up-sets, in reverse order: time linear in the elements and pairs.  If
+    the pairs have a cycle, raises ``violation(a, b)``: ``a`` is the first
+    element, in element order, on a cycle, and ``b`` the smallest other
+    member of its strongly connected component, the first two distinct
+    elements that the closure would make comparable both ways.
     """
     els = tuple(dict.fromkeys(elements))
     index = {e: i for i, e in enumerate(els)}
-    up = [1 << i for i in range(len(els))]
+    succ = [[] for _ in els]
+    indegree = [0] * len(els)
     for a, b in pairs:
-        up[index[a]] |= 1 << index[b]
-    for k, mk in enumerate(up):  # Warshall: route every i through k
-        bit = 1 << k
-        for i, mi in enumerate(up):
-            if mi & bit:
-                up[i] = mi | mk
-    rel = []
-    for i, m in enumerate(up):
-        a = els[i]
-        for j in _bits(m):
-            if j != i and up[j] >> i & 1:
-                raise violation(a, els[j])
-            rel.append((a, els[j]))
-    return frozenset(rel)
+        i, j = index[a], index[b]
+        if i != j:
+            succ[i].append(j)
+            indegree[j] += 1
+    order = [i for i, d in enumerate(indegree) if not d]
+    for i in order:  # Kahn: the list grows as it is read
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < len(els):
+        component = _strong_components(succ)
+        sizes = Counter(component)
+        i = next(i for i, c in enumerate(component) if sizes[c] > 1)
+        j = next(j for j, c in enumerate(component) if c == component[i] and j != i)
+        raise violation(els[i], els[j])
+    up = [0] * len(els)
+    for i in reversed(order):
+        m = 1 << i
+        for j in succ[i]:
+            m |= up[j]
+        up[i] = m
+    return frozenset((els[i], els[j]) for i, m in enumerate(up) for j in _bits(m))
+
+
+def _strong_components(succ):
+    """The strongly connected component number of every node of the digraph
+    ``succ`` (node -> list of nodes), by Tarjan's algorithm on an explicit stack."""
+    n = len(succ)
+    number, low, component = [None] * n, [0] * n, [None] * n
+    stack, count, found = [], 0, 0
+    for root in range(n):
+        if number[root] is not None:
+            continue
+        number[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        pending = [(root, iter(succ[root]))]
+        while pending:
+            v, rest = pending[-1]
+            for w in rest:
+                if number[w] is None:
+                    number[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    pending.append((w, iter(succ[w])))
+                    break
+                if component[w] is None:  # w is on the stack
+                    low[v] = min(low[v], number[w])
+            else:
+                pending.pop()
+                if pending:
+                    u = pending[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == number[v]:
+                    while True:
+                        w = stack.pop()
+                        component[w] = found
+                        if w == v:
+                            break
+                    found += 1
+    return component
 
 
 def _pair_key(pair):
@@ -269,11 +332,6 @@ class PCategory:
 # ---------------------------------------------------------------------------
 
 
-def _subsequence(short: tuple, long: tuple) -> bool:
-    it = iter(long)
-    return all(x in it for x in short)
-
-
 def _path_compose(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(f.source, g.target, f.label + g.label[1:])
 
@@ -293,7 +351,12 @@ def _path_splittings(f: Morphism):
 
 
 def entrance_path_category(c) -> PCategory:
-    """Entrance paths (strictly descending cell sequences) ordered by subsequence."""
+    """Entrance paths (strictly descending cell sequences) ordered by subsequence.
+
+    A path with one interior cell deleted is again a path of the same hom,
+    because the face relation is transitive, and every subsequence is reached
+    by such deletions; so the deletions generate each hom's order.
+    """
     cyclic = sorted(a for a, b in c.reach if a == b)
     if cyclic:
         raise ValueError(f"face relation contains a cycle through {cyclic[0]}")
@@ -306,10 +369,9 @@ def entrance_path_category(c) -> PCategory:
     for (a, b), labels in paths.items():
         els = sorted(Morphism(a, b, lab) for lab in labels)
         pairs = [
-            (f, g)
-            for f in els
+            (Morphism(a, b, g.label[:i] + g.label[i + 1:]), g)
             for g in els
-            if f != g and _subsequence(f.label, g.label)
+            for i in range(1, len(g.label) - 1)
         ]
         homs[(a, b)] = HomPoset.build(els, pairs)
     return PCategory(ids, homs, _path_compose, identities, _path_splittings)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .categories import HomPoset, PCategory, _close_order, _walks
-from .matchings import MorseSystem
+from .matchings import MorseSystem, _find_cycle
 
 STABILIZATION_NERVE_DIM = 3  # successive bounds must agree on nerve homology through degree 2
 
@@ -247,8 +247,7 @@ class _MoveTable:
 
     def _larger(self, g):
         """Single-slot steps: the elements strictly above g in its hom-poset, in element order."""
-        hp = self.cat.hom(g.source, g.target)
-        return (g2 for g2 in hp.elements if g2 != g and hp.leq(g, g2))
+        return self.cat.hom(g.source, g.target).above(g)
 
 
 def reduce_zigzag(cat: PCategory, z: Zigzag) -> Zigzag:
@@ -282,7 +281,10 @@ def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4
     if max_len is None and not singleton:
         raise ValueError("a length bound is required for this system")
 
-    if singleton:
+    if singleton and _find_cycle(ms.sigma, ms.successors) is None:
+        def succ(chain):  # an acyclic order repeats no arrow
+            return ms.successors[chain[-1]]
+    elif singleton:
         def succ(chain):
             return [f for f in ms.successors[chain[-1]] if f not in chain]
     else:  # an arrow may repeat: it follows itself and its successors, in sigma order

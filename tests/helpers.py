@@ -383,6 +383,40 @@ def close_order_reference(elements, pairs):
     return frozenset(rel), both
 
 
+def close_order_warshall(elements, pairs):
+    """Reference kernel: Warshall's loop on up-set bitmasks, quadratic in the elements.
+
+    Returns the reflexive-transitive closure over the distinct elements and
+    the first violation Warshall's scan meets, or None: the first element,
+    in element order, comparable both ways with another, paired with the
+    first such other element.
+    """
+    els = tuple(dict.fromkeys(elements))
+    index = {e: i for i, e in enumerate(els)}
+    up = [1 << i for i in range(len(els))]
+    for a, b in pairs:
+        up[index[a]] |= 1 << index[b]
+    for k, mk in enumerate(up):  # route every i through k
+        bit = 1 << k
+        for i, mi in enumerate(up):
+            if mi & bit:
+                up[i] = mi | mk
+    rel, first = set(), None
+    for i, m in enumerate(up):
+        for j in range(len(els)):
+            if m >> j & 1:
+                rel.add((els[i], els[j]))
+                if first is None and j != i and up[j] >> i & 1:
+                    first = (els[i], els[j])
+    return frozenset(rel), first
+
+
+def subsequence(short: tuple, long: tuple) -> bool:
+    """Whether ``short`` is a subsequence of ``long``: the reference entrance-path order."""
+    it = iter(long)
+    return all(x in it for x in short)
+
+
 def covers_reference(elements, relation) -> list:
     """Reference cover scan: (a, b) covers unless some third element lies strictly between."""
     strict = {(a, b) for (a, b) in relation if a != b}

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,10 +17,18 @@ from morseflow import (
     is_cellular,
     poset_as_pcategory,
 )
-from morseflow.categories import _walks, identity_morphism
+from morseflow.categories import _close_order, _walks, identity_morphism
 from morseflow.localization import OrderViolation, close_order_relation
 
-from helpers import close_order_reference, count_descending_chains, covers_reference, random_complex
+from helpers import (
+    close_order_reference,
+    close_order_warshall,
+    count_descending_chains,
+    covers_reference,
+    random_complex,
+    simplicial_to_complex,
+    subsequence,
+)
 from morseflow.fixtures import sphere_complex
 
 
@@ -65,6 +74,24 @@ def test_subsequence_order_is_a_partial_order():
     for a in En.objects:
         for b in En.objects:
             En.hom(a, b).check_partial_order()
+
+
+def test_entrance_path_order_is_the_subsequence_order():
+    # Each hom's order is generated by single interior deletions; closed, it
+    # must be the all-pairs subsequence order.
+    rng = random.Random(31)
+    complexes = [random_complex(rng, 10) for _ in range(20)]
+    complexes += [simplicial_to_complex(combinations(range(n + 2), n + 1)) for n in (2, 3)]
+    pairs = 0
+    for cx in complexes:
+        En = entrance_path_category(cx)
+        for a in En.objects:
+            for b in En.objects:
+                hp = En.hom(a, b)
+                rel = {(f, g) for f in hp.elements for g in hp.elements if subsequence(f.label, g.label)}
+                assert hp.relation == rel, (a, b)
+                pairs += len(rel) - len(hp)
+    assert pairs > 500
 
 
 def test_category_axioms_hold_on_fixture():
@@ -183,6 +210,36 @@ def test_order_closure_matches_the_pairwise_reference():
     assert violations > 25 and orders > 200
 
 
+class _Violation(Exception):
+    pass
+
+
+def test_sweep_closure_matches_warshall():
+    # Duplicate elements and self-pairs included; on a cycle the sweep must
+    # raise the pair Warshall's scan meets first.
+    rng = random.Random(15)
+    cyclic = 0
+    for trial in range(3000):
+        els, pairs = _random_relation(rng, acyclic=trial % 3 == 2)
+        if trial % 3 == 0 and len(els) > 1:  # close a random cycle
+            ring = rng.sample(els, rng.randint(2, len(els)))
+            pairs += zip(ring, ring[1:] + ring[:1])
+        els += rng.sample(els, rng.randint(0, len(els)))
+        pairs += [(e, e) for e in rng.choices(els, k=rng.randint(0, 2))]
+        rng.shuffle(pairs)
+        closed, both = close_order_reference(els, pairs)
+        warshall, first = close_order_warshall(els, pairs)
+        assert warshall == closed and (first is None) == (not both)
+        if first is None:
+            assert _close_order(els, pairs, _Violation) == closed
+            continue
+        cyclic += 1
+        with pytest.raises(_Violation) as exc:
+            _close_order(els, pairs, _Violation)
+        assert exc.value.args == first
+    assert 900 < cyclic < 1500
+
+
 def test_mask_scans_match_brute_force():
     rng = random.Random(11)
     orders = 0
@@ -205,6 +262,8 @@ def test_mask_scans_match_brute_force():
             assert poset.minimum() == (bottoms[0] if bottoms else None)
             assert poset.maximum() == (tops[0] if tops else None)
             assert poset.covers() == covers_reference(els, closed)
+            for e in els:
+                assert poset.above(e) == [g for g in els if g != e and (e, g) in closed]
     assert orders > 200
     assert HomPoset((), frozenset()).minimum() is None
     assert HomPoset((), frozenset()).maximum() is None

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -38,6 +39,7 @@ from helpers import (
     random_acyclic_matching,
     random_complex,
     reduce_reference,
+    simplicial_to_complex,
     steps_reference,
 )
 from morseflow.fixtures import get_fixture, sphere_complex
@@ -638,19 +640,43 @@ def test_the_canonical_member_is_the_smallest_irreducible_one():
         assert zigzag_to_text(cls.canonical) == "b > x > y"
 
 
-def test_every_flow_class_has_exactly_one_irreducible_member():
+@pytest.fixture(scope="module")
+def boundary_5_simplex_flow():
+    """The flow category of the 4-sphere ∂Δ⁵ (62 cells) under a random classical matching."""
+    cx = simplicial_to_complex(combinations(range(6), 5))
+    En = entrance_path_category(cx)
+    ms = matching_to_morse_system(cx, random_acyclic_matching(random.Random(5), cx), En)
+    return En, flow_category(En, ms, None)
+
+
+def test_the_flow_category_of_the_4_sphere(boundary_5_simplex_flow):
+    _, flow = boundary_5_simplex_flow
+    assert flow.objects == ("s0_1_2", "s0_2_3_4_5", "s0_2_4_5", "s1_2_4", "s1_3_4_5", "s2")
+    assert sum(len(flow.hom(a, b)) for a in flow.objects for b in flow.objects) == 39_750
+    hp = flow.hom("s0_2_3_4_5", "s2")
+    assert len(hp) == 37_182
+    assert len(hp.relation) - len(hp) == 243_894
+
+
+def test_every_flow_class_has_exactly_one_irreducible_member(boundary_5_simplex_flow):
     # On calc63 only the critical pairs: hom(b, y) has one class with three
-    # irreducible members (b > y, b > x > y, b > z > y).
+    # irreducible members (b > y, b > x > y, b > z > y).  On ∂Δ⁵ the largest
+    # hom, 37,182 classes.
+    En5, flow5 = boundary_5_simplex_flow
+    homs = [
+        (name, En, hom_poset_loc(En, ms, w, z, bound))
+        for name, En, ms, bound in flow_instances()
+        for w in (En.objects if bound is None else ms.critical)
+        for z in (En.objects if bound is None else ms.critical)
+    ]
+    homs.append(("boundary of the 5-simplex", En5, flow5.hom("s0_2_3_4_5", "s2")))
     classes = 0
-    for name, En, ms, bound in flow_instances():
-        objects = En.objects if bound is None else ms.critical
-        for w in objects:
-            for z in objects:
-                for cls in hom_poset_loc(En, ms, w, z, bound).elements:
-                    irreducible = [m for m in cls.members if next(contractions_reference(En, m), None) is None]
-                    assert irreducible == [cls.canonical], (name, cls)
-                    classes += 1
-    assert classes > 400
+    for name, En, hp in homs:
+        for cls in hp.elements:
+            irreducible = [m for m in cls.members if next(contractions_reference(En, m), None) is None]
+            assert irreducible == [cls.canonical], (name, cls)
+            classes += 1
+    assert classes > 400 + 37_182
 
 
 def test_chains_of_a_cyclic_singleton_system_repeat_no_arrow():
