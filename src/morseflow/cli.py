@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .categories import entrance_path_category, face_poset_category
 from .complexes import Complex, SignInconsistency, assign_incidence_signs, cellular_chain_complex, validate_complex
-from .cosheaves import Cosheaf, constant_cosheaf, cosheaf_homology, morse_chain_complex
+from .cosheaves import Cosheaf, cosheaf_homology, morse_chain_complex
 from .fixtures import FIXTURES, get_fixture
 from .homology import NotAComplex, homology
 from .localization import LocalizationInconsistency, OrderViolation, hom_poset_loc, stabilized_flow, zigzag_to_text
@@ -204,10 +204,11 @@ def cmd_homology(args) -> int:
             raise ValueError("mode morse needs a matching file")
         matching = _load_matching(args.matching)
         signs = assign_incidence_signs(complex_)
-        cosheaf = _load_cosheaf(args.cosheaf) if args.cosheaf else constant_cosheaf(complex_, ring)
+        cosheaf = _load_cosheaf(args.cosheaf) if args.cosheaf else None
         mc = morse_chain_complex(complex_, signs, cosheaf, matching)
         results["generators"] = {str(d): list(cells) for d, cells in enumerate(mc.critical)}
-        results["homology"] = _summary_dict(homology(mc.chain))
+        # without a cosheaf the complex is over Z and reads over any ring; a cosheaf's stays over its own ring
+        results["homology"] = _summary_dict(homology(mc.chain if cosheaf else mc.chain.over(ring)))
     else:
         raise ValueError(f"unknown homology mode {args.mode!r}")
     _emit({"command": "homology", "results": results, "warnings": warnings}, args.format)

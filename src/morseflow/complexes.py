@@ -125,8 +125,11 @@ class Complex:
 
         z runs over the cells two dimensions below x that a cover of x
         covers.  The middles of z are the covers of x that cover z, in
-        ``cover_faces[x]`` order; a regular complex has exactly two.
+        ``cover_faces[x]`` order; a regular complex has exactly two.  Below
+        dimension 2 there are none, as dimensions are at least 0.
         """
+        if self.dim_of[x] < 2:
+            return []
         ys = self.cover_faces[x]
         below = {z for y in ys for z in self.cover_faces[y] if self.dim_of[x] - self.dim_of[z] == 2}
         return [(z, [y for y in ys if (y, z) in self.covers]) for z in sorted(below)]

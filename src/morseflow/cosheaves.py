@@ -9,7 +9,7 @@ from .complexes import Complex, ValidationReport
 from .homology import ChainComplex
 from .localization import Zigzag
 from .matchings import Matching, check_pairs
-from .rings import Mat, NotInvertible, Ring, mat_inverse, ring_from_name
+from .rings import ZZ, Mat, NotInvertible, Ring, mat_inverse, ring_from_name
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,12 @@ def cosheaf_chain_complex(c: Complex, signs, F: Cosheaf) -> ChainComplex:
                 yield (y, i), ring.mul(s, block[i, j])
 
     cells = [c.cells_of_dim(d) for d in range(max(c.top_dim, 0) + 1)]
-    return ChainComplex.from_faces(ring, _stalk_generators(F, cells), faces)
+    return ChainComplex.from_faces(ring, _stalk_generators(F.stalk, cells), faces)
 
 
-def _stalk_generators(F: Cosheaf, cells) -> list:
-    """Per degree, one (cell, k) generator per stalk basis vector of ``cells[d]``."""
-    return [[(cid, k) for cid in level for k in range(F.stalk(cid))] for level in cells]
+def _stalk_generators(stalk, cells) -> list:
+    """Per degree, one (cell, k) generator per basis vector of the stalk of each cell of ``cells[d]``."""
+    return [[(cid, k) for cid in level for k in range(stalk(cid))] for level in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +198,82 @@ class MorseComplex:
     critical: tuple  # cell ids per degree; the chain's generators are their stalk vectors, in order
 
 
-def morse_chain_complex(c: Complex, signs, F: Cosheaf, m: Matching) -> MorseComplex:
+class _Counts:
+    """Gradient transport with constant Z coefficients.
+
+    Every stalk is Z and every extension is 1, so a block is a plain int: the
+    signed count of the gradient paths it sums.
+    """
+
+    ring = ZZ
+
+    def stalk(self, cid):
+        return 1
+
+    def unit(self, cid):
+        return 1
+
+    def through(self, block, upper, lower, scalar):
+        return block * scalar
+
+    def lift(self, block, lower):
+        return block
+
+    def add(self, a, b):
+        return a + b
+
+    def column(self, block, j):
+        return ((0, block),)
+
+
+class _Maps:
+    """Gradient transport through a cosheaf's ``Mat`` maps, in its ring."""
+
+    def __init__(self, F: Cosheaf, m: Matching):
+        self.F, self.ring, self.stalk = F, F.ring, F.stalk
+        self.inverse = {}  # matched lower cell -> inverse of its matched extension
+        for u, l in m.pairs:
+            try:
+                self.inverse[l] = mat_inverse(F.cover_map(u, l), F.ring)
+            except NotInvertible:
+                raise NotInvertible(f"matched extension {u}>{l} is not invertible over {F.ring.name}") from None
+
+    def unit(self, cid):
+        return Mat.identity(self.F.stalk(cid), self.ring.one, self.ring.zero)
+
+    def through(self, block, upper, lower, scalar):
+        """``scalar`` times the block after the extension ``upper > lower``."""
+        return block.mul(self.F.cover_map(upper, lower), self.ring).scale(scalar, self.ring)
+
+    def lift(self, block, lower):
+        """The block after the inverse of the matched extension onto ``lower``."""
+        return block.mul(self.inverse[lower], self.ring)
+
+    def add(self, a, b):
+        return a.add(b, self.ring)
+
+    def column(self, block, j):
+        return ((i, block[i, j]) for i in range(block.rows))
+
+
+def morse_chain_complex(c: Complex, signs, F: Cosheaf | None, m: Matching) -> MorseComplex:
     """Compressed complex on critical cells with signed gradient transport.
 
-    The block from a critical cell to a critical face is the sum over the
-    cell's faces of the cover sign times the transported map; transport
-    through a matched cell inverts its matched extension and fans out over
-    the other faces of the partner.  Acyclicity makes the gradient paths a
-    DAG, and transport is computed over it iteratively, so path length is
-    not limited by the interpreter's recursion depth.
+    The block from a critical cell x to a critical face is the sum over the
+    faces y of x of sign(x, y) times the transport from y after the
+    extension x > y.  Transport through a matched cell y with partner u fans
+    out over the other faces y2 of u, each weighted by
+    -sign(u, y) * sign(u, y2), and then inverts the matched extension u > y.
+    Acyclicity makes the gradient paths a DAG, and one iterative sweep over
+    it computes the transport, so path length is not limited by the
+    interpreter's recursion depth.
+
+    ``F=None`` means constant Z coefficients.  Every block is then the signed
+    count of gradient paths x > y0 < u1 > y1 < ... < uk > yk, the sum of
+    sign(x, y0) * prod_i (-sign(u_i, y_(i-1)) * sign(u_i, y_i)), a plain
+    int; the complex is built and checked over Z, and ``chain.over(ring)``
+    reads it over any ring.  With a cosheaf the complex is built, checked
+    and read over the cosheaf's own ring.
     """
     if m.kind != "classical":
         raise ValueError("Morse compression requires a classical matching")
@@ -215,21 +282,25 @@ def morse_chain_complex(c: Complex, signs, F: Cosheaf, m: Matching) -> MorseComp
     acyclic = check_acyclic(c, m)
     if not acyclic.ok:
         raise ValueError(f"matching is not acyclic: {acyclic}")
-    ring = F.ring
+    blocks = _Counts() if F is None else _Maps(F, m)
     partner = {l: u for u, l in m.pairs}  # lower -> upper
     matched = set(partner) | set(partner.values())
-    critical = [cid for cid in c.ids() if cid not in matched]
-    inverse = {}  # lower -> inverse of its matched extension
-    for u, l in m.pairs:
-        try:
-            inverse[l] = mat_inverse(F.cover_map(u, l), ring)
-        except NotInvertible:
-            raise NotInvertible(f"matched extension {u}>{l} is not invertible over {ring.name}") from None
+    flow: dict = {}  # cell -> {critical cell reached by a gradient path: block stalk(cell) -> stalk(critical)}
 
-    flow: dict = {}  # cell -> {critical cell reached by a gradient path: Mat stalk(cell) -> stalk(critical)}
+    def spread(cell: str, skip, sign: int) -> dict:
+        """Sum over the faces y != skip of cell of sign * sign(cell, y) * flow[y] after cell > y."""
+        total: dict = {}
+        for y in c.cover_faces[cell]:
+            if y == skip:
+                continue
+            scalar = sign * signs(cell, y)
+            for tgt, tail in flow[y].items():
+                step = blocks.through(tail, cell, y, scalar)
+                total[tgt] = blocks.add(total[tgt], step) if tgt in total else step
+        return total
 
-    def flow_from(y0: str) -> dict:
-        """Transport from y0 to the critical cells of its dimension, summed over gradient paths."""
+    def sweep(y0: str) -> None:
+        """Fill flow[y0] and the flow of every cell a gradient path from y0 passes."""
         stack = [y0]
         while stack:
             y = stack[-1]
@@ -237,7 +308,7 @@ def morse_chain_complex(c: Complex, signs, F: Cosheaf, m: Matching) -> MorseComp
                 stack.pop()
                 continue
             if y not in partner:  # critical: the path ends; matched upper: the flow stops
-                flow[y] = {} if y in matched else {y: Mat.identity(F.stalk(y), ring.one, ring.zero)}
+                flow[y] = {} if y in matched else {y: blocks.unit(y)}
                 stack.pop()
                 continue
             u = partner[y]
@@ -245,34 +316,22 @@ def morse_chain_complex(c: Complex, signs, F: Cosheaf, m: Matching) -> MorseComp
             if pending:
                 stack.extend(pending)
                 continue
-            total: dict = {}
-            for y2 in c.cover_faces[u]:
-                if y2 == y:
-                    continue
-                scalar = ring.normalize(-signs(u, y) * signs(u, y2))
-                for tgt, tail in flow[y2].items():
-                    step = tail.mul(F.cover_map(u, y2), ring).mul(inverse[y], ring).scale(scalar, ring)
-                    total[tgt] = step.add(total[tgt], ring) if tgt in total else step
-            flow[y] = total
+            flow[y] = {tgt: blocks.lift(b, y) for tgt, b in spread(u, y, -signs(u, y)).items()}
             stack.pop()
-        return flow[y0]
 
-    blocks = {}  # critical cell -> {critical face: Mat}
-    for x in critical:
-        out: dict = {}
-        for y in c.cover_faces[x]:
-            scalar = ring.normalize(signs(x, y))
-            for tgt, t in flow_from(y).items():
-                piece = t.mul(F.cover_map(x, y), ring).scale(scalar, ring)
-                out[tgt] = piece.add(out[tgt], ring) if tgt in out else piece
-        blocks[x] = out
+    cells = [[cid for cid in c.cells_of_dim(d) if cid not in matched] for d in range(max(c.top_dim, 0) + 1)]
+    boundary = {}  # critical cell -> {critical face: block}
+    for level in cells:
+        for x in level:
+            for y in c.cover_faces[x]:
+                sweep(y)
+            boundary[x] = spread(x, None, 1)
 
     def faces(g):
         x, j = g
-        for tgt, block in blocks[x].items():
-            for i in range(block.rows):
-                yield (tgt, i), block[i, j]
+        for tgt, block in boundary[x].items():
+            for i, entry in blocks.column(block, j):
+                yield (tgt, i), entry
 
-    cells = [[cid for cid in c.cells_of_dim(d) if cid not in matched] for d in range(max(c.top_dim, 0) + 1)]
-    cc = ChainComplex.from_faces(ring, _stalk_generators(F, cells), faces)
+    cc = ChainComplex.from_faces(blocks.ring, _stalk_generators(blocks.stalk, cells), faces)
     return MorseComplex(cc, tuple(map(tuple, cells)))

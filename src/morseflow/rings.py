@@ -105,7 +105,7 @@ class RationalField(Ring):
     name = "Q"
 
     def normalize(self, x):
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)  # a Fraction is immutable: no copy
 
     def is_unit(self, a):
         return Fraction(a) != 0
@@ -263,30 +263,33 @@ class Mat:
 
 
 def mat_inverse(m: Mat, ring: Ring) -> Mat:
-    """Inverse of a square matrix over the ring.
+    """Inverse of a square matrix over the ring, by Gauss-Jordan elimination.
 
-    Over Z the inverse must again be integral (determinant +-1), otherwise
-    NotInvertible is raised.
+    Over Q and F_p the elimination runs in the field's own arithmetic.  Over Z
+    it runs over Q, because a unimodular matrix need not have a unit pivot
+    (``[[2, 3], [3, 5]]``), and the inverse must again be integral
+    (determinant +-1), otherwise NotInvertible is raised.
     """
     if m.rows != m.cols:
         raise NotInvertible("only square matrices can be inverted")
     n = m.rows
-    a = [[Fraction(x) for x in row] for row in m.data]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    field = ring if ring.is_field() else QQ
+    a = [[field.normalize(x) for x in row] for row in m.data]
+    inv = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             raise NotInvertible("matrix is singular")
         a[col], a[piv] = a[piv], a[col]
         inv[col], inv[piv] = inv[piv], inv[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        inv[col] = [x / d for x in inv[col]]
+        d = field.inv(a[col][col])
+        a[col] = [field.mul(x, d) for x in a[col]]
+        inv[col] = [field.mul(x, d) for x in inv[col]]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+            f = a[r][col]
+            if r != col and f != 0:
+                a[r] = [field.sub(x, f * y) for x, y in zip(a[r], a[col])]
+                inv[r] = [field.sub(x, f * y) for x, y in zip(inv[r], inv[col])]
     try:
         rows = tuple(tuple(ring.normalize(x) for x in row) for row in inv)
     except ValueError as exc:

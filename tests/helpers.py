@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 ACCEPTANCE_LINES: list = []  # per-criterion pass/fail lines, shown in the summary
@@ -179,6 +180,27 @@ def det_int(rows) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def mat_inverse_reference(m: Mat, ring):
+    """Inverse of an integer matrix as adj(m) / det(m) in ``Fraction``, mapped into the ring.
+
+    None when it does not exist there: the determinant is 0 over Q, or not a
+    unit of the ring (over F_p a multiple of p; over Z anything but +-1).
+    """
+    n = m.rows
+    det = det_int(m.data)
+    if det == 0 or not ring.is_unit(ring.normalize(det)):
+        return None
+    rows = [list(map(int, r)) for r in m.data]
+
+    def cofactor(i, j):
+        minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+        return (-1) ** (i + j) * det_int(minor)
+
+    return Mat.from_rows(
+        [[ring.normalize(Fraction(cofactor(j, i), det)) for j in range(n)] for i in range(n)]
+    )
 
 
 def minors_gcd_invariant_factors(m: Mat) -> list[int]:

@@ -1,14 +1,15 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from morseflow import entrance_path_category, matching_to_morse_system
+from morseflow import QQ, entrance_path_category, matching_to_morse_system
 from morseflow.cli import main
 from morseflow.fixtures import FIXTURES, get_fixture
 from morseflow.localization import _MoveTable
 
-from helpers import RP2_FACETS, coned_complex
+from helpers import RP2_FACETS, coned_complex, random_acyclic_matching, random_twisted_cosheaf, simplicial_to_complex
 
 
 @pytest.fixture()
@@ -252,6 +253,26 @@ def test_homology_morse(fixture_files, capsys):
     assert doc["results"]["homology"]["groups"][:2] == ["Z", "Z"]
     assert doc["results"]["generators"]["0"] == ["w"]
     assert doc["results"]["generators"]["1"] == ["yz"]
+
+
+def test_homology_morse_reads_over_every_ring_and_keeps_a_cosheaf_ring(tmp_path, capsys):
+    # without a cosheaf the Morse complex is over Z and read over the ring asked for,
+    # torsion included; a cosheaf's complex stays over the cosheaf's ring
+    cx = simplicial_to_complex(RP2_FACETS)
+    paths = {"cx": tmp_path / "rp2.json", "m": tmp_path / "m.json", "co": tmp_path / "co.json"}
+    paths["cx"].write_text(cx.to_json(), encoding="utf-8")
+    paths["m"].write_text(random_acyclic_matching(random.Random(10), cx).to_json(), encoding="utf-8")
+    paths["co"].write_text(random_twisted_cosheaf(random.Random(10), cx, QQ).to_json(), encoding="utf-8")
+    want = {"Z": ["Z", "Z/2", "0"], "Q": ["Q", "0", "0"], "Fp:2": ["Fp:2", "Fp:2", "Fp:2"], "Fp:3": ["Fp:3", "0", "0"]}
+    for ring, groups in want.items():
+        for argv in ((paths["cx"], paths["m"]), (paths["cx"], paths["m"], paths["co"])):
+            code, doc = run_json(capsys, "homology", "morse", *map(str, argv), "--coefficients", ring)
+            assert code == 0
+            hom = doc["results"]["homology"]
+            if len(argv) == 2:
+                assert hom["groups"] == groups
+            else:
+                assert (hom["ring"], hom["betti"]) == ("Q", [1, 0, 0])
 
 
 def test_homology_cosheaf(fixture_files, tmp_path, capsys):

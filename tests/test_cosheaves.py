@@ -212,23 +212,31 @@ def _gradient_path_sum(cx, signs, m, x, tgt):
 
 
 def test_morse_boundary_matches_path_sum_oracle():
-    cx = fig2_complex()
-    m = Matching((("wx", "x"), ("wy", "y"), ("xz", "z"), ("wxy", "xy")), "classical")
-    signs = assign_incidence_signs(cx)
-    mc = morse_chain_complex(cx, signs, constant_cosheaf(cx, ZZ), m)
-    assert mc.chain.boundary(1)[0, 0] == _gradient_path_sum(cx, signs, m, "yz", "w")
+    # the integer route (F=None) and the Mat route on the constant Z cosheaf, entry for entry
+    fig2 = fig2_complex()
+    cases = [(fig2, Matching((("wx", "x"), ("wy", "y"), ("xz", "z"), ("wxy", "xy")), "classical"))]
     rng = random.Random(53)
     for _ in range(10):
         rcx = random_complex(rng, 10)
-        rm = random_acyclic_matching(rng, rcx)
-        rsigns = assign_incidence_signs(rcx)
-        rmc = morse_chain_complex(rcx, rsigns, constant_cosheaf(rcx, ZZ), rm)
-        crit = rmc.critical
-        for d in range(1, len(rmc.chain.ranks)):
-            mat = rmc.chain.boundary(d)
+        cases.append((rcx, random_acyclic_matching(rng, rcx)))
+    nonzero = 0
+    for cx, m in cases:
+        signs = assign_incidence_signs(cx)
+        counts = morse_chain_complex(cx, signs, None, m)
+        maps = morse_chain_complex(cx, signs, constant_cosheaf(cx, ZZ), m)
+        assert counts.chain.ring is ZZ
+        assert counts.critical == maps.critical
+        assert counts.chain.ranks == maps.chain.ranks
+        crit = counts.critical
+        for d in range(1, len(crit)):
+            got, via_maps = counts.chain.boundary(d), maps.chain.boundary(d)
             for j, x in enumerate(crit[d]):
                 for i, tgt in enumerate(crit[d - 1]):
-                    assert mat[i, j] == _gradient_path_sum(rcx, rsigns, rm, x, tgt)
+                    want = _gradient_path_sum(cx, signs, m, x, tgt)
+                    assert type(got[i, j]) is int
+                    assert got[i, j] == via_maps[i, j] == want
+                    nonzero += want != 0
+    assert nonzero > 0
 
 
 def test_morse_homology_matches_cosheaf_homology_randomized():
@@ -258,12 +266,14 @@ def test_morse_transport_runs_past_the_recursion_limit():
     # e_i covers v_i and v_(i+1); matching e_i with v_(i+1) leaves v0 and e_(n-1)
     # critical, joined by one gradient path through all n - 1 other vertices
     m = Matching(tuple((f"e{i}", f"v{i + 1}") for i in range(n - 1)), "classical")
-    mc = morse_chain_complex(cx, assign_incidence_signs(cx), constant_cosheaf(cx, ZZ), m)
-    assert mc.critical == (("v0",), (f"e{n - 1}",))
-    assert mc.chain.ranks == (1, 1)
-    s = homology(mc.chain)
-    assert s.betti() == (1, 1)
-    assert s.torsion() == ((), ())
+    signs = assign_incidence_signs(cx)
+    for F in (None, constant_cosheaf(cx, ZZ)):  # integer counts and Mat blocks
+        mc = morse_chain_complex(cx, signs, F, m)
+        assert mc.critical == (("v0",), (f"e{n - 1}",))
+        assert mc.chain.ranks == (1, 1)
+        s = homology(mc.chain)
+        assert s.betti() == (1, 1)
+        assert s.torsion() == ((), ())
 
 
 def test_cosheaf_and_morse_routes_check_d_squared_once(monkeypatch):

@@ -34,6 +34,7 @@ from helpers import (
     dense_rank_over_field,
     det_int,
     homology_reference,
+    mat_inverse_reference,
     minors_gcd_invariant_factors,
     random_acyclic_matching,
     random_int_matrix,
@@ -116,6 +117,37 @@ def test_rank_over_field_and_inverse():
     assert inv.data == ((1, -1), (-1, 2))
     with pytest.raises(NotInvertible):
         mat_inverse(Mat.from_rows([[2, 0], [0, 1]]), ZZ)  # det 2: not a unit in Z
+
+
+def test_mat_inverse_matches_the_adjugate_over_each_ring():
+    # Gauss-Jordan runs in the field's own arithmetic over Q and F_p, and over Q for Z
+    rings = (QQ, PrimeField(2), PrimeField(3), PrimeField(5))
+    rng = random.Random(71)
+    invertible = {ring.name: 0 for ring in rings}
+    singular_mod_p = {ring.name: 0 for ring in rings}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = random_int_matrix(rng, n, n)
+        for ring in rings:
+            want = mat_inverse_reference(m, ring)
+            if want is None:
+                with pytest.raises(NotInvertible):
+                    mat_inverse(m.normalized(ring), ring)
+                singular_mod_p[ring.name] += det_int(m.data) != 0
+                continue
+            got = mat_inverse(m.normalized(ring), ring)
+            assert got == want, (m, ring)
+            assert got.mul(m.normalized(ring), ring) == Mat.identity(m.rows, ring.one, ring.zero)
+            invertible[ring.name] += 1
+    assert min(invertible.values()) >= 50
+    assert singular_mod_p["Q"] == 0 and min(singular_mod_p[f"Fp:{p}"] for p in (2, 3, 5)) >= 10
+    # det -3: invertible over Q, singular over F_3
+    m = Mat.from_rows([[1, 2], [2, 1]])
+    assert mat_inverse(m, QQ) == mat_inverse_reference(m, QQ)
+    with pytest.raises(NotInvertible, match="matrix is singular"):
+        mat_inverse(m.normalized(PrimeField(3)), PrimeField(3))
+    # det 1 and no unit entry: no unit pivot over Z, yet invertible there
+    assert mat_inverse(Mat.from_rows([[2, 3], [3, 5]]), ZZ).data == ((5, -3), (-3, 2))
 
 
 def test_ring_parsing():
@@ -215,12 +247,14 @@ def test_cellular_nerve_and_morse_routes_agree(facets, betti, torsion):
     signs = assign_incidence_signs(cx)
     matching = random_acyclic_matching(random.Random(len(facets)), cx)
     skel = geometric_nerve(entrance_path_category(cx), 3)  # simplices through dim 3 give H_0..H_2
-    for ring in (ZZ, QQ, PrimeField(2)):
+    counts = morse_chain_complex(cx, signs, None, matching).chain  # constant coefficients, over Z
+    for ring in (ZZ, QQ, PrimeField(2), PrimeField(3)):
         cellular = homology(cellular_chain_complex(cx, signs, ring))
         nerve = homology(normalized_chain_complex(skel, ring))
         mc = morse_chain_complex(cx, signs, constant_cosheaf(cx, ring), matching)
         assert sum(mc.chain.ranks) < len(cx.cells)
         morse = homology(mc.chain)
+        assert homology(counts.over(ring)).groups == morse.groups
         assert _groups(nerve, 2) == _groups(cellular, 2) == _groups(morse, 2)
     morse_z = homology(morse_chain_complex(cx, signs, constant_cosheaf(cx, ZZ), matching).chain)
     assert morse_z.betti() == betti
