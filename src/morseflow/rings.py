@@ -111,7 +111,7 @@ class RationalField(Ring):
         return Fraction(a) != 0
 
     def inv(self, a):
-        a = Fraction(a)
+        a = self.normalize(a)
         if a == 0:
             raise NotInvertible("0 is not invertible")
         return 1 / a
@@ -274,8 +274,9 @@ def mat_inverse(m: Mat, ring: Ring) -> Mat:
         raise NotInvertible("only square matrices can be inverted")
     n = m.rows
     field = ring if ring.is_field() else QQ
+    one, zero = field.one, field.zero
     a = [[field.normalize(x) for x in row] for row in m.data]
-    inv = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
