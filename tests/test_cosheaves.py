@@ -213,8 +213,7 @@ def _gradient_path_sum(cx, signs, m, x, tgt):
 
 def test_morse_boundary_matches_path_sum_oracle():
     # the integer route (F=None) and the Mat route on the constant Z cosheaf, entry for entry
-    fig2 = fig2_complex()
-    cases = [(fig2, Matching((("wx", "x"), ("wy", "y"), ("xz", "z"), ("wxy", "xy")), "classical"))]
+    cases = [(fig2_complex(), Matching((("wx", "x"), ("wy", "y"), ("xz", "z"), ("wxy", "xy")), "classical"))]
     rng = random.Random(53)
     for _ in range(10):
         rcx = random_complex(rng, 10)
