@@ -357,11 +357,11 @@ def entrance_path_category(c) -> PCategory:
     because the face relation is transitive, and every subsequence is reached
     by such deletions; so the deletions generate each hom's order.
     """
-    cyclic = sorted(a for a, b in c.reach if a == b)
-    if cyclic:
-        raise ValueError(f"face relation contains a cycle through {cyclic[0]}")
-    paths = {}  # (src, dst) -> list of label tuples
     ids = c.ids()
+    cyclic = [a for a in ids if a in c.strict_faces(a)]
+    if cyclic:
+        raise ValueError(f"face relation contains a cycle through {min(cyclic)}")
+    paths = {}  # (src, dst) -> list of label tuples
     for path in _walks(ids, lambda p: c.strict_faces(p[-1])):
         paths.setdefault((path[0], path[-1]), []).append(path)
     homs = {}

@@ -11,11 +11,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 
 from .homology import ChainComplex
 from .rings import ZZ, Ring
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_DIM_ID = attrgetter("dim", "id")
 
 
 class SignInconsistency(Exception):
@@ -59,66 +62,84 @@ class ValidationReport:
 
 
 class Complex:
-    """Graded face poset of a finite regular CW complex."""
+    """Graded face poset of a finite regular CW complex.
+
+    Built in one pass over the cells and one over the covers: the cells are
+    indexed by dimension once, and that index serves ``ids``,
+    ``cells_of_dim`` and ``top_dim``.  The strict faces of a cell are walked
+    on first read and kept; ``reach``, the face relation as a pair set, is
+    derived from them on first read.
+    """
 
     def __init__(self, cells, covers):
         cells = tuple(cells)
-        seen = set()
+        dim_of = {}
         for c in cells:
             if not _ID_RE.match(c.id):
                 raise ValueError(f"bad cell id {c.id!r}")
-            if c.id in seen:
+            if c.id in dim_of:
                 raise ValueError(f"duplicate cell id {c.id!r}")
             if c.dim < 0:
                 raise ValueError(f"cell {c.id!r} has negative dimension")
-            seen.add(c.id)
-        self.cells = tuple(sorted(cells, key=lambda c: (c.dim, c.id)))
-        self.dim_of = {c.id: c.dim for c in self.cells}
-        covers = frozenset((str(u), str(l)) for u, l in covers)
+            dim_of[c.id] = c.dim
+        self.dim_of = dim_of
+        self.cells = tuple(sorted(cells, key=_DIM_ID))
+        self._by_dim = {}  # dim -> its ids, sorted
+        for c in self.cells:
+            self._by_dim.setdefault(c.dim, []).append(c.id)
+        self._ids = [c.id for c in self.cells]
+        self.top_dim = self.cells[-1].dim if cells else -1
+        cover_faces = {cid: [] for cid in self._ids}
+        pairs = set()
         for u, l in covers:
-            if u not in self.dim_of or l not in self.dim_of:
+            u, l = str(u), str(l)
+            if u not in dim_of or l not in dim_of:
                 raise ValueError(f"cover ({u!r}, {l!r}) references unknown cell")
-        self.covers = covers
-        self.cover_faces = {c.id: [] for c in self.cells}
-        for u, l in sorted(covers):
-            self.cover_faces[u].append(l)
-        self.reach, self._strict_faces = self._transitive_closure()
+            if (u, l) not in pairs:
+                pairs.add((u, l))
+                cover_faces[u].append(l)
+        for faces in cover_faces.values():
+            faces.sort()
+        self.covers = frozenset(pairs)
+        self.cover_faces = cover_faces
+        self._faces = {}  # cid -> (sorted strict faces, their set), walked on first read
 
-    def _transitive_closure(self):
-        """The face relation as a set of pairs, and each cell's sorted strict faces."""
-        reach = set()
-        strict_faces = {}
-        for cid in self.ids():
-            stack = list(self.cover_faces[cid])
+    def _walk(self, cid):
+        """The strict faces of a cell, sorted and as a set; the one closure walk."""
+        got = self._faces.get(cid)
+        if got is None:
+            cover_faces = self.cover_faces
             seen = set()
+            stack = list(cover_faces[cid])
             while stack:
                 x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                reach.add((cid, x))
-                stack.extend(self.cover_faces[x])
-            strict_faces[cid] = sorted(seen)
-        return frozenset(reach), strict_faces
+                if x not in seen:
+                    seen.add(x)
+                    stack.extend(cover_faces[x])
+            got = self._faces[cid] = (sorted(seen), seen)
+        return got
+
+    @cached_property
+    def reach(self) -> frozenset:
+        """The face relation as (upper, lower) pairs, derived from the strict faces."""
+        return frozenset((a, b) for a in self._ids for b in self._walk(a)[0])
 
     def ids(self):
-        return [c.id for c in self.cells]
+        return list(self._ids)
 
     def dim(self, cid: str) -> int:
         return self.dim_of[cid]
 
-    @property
-    def top_dim(self) -> int:
-        return max((c.dim for c in self.cells), default=-1)
-
     def cells_of_dim(self, d: int):
-        return [c.id for c in self.cells if c.dim == d]
+        return list(self._by_dim.get(d, ()))
 
     def is_face(self, upper: str, lower: str) -> bool:
-        return (upper, lower) in self.reach
+        if (upper, lower) in self.covers:
+            return True
+        return upper in self.dim_of and lower in self._walk(upper)[1]
 
     def strict_faces(self, cid: str):
-        return self._strict_faces[cid]
+        return self._walk(cid)[0]
 
     def diamonds(self, x: str):
         """The codimension-2 intervals [z, x] as (z, middle cells), z in sorted order.
@@ -159,7 +180,7 @@ class Complex:
         for k, rc in enumerate(raw_covers):
             if not isinstance(rc, (list, tuple)) or len(rc) != 2:
                 raise ValueError(f"covers[{k}]: expected [upper, lower]")
-            covers.append((str(rc[0]), str(rc[1])))
+            covers.append(rc)  # the constructor converts each id to str
         return Complex(cells, covers)
 
     def to_json(self) -> str:
@@ -181,15 +202,15 @@ class IncidenceSigns:
 def validate_complex(c: Complex) -> ValidationReport:
     """Check the CW-poset proxies; an empty report means all of them hold."""
     report = ValidationReport()
-    for u, l in sorted(c.covers):
-        drop = c.dim(u) - c.dim(l)
-        if drop != 1:
-            report.add("grading", f"cover ({u}, {l}) drops dimension by {drop}, not 1", (u, l))
+    dim_of = c.dim_of
+    ungraded = [(u, l) for u, faces in c.cover_faces.items() for l in faces if dim_of[u] - dim_of[l] != 1]
+    for u, l in sorted(ungraded):
+        report.add("grading", f"cover ({u}, {l}) drops dimension by {dim_of[u] - dim_of[l]}, not 1", (u, l))
     if not report.ok:
         return report  # the remaining checks presuppose grading
-    for a, b in sorted(c.reach):
-        if (b, a) in c.reach:
-            report.add("antisymmetry", f"face relation contains a cycle through {a} and {b}", (a, b))
+    # No antisymmetry check: with every cover dropping dimension by exactly 1,
+    # a strict face has strictly lower dimension, so no two cells are faces
+    # of each other and the face relation has no cycle.
     for e in c.cells_of_dim(1):
         faces = c.cover_faces[e]
         if len(faces) != 2:
@@ -197,14 +218,15 @@ def validate_complex(c: Complex) -> ValidationReport:
     for cell in c.cells:
         if cell.dim >= 1 and not c.cover_faces[cell.id]:
             report.add("no_faces", f"cell {cell.id} of dim {cell.dim} has no faces", (cell.id,))
-    for x in c.ids():
-        for z, between in c.diamonds(x):
-            if len(between) != 2:
-                report.add(
-                    "diamond",
-                    f"interval [{z}, {x}] has {len(between)} intermediate cells, expected 2",
-                    (x, z, *between),
-                )
+    for d in range(2, c.top_dim + 1):
+        for x in c.cells_of_dim(d):
+            for z, between in c.diamonds(x):
+                if len(between) != 2:
+                    report.add(
+                        "diamond",
+                        f"interval [{z}, {x}] has {len(between)} intermediate cells, expected 2",
+                        (x, z, *between),
+                    )
     return report
 
 
@@ -221,11 +243,11 @@ def assign_incidence_signs(c: Complex) -> IncidenceSigns:
         raise SignInconsistency(f"complex fails validation: {report}")
     sign: dict = {}
     for e in c.cells_of_dim(1):
-        a, b = sorted(c.cover_faces[e])
+        a, b = c.cover_faces[e]  # two faces, in sorted order
         sign[(e, a)] = 1
         sign[(e, b)] = -1
     for d in range(2, c.top_dim + 1):
-        for x in sorted(c.cells_of_dim(d)):
+        for x in c.cells_of_dim(d):
             faces = c.cover_faces[x]
             comp = {y: (y, 0) for y in faces}  # face -> (component, parity relative to it)
             members = {y: [y] for y in faces}

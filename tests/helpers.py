@@ -323,6 +323,24 @@ def diamonds_reference(c: Complex, x: str) -> list:
     ]
 
 
+def face_relation_reference(cells, covers):
+    """Eager reference index and face relation of the complex on ``cells`` and ``covers``.
+
+    Returns the ids sorted by (dim, id), the ids of each dimension from -1 to
+    one past the top, the top dimension (-1 when empty) and the face relation,
+    closed by composing pairs until no new pair appears.
+    """
+    cells = sorted(cells, key=lambda c: (c.dim, c.id))
+    top = max((c.dim for c in cells), default=-1)
+    by_dim = {d: [c.id for c in cells if c.dim == d] for d in range(-1, top + 2)}
+    reach = {(str(u), str(l)) for u, l in covers}
+    while True:
+        new = {(a, c) for a, b in reach for b2, c in reach if b == b2} - reach
+        if not new:
+            return [c.id for c in cells], by_dim, top, frozenset(reach)
+        reach |= new
+
+
 def assign_incidence_signs_reference(c: Complex) -> IncidenceSigns:
     """Reference signs: parity union-find with path compression over each cell's diamonds."""
     report = validate_complex(c)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -23,11 +23,15 @@ from helpers import (
     TORUS_FACETS,
     assign_incidence_signs_reference,
     coned_complex,
+    cycle_graph_complex,
     diamonds_reference,
+    face_relation_reference,
+    random_acyclic_matching,
     random_complex,
     simplicial_to_complex,
     validate_complex_reference,
 )
+from morseflow.cli import main
 from morseflow.fixtures import FIXTURES, fig2_complex, sphere_complex
 
 
@@ -55,6 +59,9 @@ def test_grading_violation_reported():
     cx = Complex([Cell("v", 0), Cell("f", 2)], [("f", "v")])
     report = validate_complex(cx)
     assert any(f.code == "grading" for f in report.findings)
+    # findings come in sorted cover order, not in the order of the upper cells' dimensions
+    cx = Complex([Cell("a", 3), Cell("b", 0), Cell("z", 2)], [("z", "b"), ("a", "b")])
+    assert [f.witness for f in validate_complex(cx).findings] == [("a", "b"), ("z", "b")]
 
 
 def test_json_round_trip():
@@ -71,6 +78,47 @@ def test_json_diagnostics():
         Complex.from_json('{"cells": [{"id": "a"}], "covers": []}')
     with pytest.raises(ValueError, match="duplicate"):
         Complex.from_json('{"cells": [{"id": "a", "dim": 0}, {"id": "a", "dim": 0}], "covers": []}')
+
+
+_CELLS = '"cells": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}]'
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "invalid JSON at line 1, column 2: Expecting property name enclosed in double quotes"),
+    ("[1, 2]", "top level must be an object"),
+    ('{"cells": []}', "missing field 'covers'"),
+    ('{"cells": [{"id": "a"}], "covers": []}', "cells[0]: expected {'id': str, 'dim': int} ('dim')"),
+    ('{"cells": [{"id": "a", "dim": "x"}], "covers": []}',
+     "cells[0]: expected {'id': str, 'dim': int} (invalid literal for int() with base 10: 'x')"),
+    ("{" + _CELLS + ', "covers": [["e", "v"], ["e"]]}', "covers[1]: expected [upper, lower]"),
+    ("{" + _CELLS + ', "covers": ["ev"]}', "covers[0]: expected [upper, lower]"),
+    ('{"cells": [{"id": "a-b", "dim": 0}], "covers": []}', "bad cell id 'a-b'"),
+    ('{"cells": [{"id": "a", "dim": 0}, {"id": "a", "dim": 1}], "covers": []}', "duplicate cell id 'a'"),
+    ('{"cells": [{"id": "a", "dim": -1}], "covers": []}', "cell 'a' has negative dimension"),
+    ("{" + _CELLS + ', "covers": [["e", "v"], ["e", "w"]]}', "cover ('e', 'w') references unknown cell"),
+    ("{" + _CELLS + ', "covers": [["e", 7]]}', "cover ('e', '7') references unknown cell"),
+    ("{" + _CELLS + ', "covers": [["x", "v"], ["e", "w"]]}', "cover ('x', 'v') references unknown cell"),
+])
+def test_complex_input_errors_keep_their_text(text, message):
+    with pytest.raises(ValueError) as exc:
+        Complex.from_json(text)
+    assert str(exc.value) == message
+
+
+def test_constructor_errors_keep_their_text():
+    cases = [
+        (([Cell("a b", 0)], []), "bad cell id 'a b'"),
+        (([Cell("a", 0), Cell("a", 0)], []), "duplicate cell id 'a'"),
+        (([Cell("a", -2)], []), "cell 'a' has negative dimension"),
+        (([Cell("a", 0)], [["a", "z"]]), "cover ('a', 'z') references unknown cell"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as exc:
+            Complex(*args)
+        assert str(exc.value) == message
+    # ids are stringified: an int id in a cover names the cell of that id
+    cx = Complex.from_json('{"cells": [{"id": 12, "dim": 0}, {"id": "e", "dim": 1}], "covers": [["e", 12]]}')
+    assert cx.covers == {("e", "12")} and cx.cover_faces == {"12": [], "e": ["12"]}
 
 
 def test_single_edge_sign_convention():
@@ -178,6 +226,50 @@ def test_validation_and_strict_faces_match_bruteforce_reference():
     assert {"grading", "edge_faces", "diamond"} <= codes
 
 
+def _random_cyclic_complex(rng):
+    """Random cells in dimensions 0..2 with covers in any direction, loops included."""
+    cells = [Cell(f"c{k}", rng.randint(0, 2)) for k in range(rng.randint(1, 8))]
+    return Complex(cells, [(u.id, l.id) for u in cells for l in cells if rng.random() < 0.2])
+
+
+def _read(cx, what, ids):
+    if what == "strict_faces":
+        return {a: cx.strict_faces(a) for a in ids}
+    if what == "reach":
+        return cx.reach
+    return {(a, b) for a in ids for b in ids if cx.is_face(a, b)}
+
+
+def test_lazy_index_and_face_relation_match_an_eager_reference():
+    rng = random.Random(41)
+    cases = [Complex([], []), sphere_complex(), fig2_complex()]
+    for _ in range(30):
+        cx = random_complex(rng)
+        cases += [cx, _perturbed(rng, cx), _random_graded_complex(rng), _random_cyclic_complex(rng)]
+    cyclic = 0
+    for cx in cases:
+        ids, by_dim, top, reach = face_relation_reference(cx.cells, cx.covers)
+        want = {
+            "strict_faces": {a: sorted(b for x, b in reach if x == a) for a in ids},
+            "reach": reach,
+            "is_face": set(reach),
+        }
+        as_lists = [[u, l] for u, l in sorted(cx.covers, reverse=True)]
+        for order in permutations(want):
+            for covers in (cx.covers, as_lists):
+                fresh = Complex(reversed(cx.cells), covers)  # nothing read yet
+                for what in order:
+                    assert _read(fresh, what, ids) == want[what]
+                assert fresh.covers == cx.covers
+                assert fresh.ids() == ids and fresh.top_dim == top
+                assert all(fresh.cells_of_dim(d) == by_dim[d] for d in by_dim)
+                assert not fresh.is_face("missing", "missing")
+                assert validate_complex(fresh).as_dict() == validate_complex_reference(fresh).as_dict()
+        cyclic += any(a == b for a, b in reach)
+    assert cases[0].top_dim == -1 and cases[0].ids() == []
+    assert cyclic > 10
+
+
 def _random_graded_complex(rng):
     """Random cells in dimensions 0..3 with random covers one dimension down."""
     cells = [Cell(f"c{k}", rng.randint(0, 3)) for k in range(rng.randint(3, 14))]
@@ -239,3 +331,20 @@ def test_signs_match_the_union_find_reference():
     assert _signs_or_error(assign_incidence_signs, coned_complex(RP2_FACETS)) == (
         "error", "orientation constraints around cone are unsatisfiable at diamond [s4_5, cone]"
     )
+
+
+def test_cellular_and_morse_runs_walk_only_the_matched_upper_cells(monkeypatch, tmp_path, capsys):
+    cx = cycle_graph_complex(40)
+    m = random_acyclic_matching(random.Random(3), cx)
+    files = [tmp_path / "complex.json", tmp_path / "matching.json"]
+    files[0].write_text(cx.to_json(), encoding="utf-8")
+    files[1].write_text(m.to_json(), encoding="utf-8")
+    walked = []  # the cells whose strict faces are read, as the commands run
+    walk = Complex._walk
+    monkeypatch.setattr(Complex, "_walk", lambda self, cid: walked.append(cid) or walk(self, cid))
+    assert main(["homology", "complex", str(files[0])]) == 0
+    assert main(["validate", str(files[0])]) == 0
+    assert walked == []
+    assert main(["homology", "morse", *map(str, files)]) == 0
+    capsys.readouterr()
+    assert walked and set(walked) <= {u for u, _ in m.pairs}
