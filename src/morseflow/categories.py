@@ -251,11 +251,24 @@ class PCategory:
         self._compose = compose_fn
         self._identities = dict(identities)
         self._splittings = splittings_fn
+        self._reachable = None  # object -> reachable objects, built on first read
 
     # -- structure ---------------------------------------------------------
 
     def hom(self, a: str, b: str) -> HomPoset:
         return self._homs.get((a, b), _EMPTY_HOM)
+
+    def reachable(self, a: str) -> tuple:
+        """The objects b with hom(a, b) nonempty, in object order; the index is
+        built once, from the keys of the nonempty homs, not by object scans."""
+        if self._reachable is None:
+            position = {o: i for i, o in enumerate(self.objects)}
+            index = {}
+            for (x, y), hp in self._homs.items():
+                if not hp.is_empty():
+                    index.setdefault(x, []).append(y)
+            self._reachable = {x: tuple(sorted(ys, key=position.__getitem__)) for x, ys in index.items()}
+        return self._reachable.get(a, ())
 
     def identity(self, a: str):
         return self._identities[a]
@@ -431,11 +444,7 @@ def poset_as_pcategory(elements, leq) -> PCategory:
 def full_subcategory(cat: PCategory, objects) -> PCategory:
     objects = tuple(objects)
     keep = set(objects)
-    homs = {
-        (a, b): hp
-        for (a, b), hp in cat._homs.items()
-        if a in keep and b in keep
-    }
+    homs = {(a, b): cat.hom(a, b) for a in objects for b in cat.reachable(a) if b in keep}
     identities = {a: cat.identity(a) for a in objects}
     return PCategory(objects, homs, cat._compose, identities, cat._splittings)
 
@@ -462,7 +471,7 @@ def atom(cat: PCategory, x: str, y: str):
 
 def _weakly_indecomposable(cat: PCategory, f) -> bool:
     x, y = f.source, f.target
-    for z in cat.objects:
+    for z in cat.reachable(x):
         for g in cat.hom(x, z).elements:
             for h in cat.hom(z, y).elements:
                 if cat.leq(cat.compose(g, h), f):

@@ -170,10 +170,20 @@ class Complex:
             raw_covers = doc["covers"]
         except KeyError as exc:
             raise ValueError(f"missing field {exc.args[0]!r}") from exc
+        for name, value in (("cells", raw_cells), ("covers", raw_covers)):
+            if not isinstance(value, list):
+                raise ValueError(f"{name}: expected a list")
         cells = []
         for k, rc in enumerate(raw_cells):
             try:
-                cells.append(Cell(str(rc["id"]), int(rc["dim"])))
+                cid, dim = rc["id"], rc["dim"]
+                if type(cid) is not str or type(dim) is not int:  # else nothing to check or convert
+                    if isinstance(dim, (bool, float)):
+                        raise TypeError(f"dim {dim!r} is not an int")
+                    if isinstance(cid, bool) or not isinstance(cid, (str, int)):
+                        raise TypeError(f"id {cid!r} is neither a str nor an int")
+                    cid, dim = str(cid), int(dim)
+                cells.append(Cell(cid, dim))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"cells[{k}]: expected {{'id': str, 'dim': int}} ({exc})") from exc
         covers = []

@@ -9,7 +9,7 @@ arrows is graded for mildness of its restriction category.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .categories import (
     NoAtom,
@@ -125,51 +125,35 @@ def _find_cycle(nodes, succ):
 @dataclass(frozen=True)
 class MorseSystem:
     sigma: tuple  # Morphism arrows, sorted
-    rel: frozenset  # (f0, f1) pairs, f0 != f1, meaning f0 comes before f1
+    successors: dict  # f -> the arrows g != f with hom(f.source, g.target) nonempty, in sigma order
     critical: tuple  # object ids
-    span: tuple  # (arrow, frozenset of objects) pairs, aligned with sigma
-    successors: dict = field(init=False, repr=False, compare=False)  # f -> (g with (f, g) in rel), sigma order
-
-    def __post_init__(self):
-        # Built once per system: zigzag enumeration and the order axiom read it.
-        position = {f: i for i, f in enumerate(self.sigma)}
-        successors = {f: [] for f in self.sigma}
-        pairs = [(f, g) for f, g in self.rel if f in position and g in position]
-        for f, g in sorted(pairs, key=lambda pair: position[pair[1]]):
-            successors[f].append(g)
-        object.__setattr__(self, "successors", {f: tuple(after) for f, after in successors.items()})
-
-    def span_of(self, f) -> frozenset:
-        for g, s in self.span:
-            if g == f:
-                return s
-        raise KeyError(f)
+    span: dict  # f -> frozenset of the objects between its endpoints
 
     def all_singleton_homs(self, cat: PCategory) -> bool:
         return all(len(cat.hom(f.source, f.target)) == 1 for f in self.sigma)
 
 
 def morse_system_from_arrows(cat: PCategory, arrows) -> MorseSystem:
-    """Derive the order relation, critical objects and spans of a system."""
+    """Derive the order, critical objects and spans of a system.
+
+    f comes before g when hom(f.source, g.target) is nonempty, so the
+    successors of f are the arrows ending at an object that f.source
+    reaches; the span of f is the reachable objects that reach f.target.
+    """
     sigma = tuple(sorted(arrows))
-    rel = frozenset(
-        (f0, f1)
-        for f0 in sigma
-        for f1 in sigma
-        if f0 != f1 and not cat.hom(f0.source, f1.target).is_empty()
-    )
-    spans = []
-    spanned = set()
+    position = {f: i for i, f in enumerate(sigma)}
+    ending_at = {}  # object -> the arrows of sigma with that target
+    for g in sigma:
+        ending_at.setdefault(g.target, []).append(g)
+    successors, span = {}, {}
     for f in sigma:
-        s = frozenset(
-            w
-            for w in cat.objects
-            if not cat.hom(f.source, w).is_empty() and not cat.hom(w, f.target).is_empty()
-        )
-        spans.append((f, s))
-        spanned |= s
+        reach = cat.reachable(f.source)
+        after = [g for z in reach for g in ending_at.get(z, ()) if g != f]
+        successors[f] = tuple(sorted(after, key=position.__getitem__))
+        span[f] = frozenset(w for w in reach if not cat.hom(w, f.target).is_empty())
+    spanned = set().union(*span.values())
     critical = tuple(sorted(o for o in cat.objects if o not in spanned))
-    return MorseSystem(sigma, rel, critical, tuple(spans))
+    return MorseSystem(sigma, successors, critical, span)
 
 
 def matching_to_morse_system(c: Complex, m: Matching, cat: PCategory) -> MorseSystem:
@@ -192,6 +176,15 @@ def validate_morse_system(cat: PCategory, ms: MorseSystem) -> ValidationReport:
     report = ValidationReport()
     sigma = ms.sigma
 
+    # Exhaustion, lifting and switching visit only the order pairs (f0, f1),
+    # f1 in successors[f0]: hom(f0.source, f1.target) nonempty.  Every pair
+    # they can flag is one.  Each needs hom(f0.source, f1.source) nonempty (an
+    # endpoint f1.source in the span of f0, or a square's g: f0.source ->
+    # f1.source) or hom(f0.source, f1.target) nonempty (f1.target in the
+    # span), and the first gives the second by composing with f1.  Each
+    # successors[f0] is in sigma order, so the findings keep the order of a
+    # scan over sigma x sigma.
+
     # exhaustion
     for f in sigma:
         if f.source == f.target:
@@ -203,10 +196,8 @@ def validate_morse_system(cat: PCategory, ms: MorseSystem) -> ValidationReport:
             a = None
         if a != f:
             report.add("exhaustion", f"{f} is not the atom of its hom-poset", (repr(f),))
-        between = ms.span_of(f)
-        for g in sigma:
-            if g == f:
-                continue
+        between = ms.span[f]
+        for g in ms.successors[f]:
             for obj in (g.source, g.target):
                 if obj in between:
                     report.add(
@@ -223,9 +214,7 @@ def validate_morse_system(cat: PCategory, ms: MorseSystem) -> ValidationReport:
 
     # lifting
     for f0 in sigma:
-        for f1 in sigma:
-            if f0 == f1:
-                continue
+        for f1 in ms.successors[f0]:
             h_gs = cat.hom(f0.source, f1.source).elements
             h_gps = cat.hom(f0.target, f1.target).elements
             h_ps = cat.hom(f0.target, f1.source).elements
@@ -245,9 +234,7 @@ def validate_morse_system(cat: PCategory, ms: MorseSystem) -> ValidationReport:
 
     # switching
     for f0 in sigma:
-        for f1 in sigma:
-            if f0 == f1:
-                continue
+        for f1 in ms.successors[f0]:
             if cat.hom(f0.source, f1.source).is_empty():
                 continue
             if cat.hom(f0.target, f1.target).is_empty():
@@ -293,14 +280,9 @@ def validate_morse_system(cat: PCategory, ms: MorseSystem) -> ValidationReport:
 
 def restriction_category(cat: PCategory, ms: MorseSystem, f) -> PCategory:
     """Full subcategory on objects reachable from source(f) but not above target(f)."""
-    if f not in set(ms.sigma):
+    if f not in ms.span:
         raise ValueError(f"{f!r} is not in the system")
-    objs = [
-        z
-        for z in cat.objects
-        if not cat.hom(f.source, z).is_empty() and cat.hom(z, f.target).is_empty()
-    ]
-    return full_subcategory(cat, objs)
+    return full_subcategory(cat, [z for z in cat.reachable(f.source) if cat.hom(z, f.target).is_empty()])
 
 
 @dataclass
@@ -347,11 +329,7 @@ def check_mildness(cat: PCategory, ms: MorseSystem) -> MildnessReport:
     for f in ms.sigma:
         sub = restriction_category(cat, ms, f)
         finite = True  # finite by construction; recorded for the report
-        loopfree = True
-        for a in sub.objects:
-            for b in sub.objects:
-                if a != b and not sub.hom(a, b).is_empty() and not sub.hom(b, a).is_empty():
-                    loopfree = False
+        loopfree = not any(b != a and not sub.hom(b, a).is_empty() for a in sub.objects for b in sub.reachable(a))
         if not loopfree:
             entries.append(MildnessEntry(f, finite, loopfree, FAIL, "restriction category has a loop"))
             continue

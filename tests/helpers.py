@@ -23,7 +23,7 @@ from morseflow import (
     matching_to_morse_system,
     validate_complex,
 )
-from morseflow.categories import sort_key
+from morseflow.categories import NoAtom, PCategory, atom, find_homotopy_extremal, sort_key
 from morseflow.cosheaves import Cosheaf
 from morseflow.fixtures import get_fixture
 from morseflow.localization import (
@@ -34,8 +34,26 @@ from morseflow.localization import (
     zigzag_class_of,
 )
 from morseflow.homology import HomologySummary, invariant_factors
-from morseflow.nerves import Simplex, SimplicialSetSkeleton, is_degenerate
-from morseflow.rings import ZZ, SparseMat, mat_inverse, rank_over_field
+from morseflow.matchings import (
+    ACYCLIC,
+    CERTIFIED,
+    FAIL,
+    MILDNESS_NERVE_DIM,
+    MildnessEntry,
+    MildnessReport,
+    MorseSystem,
+    _find_cycle,
+)
+from morseflow.nerves import (
+    Simplex,
+    SimplicialSetSkeleton,
+    geometric_nerve,
+    greedy_collapses_to_point,
+    is_degenerate,
+    nerve_homology,
+    order_complex,
+)
+from morseflow.rings import QQ, ZZ, SparseMat, mat_inverse, rank_over_field
 
 
 def cell_name(vertices) -> str:
@@ -569,11 +587,12 @@ def enumerate_zigzags_reference(cat, ms, w, z, max_len=4):
             return
         last = chain[-1]
         for f in ms.sigma:
+            before = f != last and not cat.hom(last.source, f.target).is_empty()
             if singleton:
-                if f in chain or (last, f) not in ms.rel:
+                if f in chain or not before:
                     continue
             else:
-                if f != last and (last, f) not in ms.rel:
+                if f != last and not before:
                     continue
             extend(chain + (f,))
 
@@ -605,6 +624,140 @@ def enumerate_zigzags_reference(cat, ms, w, z, max_len=4):
         for combo in product(*slots):
             out.append(Zigzag(tuple(combo), chain))
     return sorted(set(out), key=Zigzag.key)
+
+
+def morse_system_reference(cat, arrows) -> MorseSystem:
+    """Reference system by the all-pairs scans: f0 before f1 over every sigma x
+    sigma pair with hom(f0.source, f1.target) nonempty, and each span over
+    every object."""
+    sigma = tuple(sorted(arrows))
+    successors = {
+        f0: tuple(f1 for f1 in sigma if f1 != f0 and not cat.hom(f0.source, f1.target).is_empty())
+        for f0 in sigma
+    }
+    span = {
+        f: frozenset(
+            w for w in cat.objects
+            if not cat.hom(f.source, w).is_empty() and not cat.hom(w, f.target).is_empty()
+        )
+        for f in sigma
+    }
+    spanned = set().union(*span.values())
+    critical = tuple(sorted(o for o in cat.objects if o not in spanned))
+    return MorseSystem(sigma, successors, critical, span)
+
+
+def validate_morse_system_reference(cat, ms) -> ValidationReport:
+    """Reference axiom check: the exhaustion, lifting and switching axioms over
+    every sigma x sigma pair, the order and spans from ``morse_system_reference``."""
+    report = ValidationReport()
+    ref = morse_system_reference(cat, ms.sigma)
+    sigma = ref.sigma
+    for f in sigma:
+        if f.source == f.target:
+            report.add("exhaustion", f"{f} is an endomorphism", (repr(f),))
+            continue
+        try:
+            a = atom(cat, f.source, f.target)
+        except NoAtom:
+            a = None
+        if a != f:
+            report.add("exhaustion", f"{f} is not the atom of its hom-poset", (repr(f),))
+        for g in sigma:
+            if g == f:
+                continue
+            for obj in (g.source, g.target):
+                if obj in ref.span[f]:
+                    report.add(
+                        "exhaustion",
+                        f"{g} touches {obj}, which lies between the endpoints of {f}",
+                        (repr(f), repr(g), obj),
+                    )
+    cyc = _find_cycle(sigma, ref.successors)
+    if cyc is not None:
+        names = tuple(repr(x) for x in cyc)
+        report.add("order", "order relation has a cycle: " + " -> ".join(names), names)
+    for f0, f1 in product(sigma, repeat=2):
+        if f0 == f1:
+            continue
+        for g in cat.hom(f0.source, f1.source).elements:
+            for gp in cat.hom(f0.target, f1.target).elements:
+                if not cat.leq(cat.compose(f0, gp), cat.compose(g, f1)):
+                    continue
+                if not any(
+                    cat.leq(cat.compose(f0, p), g) and cat.leq(gp, cat.compose(p, f1))
+                    for p in cat.hom(f0.target, f1.source).elements
+                ):
+                    report.add(
+                        "lifting",
+                        f"square ({f0!r}, {g!r}, {gp!r}, {f1!r}) does not split",
+                        (repr(f0), repr(g), repr(gp), repr(f1)),
+                    )
+    for f0, f1 in product(sigma, repeat=2):
+        if f0 == f1 or cat.hom(f0.source, f1.source).is_empty() or cat.hom(f0.target, f1.target).is_empty():
+            continue
+        try:
+            h = atom(cat, f0.source, f1.source)
+            ell = atom(cat, f0.target, f1.target)
+        except NoAtom:
+            report.add("switching", "atom missing for switching square", (repr(f0), repr(f1)))
+            continue
+        side_a, side_b = cat.compose(f0, ell), cat.compose(h, f1)
+        for v in cat.hom(f0.source, f1.target).elements:
+            if not (cat.leq(side_a, v) and cat.leq(side_b, v)):
+                continue
+            if cat.hom(f0.target, f1.source).is_empty():
+                report.add(
+                    "switching",
+                    f"no morphism {f0.target} -> {f1.source} below {v!r}",
+                    (repr(f0), repr(f1), repr(v)),
+                )
+                continue
+            try:
+                q = atom(cat, f0.target, f1.source)
+            except NoAtom:
+                report.add("switching", "hom has no atom", (f0.target, f1.source))
+                continue
+            through = cat.compose(cat.compose(f0, q), f1)
+            if not cat.leq(through, v):
+                report.add("switching", f"{through!r} is not below {v!r}", (repr(f0), repr(f1), repr(v)))
+    return report
+
+
+def restriction_objects_reference(cat, f) -> list:
+    """The objects of the restriction category of f, by a scan of every object."""
+    return [z for z in cat.objects if not cat.hom(f.source, z).is_empty() and cat.hom(z, f.target).is_empty()]
+
+
+def check_mildness_reference(cat, ms) -> MildnessReport:
+    """Reference mildness grading: each restriction category keeps the parent's
+    homs by a filter of every hom, and is loop-free by a test of every pair."""
+    entries = []
+    for f in ms.sigma:
+        objs = restriction_objects_reference(cat, f)
+        keep = set(objs)
+        homs = {(a, b): hp for (a, b), hp in cat._homs.items() if a in keep and b in keep}
+        sub = PCategory(objs, homs, cat._compose, {a: cat.identity(a) for a in objs}, cat._splittings)
+        loopfree = not any(
+            a != b and not sub.hom(a, b).is_empty() and not sub.hom(b, a).is_empty()
+            for a in objs for b in objs
+        )
+        if not loopfree:
+            graded = FAIL, "restriction category has a loop"
+        elif not objs:
+            graded = FAIL, "restriction category is empty"
+        elif (extremal := find_homotopy_extremal(sub)) is not None:
+            graded = CERTIFIED, f"homotopy-{extremal[1]} object {extremal[0]}"
+        elif greedy_collapses_to_point(order_complex(objs, lambda a, b: a == b or not sub.hom(a, b).is_empty())):
+            graded = CERTIFIED, "order complex collapses to a point"
+        else:
+            betti = nerve_homology(geometric_nerve(sub, MILDNESS_NERVE_DIM), QQ).betti()
+            if betti and betti[0] == 1 and all(b == 0 for b in betti[1:]):
+                graded = ACYCLIC, f"reduced homology vanishes to degree {len(betti) - 1}"
+            else:
+                graded = FAIL, f"nerve Betti numbers {betti}"
+        entries.append(MildnessEntry(f, True, loopfree, *graded))
+    return MildnessReport(entries)
 
 
 def flow_instances():

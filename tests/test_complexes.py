@@ -98,6 +98,23 @@ _CELLS = '"cells": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}]'
     ("{" + _CELLS + ', "covers": [["e", "v"], ["e", "w"]]}', "cover ('e', 'w') references unknown cell"),
     ("{" + _CELLS + ', "covers": [["e", 7]]}', "cover ('e', '7') references unknown cell"),
     ("{" + _CELLS + ', "covers": [["x", "v"], ["e", "w"]]}', "cover ('x', 'v') references unknown cell"),
+    ('{"cells": 5, "covers": []}', "cells: expected a list"),
+    ('{"cells": {"v": 0}, "covers": []}', "cells: expected a list"),
+    ("{" + _CELLS + ', "covers": "ev"}', "covers: expected a list"),
+    ('{"cells": [{"id": "v", "dim": 0.9}], "covers": []}',
+     "cells[0]: expected {'id': str, 'dim': int} (dim 0.9 is not an int)"),
+    ('{"cells": [{"id": "v", "dim": 1.0}], "covers": []}',
+     "cells[0]: expected {'id': str, 'dim': int} (dim 1.0 is not an int)"),
+    ('{"cells": [{"id": "v", "dim": 0}, {"id": "e", "dim": true}], "covers": []}',
+     "cells[1]: expected {'id': str, 'dim': int} (dim True is not an int)"),
+    ('{"cells": [{"id": null, "dim": 0}], "covers": []}',
+     "cells[0]: expected {'id': str, 'dim': int} (id None is neither a str nor an int)"),
+    ('{"cells": [{"id": false, "dim": 0}], "covers": []}',
+     "cells[0]: expected {'id': str, 'dim': int} (id False is neither a str nor an int)"),
+    ('{"cells": [{"id": 1.5, "dim": 0}], "covers": []}',
+     "cells[0]: expected {'id': str, 'dim': int} (id 1.5 is neither a str nor an int)"),
+    ('{"cells": [{"id": ["v"], "dim": 0}], "covers": []}',
+     "cells[0]: expected {'id': str, 'dim': int} (id ['v'] is neither a str nor an int)"),
 ])
 def test_complex_input_errors_keep_their_text(text, message):
     with pytest.raises(ValueError) as exc:

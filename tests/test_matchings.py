@@ -1,5 +1,7 @@
 import random
 import sys
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -18,17 +20,23 @@ from morseflow import (
     restriction_category,
     validate_morse_system,
 )
-from morseflow.categories import Morphism
+from morseflow.categories import Morphism, NoAtom, atom
 from morseflow.matchings import CERTIFIED, FAIL, _find_cycle
 
 from helpers import (
+    RP2_FACETS,
+    check_mildness_reference,
     close_order_reference,
     cycle_graph_complex,
     flow_instances,
+    morse_system_reference,
     random_acyclic_matching,
     random_complex,
+    restriction_objects_reference,
+    simplicial_to_complex,
+    validate_morse_system_reference,
 )
-from morseflow.fixtures import fig2_complex, sphere_complex
+from morseflow.fixtures import FIXTURES, fig2_complex, sphere_complex
 
 
 def triangle_boundary():
@@ -88,7 +96,7 @@ def test_generalized_matching_span():
     En = entrance_path_category(cx)
     ms = matching_to_morse_system(cx, Matching((("b", "y"),), "generalized"), En)
     assert ms.critical == ("t", "w")
-    assert sorted(ms.span_of(ms.sigma[0])) == ["b", "x", "y", "z"]
+    assert sorted(ms.span[ms.sigma[0]]) == ["b", "x", "y", "z"]
     assert validate_morse_system(En, ms).ok
 
 
@@ -117,7 +125,7 @@ def test_spans_partition_the_non_critical_objects():
         ms = matching_to_morse_system(cx, m, En)
         non_critical = [o for o in En.objects if o not in ms.critical]
         for obj in non_critical:
-            owners = [f for f, s in ms.span if obj in s]
+            owners = [f for f, s in ms.span.items() if obj in s]
             assert len(owners) == 1
         matched_cells = {c for p in m.pairs for c in p}
         assert set(ms.critical) == set(cx.ids()) - matched_cells
@@ -226,16 +234,87 @@ def test_find_cycle_witness_is_a_closed_walk():
 
 
 def test_successor_lists_match_the_sigma_scan():
-    # Each system keeps {f: arrows g of sigma with (f, g) in rel}, in sigma order; the
-    # order axiom reads it, so a cyclic order (every edge of a 4-cycle matched to its
+    # Each system keeps its order as successor lists in sigma order, equal to the
+    # scan of hom(f.source, g.target) over every sigma x sigma pair; the order
+    # axiom reads them, so a cyclic order (every edge of a 4-cycle matched to its
     # next vertex) is still reported with the scan's witness.
     cx = cycle_graph_complex(4)
     En = entrance_path_category(cx)
     cyclic = matching_to_morse_system(cx, Matching(tuple((f"e{i}", f"v{(i + 1) % 4}") for i in range(4))), En)
-    systems = [cyclic] + [ms for _, _, ms, _ in flow_instances()]
-    for ms in systems:
-        scan = {f: tuple(g for g in ms.sigma if (f, g) in ms.rel) for f in ms.sigma}
-        assert ms.successors == scan
-    witness = _find_cycle(cyclic.sigma, {f: [g for g in cyclic.sigma if (f, g) in cyclic.rel] for f in cyclic.sigma})
+    systems = [(En, cyclic)] + [(cat, ms) for _, cat, ms, _ in flow_instances()]
+    for cat, ms in systems:
+        assert ms.successors == morse_system_reference(cat, ms.sigma).successors
+    witness = _find_cycle(cyclic.sigma, morse_system_reference(En, cyclic.sigma).successors)
     order = [f for f in validate_morse_system(En, cyclic).findings if f.code == "order"]
     assert witness is not None and [f.witness for f in order] == [tuple(repr(f) for f in witness)]
+
+
+def _system_cases():
+    """(category, arrows) pairs: the systems of every bundled matching, of seeded
+    random matchings on boundary simplices, RP2 and random complexes, and random
+    sets of atoms, each in both categories."""
+    rng = random.Random(41)
+    complexes = [(fx.complex, fx.matching) for fx in FIXTURES.values() if fx.matching is not None]
+    for cx in [simplicial_to_complex(combinations(range(k + 1), k)) for k in (2, 3, 4)] + [
+        simplicial_to_complex(RP2_FACETS)
+    ]:
+        complexes.append((cx, random_acyclic_matching(rng, cx)))
+    for _ in range(60):
+        cx = random_complex(rng, 10)
+        complexes.append((cx, random_acyclic_matching(rng, cx)))
+    for cx, m in complexes:
+        for cat in (entrance_path_category(cx), face_poset_category(cx)):
+            try:
+                yield cat, matching_to_morse_system(cx, m, cat).sigma
+            except BadPair:  # a generalized pair has no atom in the face poset
+                pass
+            if len(cx.cells) > 12:
+                continue
+            atoms = []
+            for a in cat.objects:
+                for b in cat.objects:
+                    try:
+                        atoms.append(atom(cat, a, b))
+                    except NoAtom:
+                        pass
+            atoms = [f for f in atoms if f is not None]
+            for _ in range(4):
+                yield cat, rng.sample(atoms, rng.randint(1, min(4, len(atoms))))
+
+
+def test_systems_and_reports_match_the_all_pairs_scans():
+    # The order is walked through the successor lists and each span through the
+    # reachable objects; the scans of every sigma x sigma pair and every object
+    # are the references, and every report keeps its findings in their order.
+    systems, codes = 0, Counter()
+    for cat, arrows in _system_cases():
+        ms = morse_system_from_arrows(cat, arrows)
+        ref = morse_system_reference(cat, arrows)
+        assert (ms.sigma, ms.successors, ms.span, ms.critical) == (ref.sigma, ref.successors, ref.span, ref.critical)
+        for f in ms.sigma:
+            assert list(restriction_category(cat, ms, f).objects) == restriction_objects_reference(cat, f)
+        report = validate_morse_system(cat, ms).as_dict()
+        assert report == validate_morse_system_reference(cat, ms).as_dict()
+        assert check_mildness(cat, ms).as_dict() == check_mildness_reference(cat, ms).as_dict()
+        systems += 1
+        codes.update(f["code"] for f in report["findings"])
+    assert systems > 600
+    assert set(codes) == {"exhaustion", "order", "lifting", "switching"}
+
+
+def test_system_work_is_linear_on_a_long_cycle():
+    # The path matching e_i > v_(i+1) on the n-cycle orders its n - 1 arrows in
+    # one chain.  Deriving, validating and grading the system asks each hom a
+    # bounded number of times per arrow, not once per pair of arrows or objects.
+    n = 1500
+    cx = cycle_graph_complex(n)
+    En = entrance_path_category(cx)
+    calls = []
+    hom = En.hom
+    En.hom = lambda a, b: calls.append((a, b)) or hom(a, b)
+    path = Matching(tuple((f"e{i}", f"v{i + 1}") for i in range(n - 1)), "classical")
+    ms = matching_to_morse_system(cx, path, En)
+    assert validate_morse_system(En, ms).ok
+    assert check_mildness(En, ms).all_mild
+    assert len(ms.sigma) == n - 1
+    assert len(calls) <= 50 * n
