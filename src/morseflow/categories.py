@@ -8,6 +8,7 @@ hand-built categories use arbitrary labels plus a composition table.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass
 from itertools import product
 
@@ -38,35 +39,49 @@ def identity_morphism(obj: str) -> Morphism:
     return Morphism(obj, obj, (obj,))
 
 
+class Order(Set):
+    """A closed order, read as a set of (a, b) pairs meaning a <= b, kept as
+    down-set masks: bit i of ``down[j]`` is set when element i is below
+    element j, and ``index`` maps each element to its position.  Membership
+    tests a bit and ``len`` counts bits; only iteration decodes pairs."""
+
+    __slots__ = ("elements", "down", "index")
+
+    def __init__(self, elements, down):
+        self.elements = elements
+        self.down = down
+        self.index = {e: i for i, e in enumerate(elements)}
+
+    def __contains__(self, pair):
+        a, b = pair
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and bool(self.down[j] >> i & 1)
+
+    def __len__(self):
+        return sum(m.bit_count() for m in self.down)
+
+    def __iter__(self):
+        return ((self.elements[i], b) for b, m in zip(self.elements, self.down) for i in _bits(m))
+
+
 @dataclass(frozen=True)
 class HomPoset:
-    """Explicit finite poset of morphisms; leq pairs are stored closed.
-
-    Generating relations are closed by ``_close_order``, one topological
-    sweep.  Construction keeps each element's down-set as a bitmask over the
-    element positions, so ``below_all``, ``above``, ``minimum``, ``maximum``
-    and ``covers`` are mask operations.
+    """Explicit finite poset of morphisms; its order is the ``Order`` that
+    ``_close_order`` returns, so ``leq``, ``below_all``, ``above``,
+    ``minimum``, ``maximum`` and ``covers`` are operations on its masks.
     """
 
-    elements: tuple
-    relation: frozenset  # (f, g) pairs meaning f => g, reflexive-transitive
-
-    def __post_init__(self):
-        index = {e: i for i, e in enumerate(self.elements)}
-        down = dict.fromkeys(self.elements, 0)
-        for a, b in self.relation:
-            down[b] |= 1 << index[a]
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_down", down)
+    relation: Order
 
     @staticmethod
     def build(elements, pairs) -> "HomPoset":
         """Close the given pairs reflexively and transitively; must stay antisymmetric."""
-        elements = tuple(elements)
-        rel = _close_order(
-            elements, pairs, lambda a, b: ValueError(f"hom-poset order is not antisymmetric: {a!r} <=> {b!r}")
-        )
-        return HomPoset(elements, rel)
+        violation = lambda a, b: ValueError(f"hom-poset order is not antisymmetric: {a!r} <=> {b!r}")
+        return HomPoset(_close_order(elements, pairs, violation))
+
+    @property
+    def elements(self) -> tuple:
+        return self.relation.elements
 
     def __len__(self):
         return len(self.elements)
@@ -79,44 +94,46 @@ class HomPoset:
 
     def below_all(self, bounds) -> int:
         """Bitmask of the element positions lying below every bound (all of them for no bound)."""
-        mask = (1 << len(self.elements)) - 1
+        down, index = self.relation.down, self.relation.index
+        mask = (1 << len(down)) - 1
         for b in bounds:
-            mask &= self._down.get(b, 0)
+            mask &= down[index[b]] if b in index else 0
         return mask
 
     def above(self, f) -> list:
         """The elements strictly above f, in element order: those whose down-set holds f."""
-        bit = 1 << self._index[f]
-        return [g for g, down in self._down.items() if down & bit and g != f]
+        bit = 1 << self.relation.index[f]
+        return [g for g, down in zip(self.elements, self.relation.down) if down & bit and g != f]
 
     def minimum(self):
         return next((self.elements[i] for i in _bits(self.below_all(self.elements))), None)
 
     def maximum(self):
         full = self.below_all(())
-        return next((f for f, down in self._down.items() if down == full), None)
+        return next((f for f, down in zip(self.elements, self.relation.down) if down == full), None)
 
     def covers(self):
         """Covering pairs (f, g) of the strict order, for compact reports."""
         els = self.elements
-        strict = [m & ~(1 << i) for i, m in enumerate(self._down.values())]
+        strict = [m & ~(1 << i) for i, m in enumerate(self.relation.down)]
         out = []
         for i, m in enumerate(strict):
             below = 0
             for j in _bits(m):
                 below |= strict[j]
             out.extend((els[j], els[i]) for j in _bits(m & ~below))
-        return sorted(out, key=_pair_key)
+        return sorted(out, key=lambda pair: (sort_key(pair[0]), sort_key(pair[1])))
 
     def check_partial_order(self):
-        for f in self.elements:
-            if (f, f) not in self.relation:
+        down = self.relation.down
+        for i, f in enumerate(self.elements):
+            if not down[i] >> i & 1:
                 raise ValueError(f"relation not reflexive at {f}")
-        if _close_order(self.elements, self.relation, _not_antisymmetric) != self.relation:
+        if _close_order(self.elements, self.relation, _not_antisymmetric).down != down:
             raise ValueError("relation not transitive")
 
 
-_EMPTY_HOM = HomPoset((), frozenset())
+_EMPTY_HOM = HomPoset(Order((), []))
 
 
 def _not_antisymmetric(a, b):
@@ -149,53 +166,47 @@ def _walks(starts, succ, max_steps=None):
 
 
 def _close_order(elements, pairs, violation):
-    """Reflexive-transitive closure of ``pairs`` as a frozenset, by one topological sweep.
+    """Reflexive-transitive closure of ``pairs`` as an ``Order``, by one strong-component pass.
 
-    The elements are put in topological order over the generated pairs
-    (Kahn; self-pairs are ignored), and each up-set, a bitmask over the
-    element positions, is the element's own bit ORed with its successors'
-    up-sets, in reverse order: time linear in the elements and pairs.  If
-    the pairs have a cycle, raises ``violation(a, b)``: ``a`` is the first
-    element, in element order, on a cycle, and ``b`` the smallest other
-    member of its strongly connected component, the first two distinct
-    elements that the closure would make comparable both ways.
+    Each element points at the elements generated below it (self-pairs are
+    ignored).  Tarjan completes an element after every element below it, so
+    on acyclic pairs each down-set, in completion order, is the element's
+    own bit ORed with the down-sets of the elements generated below it:
+    time linear in the elements and pairs.  If the pairs have a cycle,
+    raises ``violation(a, b)``: ``a`` is the first element, in element
+    order, on a cycle, and ``b`` the smallest other member of its strongly
+    connected component, the first two distinct elements that the closure
+    would make comparable both ways.
     """
     els = tuple(dict.fromkeys(elements))
     index = {e: i for i, e in enumerate(els)}
-    succ = [[] for _ in els]
-    indegree = [0] * len(els)
+    below = [[] for _ in els]
     for a, b in pairs:
         i, j = index[a], index[b]
         if i != j:
-            succ[i].append(j)
-            indegree[j] += 1
-    order = [i for i, d in enumerate(indegree) if not d]
-    for i in order:  # Kahn: the list grows as it is read
-        for j in succ[i]:
-            indegree[j] -= 1
-            if not indegree[j]:
-                order.append(j)
-    if len(order) < len(els):
-        component = _strong_components(succ)
-        sizes = Counter(component)
+            below[j].append(i)
+    component, completed = _strong_components(below)
+    sizes = Counter(component)
+    if len(sizes) < len(els):
         i = next(i for i, c in enumerate(component) if sizes[c] > 1)
         j = next(j for j, c in enumerate(component) if c == component[i] and j != i)
         raise violation(els[i], els[j])
-    up = [0] * len(els)
-    for i in reversed(order):
+    down = [0] * len(els)
+    for i in completed:
         m = 1 << i
-        for j in succ[i]:
-            m |= up[j]
-        up[i] = m
-    return frozenset((els[i], els[j]) for i, m in enumerate(up) for j in _bits(m))
+        for j in below[i]:
+            m |= down[j]
+        down[i] = m
+    return Order(els, down)
 
 
 def _strong_components(succ):
     """The strongly connected component number of every node of the digraph
-    ``succ`` (node -> list of nodes), by Tarjan's algorithm on an explicit stack."""
+    ``succ`` (node -> list of nodes), and the nodes in completion order, each
+    after every node it reaches outside its component (Tarjan, explicit stack)."""
     n = len(succ)
     number, low, component = [None] * n, [0] * n, [None] * n
-    stack, count, found = [], 0, 0
+    stack, completed, count, found = [], [], 0, 0
     for root in range(n):
         if number[root] is not None:
             continue
@@ -223,15 +234,11 @@ def _strong_components(succ):
                     while True:
                         w = stack.pop()
                         component[w] = found
+                        completed.append(w)
                         if w == v:
                             break
                     found += 1
-    return component
-
-
-def _pair_key(pair):
-    a, b = pair
-    return (sort_key(a), sort_key(b))
+    return component, completed
 
 
 def sort_key(el):

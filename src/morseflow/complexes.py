@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
 
 from .homology import ChainComplex
@@ -67,8 +66,7 @@ class Complex:
     Built in one pass over the cells and one over the covers: the cells are
     indexed by dimension once, and that index serves ``ids``,
     ``cells_of_dim`` and ``top_dim``.  The strict faces of a cell are walked
-    on first read and kept; ``reach``, the face relation as a pair set, is
-    derived from them on first read.
+    on first read and kept.
     """
 
     def __init__(self, cells, covers):
@@ -118,11 +116,6 @@ class Complex:
                     stack.extend(cover_faces[x])
             got = self._faces[cid] = (sorted(seen), seen)
         return got
-
-    @cached_property
-    def reach(self) -> frozenset:
-        """The face relation as (upper, lower) pairs, derived from the strict faces."""
-        return frozenset((a, b) for a in self._ids for b in self._walk(a)[0])
 
     def ids(self):
         return list(self._ids)

@@ -44,11 +44,17 @@ class Cosheaf:
             raise ValueError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
         try:
             ring = ring_from_name(doc["ring"])
-            stalks = {str(k): int(v) for k, v in doc["stalks"].items()}
+            stalks, raw_maps = doc["stalks"], doc.get("maps", {})
+            if not isinstance(stalks, dict) or not isinstance(raw_maps, dict):
+                raise TypeError("stalks and maps must be objects")
+            if any(type(v) is not int or v < 0 for v in stalks.values()):
+                raise ValueError("stalk ranks must be non-negative ints")
+            if not all(isinstance(rows, list) and all(isinstance(r, list) for r in rows) for rows in raw_maps.values()):
+                raise TypeError("maps must be lists of rows, each a list")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"cosheaf file: bad ring or stalks ({exc})") from exc
         maps = {}
-        for key, rows in doc.get("maps", {}).items():
+        for key, rows in raw_maps.items():
             upper, sep, lower = key.partition(">")
             if not sep:
                 raise ValueError(f"maps key {key!r} must look like 'upper>lower'")
@@ -122,7 +128,7 @@ def extension_map(c: Complex, F: Cosheaf, upper: str, lower: str) -> Mat:
     if (upper, lower) in c.covers:
         return F.cover_map(upper, lower)
     for mid in sorted(c.cover_faces[upper]):
-        if mid == lower or (mid, lower) in c.reach:
+        if c.is_face(mid, lower):
             return extension_map(c, F, mid, lower).mul(F.cover_map(upper, mid), F.ring)
     raise ValueError(f"{lower} is not a face of {upper}")
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .categories import HomPoset, PCategory, _close_order, _walks
+from .categories import HomPoset, Order, PCategory, _close_order, _walks
 from .matchings import MorseSystem, _find_cycle
 
 STABILIZATION_NERVE_DIM = 3  # successive bounds must agree on nerve homology through degree 2
@@ -109,21 +109,20 @@ def zigzag_from_text(cat: PCategory, ms: MorseSystem, text: str) -> Zigzag:
 
     rights, lefts = [], []
     path = [tokens[0]]
-    i = 1
-    while i < len(tokens):
-        sep, cell = tokens[i], tokens[i + 1]
+    for sep, cell in zip(tokens[1::2], tokens[2::2] + [None]):
+        if sep not in ("<", ">"):
+            raise ValueError(f"unexpected token {sep!r}")
+        if cell in (None, "<", ">"):
+            raise ValueError(f"zigzag text needs a cell after {sep!r}")
         if sep == ">":
             path.append(cell)
-        elif sep == "<":
+        else:
             rights.append(resolve(path))
             f = by_source.get(cell)
             if f is None or f.target != path[-1]:
                 raise ValueError(f"no system arrow {cell} -> {path[-1]}")
             lefts.append(f)
             path = [cell]
-        else:
-            raise ValueError(f"unexpected token {sep!r}")
-        i += 2
     rights.append(resolve(path))
     return Zigzag(tuple(rights), tuple(lefts))
 
@@ -395,7 +394,7 @@ def _loc_hom(moves: _MoveTable, ms: MorseSystem, w: str, z: str, max_len=4):
     # Single-slot steps generate the componentwise order of same-shape
     # zigzags; every step stays in the enumerated product of the slots.
     # Pairs are gathered as class numbers.
-    pairs = {(n, n) for n in range(len(classes))}
+    pairs = set()
     splices, step, erase = moves.splices, moves._larger, moves._erase
     for key, p in index.items():
         below = number[p]
@@ -405,21 +404,17 @@ def _loc_hom(moves: _MoveTable, ms: MorseSystem, w: str, z: str, max_len=4):
                 raise LocalizationInconsistency(repr(moves.zigzag(tgt)))
             pairs.add((below, number[q]))
 
-    rel = close_order_relation(classes, {(classes[a], classes[b]) for a, b in pairs})
-    return HomPoset(tuple(classes), rel), index, number
+    return HomPoset(close_order_relation(classes, {(classes[a], classes[b]) for a, b in pairs})), index, number
 
 
-def close_order_relation(elements, rel) -> frozenset:
-    """Reflexive-transitive closure with an antisymmetry check.
+def close_order_relation(elements, rel) -> Order:
+    """Reflexive-transitive closure with an antisymmetry check, as an ``Order``.
 
     Raises OrderViolation (with the witness pair) when two distinct elements
     end up comparable in both directions.
     """
-    return _close_order(
-        elements,
-        rel,
-        lambda a, b: OrderViolation(f"localized order is not antisymmetric between {a!r} and {b!r}"),
-    )
+    violation = lambda a, b: OrderViolation(f"localized order is not antisymmetric between {a!r} and {b!r}")
+    return _close_order(elements, rel, violation)
 
 
 def hom_poset_loc(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4) -> HomPoset:
@@ -547,9 +542,8 @@ def _flow_signature(flow: FlowCategory):
     for m in flow.objects:
         for m2 in flow.objects:
             hp = flow.hom(m, m2)
-            keys = {c.key() for c in hp.elements}
-            rel = {(a.key(), b.key()) for (a, b) in hp.relation if a != b}
-            sig[(m, m2)] = (keys, rel)
+            # elements come sorted by key: equal keys align the down-set masks
+            sig[(m, m2)] = (tuple(c.key() for c in hp.elements), hp.relation.down)
     return sig
 
 

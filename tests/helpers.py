@@ -23,7 +23,7 @@ from morseflow import (
     matching_to_morse_system,
     validate_complex,
 )
-from morseflow.categories import NoAtom, PCategory, atom, find_homotopy_extremal, sort_key
+from morseflow.categories import HomPoset, NoAtom, Order, PCategory, atom, find_homotopy_extremal, sort_key
 from morseflow.cosheaves import Cosheaf
 from morseflow.fixtures import get_fixture
 from morseflow.localization import (
@@ -311,8 +311,9 @@ def validate_complex_reference(c: Complex) -> ValidationReport:
             report.add("grading", f"cover ({u}, {l}) drops dimension by {drop}, not 1", (u, l))
     if not report.ok:
         return report
-    for a, b in sorted(c.reach):
-        if (b, a) in c.reach:
+    reach = face_relation_reference(c.cells, c.covers)[3]
+    for a, b in sorted(reach):
+        if (b, a) in reach:
             report.add("antisymmetry", f"face relation contains a cycle through {a} and {b}", (a, b))
     for e in c.cells_of_dim(1):
         faces = c.cover_faces[e]
@@ -392,7 +393,7 @@ def assign_incidence_signs_reference(c: Complex) -> IncidenceSigns:
                     node = nxt
                 return root, p
 
-            for z in sorted({z for y in faces for z in c.cover_faces[y] if (x, z) in c.reach and c.dim(x) - c.dim(z) == 2}):
+            for z in sorted({z for y in faces for z in c.cover_faces[y] if c.is_face(x, z) and c.dim(x) - c.dim(z) == 2}):
                 pair = [y for y in faces if (y, z) in c.covers]
                 if len(pair) != 2:
                     raise SignInconsistency(f"diamond [{z}, {x}] is not a diamond")
@@ -419,6 +420,17 @@ def assign_incidence_signs_reference(c: Complex) -> IncidenceSigns:
                         sign[(x, y2)] = 1 if (p2 ^ p0) == 0 else -1
                         assigned.add(y2)
     return IncidenceSigns(sign)
+
+
+def hom_poset_from_pairs(elements, pairs):
+    """A hom-poset whose order holds exactly ``pairs``, neither closed nor
+    checked: for relations that are not orders."""
+    els = tuple(elements)
+    index = {e: i for i, e in enumerate(els)}
+    down = [0] * len(els)
+    for a, b in pairs:
+        down[index[b]] |= 1 << index[a]
+    return HomPoset(Order(els, down))
 
 
 def close_order_reference(elements, pairs):

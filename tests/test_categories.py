@@ -25,6 +25,7 @@ from helpers import (
     close_order_warshall,
     count_descending_chains,
     covers_reference,
+    hom_poset_from_pairs,
     random_complex,
     simplicial_to_complex,
     subsequence,
@@ -195,7 +196,7 @@ def test_order_closure_matches_the_pairwise_reference():
                 close_order_relation(els, pairs)
             assert any(f"{a!r} and {b!r}" in str(exc.value) for a, b in both)
             with pytest.raises(ValueError, match="not antisymmetric"):
-                HomPoset(tuple(els), closed).check_partial_order()
+                hom_poset_from_pairs(els, closed).check_partial_order()
             continue
         orders += 1
         hp = HomPoset.build(els, pairs)
@@ -206,7 +207,7 @@ def test_order_closure_matches_the_pairwise_reference():
         unclosed = frozenset(pairs) | {(e, e) for e in els}
         if unclosed != closed:
             with pytest.raises(ValueError, match="not transitive"):
-                HomPoset(tuple(els), unclosed).check_partial_order()
+                hom_poset_from_pairs(els, unclosed).check_partial_order()
     assert violations > 25 and orders > 200
 
 
@@ -248,12 +249,14 @@ def test_mask_scans_match_brute_force():
         closed, both = close_order_reference(els, pairs)
         tops = [e for e in els if all((g, e) in closed for g in els)]
         if both:  # not an order, but a directly constructed relation still has its top test
-            assert HomPoset(tuple(els), closed).maximum() == (tops[0] if tops else None)
+            assert hom_poset_from_pairs(els, closed).maximum() == (tops[0] if tops else None)
             continue
         orders += 1
         hp = HomPoset.build(els, pairs)
-        # the same masks whether the poset was built or constructed from a closed relation
-        for poset in (hp, HomPoset(tuple(els), closed)):
+        # the kernel's down-sets are the reference closure's
+        assert hp.relation.down == [sum(1 << i for i, a in enumerate(els) if (a, b) in closed) for b in els]
+        # the same masks whether the poset was built or closed again from a closed relation
+        for poset in (hp, HomPoset.build(els, closed)):
             for _ in range(5):
                 bounds = rng.sample(els, rng.randint(0, min(3, len(els))))
                 below = [i for i, e in enumerate(els) if all((e, b) in closed for b in bounds)]
@@ -265,9 +268,9 @@ def test_mask_scans_match_brute_force():
             for e in els:
                 assert poset.above(e) == [g for g in els if g != e and (e, g) in closed]
     assert orders > 200
-    assert HomPoset((), frozenset()).minimum() is None
-    assert HomPoset((), frozenset()).maximum() is None
-    assert HomPoset((), frozenset()).below_all(()) == 0
+    assert HomPoset.build((), ()).minimum() is None
+    assert HomPoset.build((), ()).maximum() is None
+    assert HomPoset.build((), ()).below_all(()) == 0
 
 
 def test_walks_are_depth_first_preorder_with_a_step_bound():

@@ -522,6 +522,22 @@ def test_unknown_cells_in_matching_and_cosheaf_files_are_bad_input(fixture_files
     assert capsys.readouterr().err == "error: maps['nope>w'] has shape 1x1, expected 0x1\n"
 
 
+@pytest.mark.parametrize("cosheaf, detail", [
+    ({"stalks": [1]}, "stalks and maps must be objects"),
+    ({"stalks": {"w": 1}, "maps": []}, "stalks and maps must be objects"),
+    ({"stalks": {"w": 1}, "maps": {"t>w": [1]}}, "maps must be lists of rows, each a list"),
+    ({"stalks": {"w": 1}, "maps": {"t>w": 1}}, "maps must be lists of rows, each a list"),
+    ({"stalks": {"w": True}}, "stalk ranks must be non-negative ints"),
+    ({"stalks": {"w": 1.9}}, "stalk ranks must be non-negative ints"),
+    ({"stalks": {"w": "1"}}, "stalk ranks must be non-negative ints"),
+    ({"stalks": {"w": -1}, "maps": {"t>w": [[1]]}}, "stalk ranks must be non-negative ints"),
+])
+def test_malformed_cosheaf_files_are_bad_input(fixture_files, tmp_path, capsys, cosheaf, detail):
+    path = _write_json(tmp_path / "bad-c.json", {"ring": "Z", **cosheaf})
+    assert main(["homology", "cosheaf", fixture_files["sphere"]["complex"], path]) == 1
+    assert capsys.readouterr().err == f"error: cosheaf file: bad ring or stalks ({detail})\n"
+
+
 def test_an_internal_key_error_is_not_reported_as_bad_input(fixture_files, monkeypatch):
     # exit 1 means bad input; a lookup that fails inside the computation is a bug
     def lookup_bug(cat, maxdim):

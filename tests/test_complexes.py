@@ -238,8 +238,9 @@ def test_validation_and_strict_faces_match_bruteforce_reference():
         report = validate_complex(cx)
         assert report.as_dict() == validate_complex_reference(cx).as_dict()
         codes.update(f.code for f in report.findings)
+        reach = face_relation_reference(cx.cells, cx.covers)[3]
         for cid in cx.ids():
-            assert cx.strict_faces(cid) == sorted(b for a, b in cx.reach if a == cid)
+            assert cx.strict_faces(cid) == sorted(b for a, b in reach if a == cid)
     assert {"grading", "edge_faces", "diamond"} <= codes
 
 
@@ -252,8 +253,6 @@ def _random_cyclic_complex(rng):
 def _read(cx, what, ids):
     if what == "strict_faces":
         return {a: cx.strict_faces(a) for a in ids}
-    if what == "reach":
-        return cx.reach
     return {(a, b) for a in ids for b in ids if cx.is_face(a, b)}
 
 
@@ -268,7 +267,6 @@ def test_lazy_index_and_face_relation_match_an_eager_reference():
         ids, by_dim, top, reach = face_relation_reference(cx.cells, cx.covers)
         want = {
             "strict_faces": {a: sorted(b for x, b in reach if x == a) for a in ids},
-            "reach": reach,
             "is_face": set(reach),
         }
         as_lists = [[u, l] for u, l in sorted(cx.covers, reverse=True)]

@@ -14,6 +14,7 @@ from morseflow import (
     essential_chain,
     face_poset_category,
     flow_category,
+    geometric_nerve,
     hom_poset_loc,
     homology,
     matching_to_morse_system,
@@ -25,7 +26,7 @@ from morseflow import (
     zigzag_to_text,
 )
 from morseflow import localization
-from morseflow.categories import Morphism
+from morseflow.categories import Morphism, Order
 from morseflow.localization import Zigzag, _MoveTable, zigzag_class_of
 
 from helpers import (
@@ -78,6 +79,14 @@ def test_text_round_trip():
     _, En, ms = _sphere_setup()
     for text in ("t > w", "t > z < b > y < x > w", "t > z < b > z > w"):
         assert zigzag_to_text(_zz(En, ms, text)) == text
+
+
+def test_text_refuses_a_separator_where_a_cell_belongs():
+    _, En, ms = _sphere_setup()
+    for text, message in (("t >", "needs a cell after '>'"), ("t > x <", "needs a cell after '<'"),
+                          ("t > > w", "needs a cell after '>'"), ("t w", "unexpected token 'w'")):
+        with pytest.raises(ValueError, match=message):
+            _zz(En, ms, text)
 
 
 def test_generalized_enumeration_requires_a_bound():
@@ -421,6 +430,21 @@ def test_homotopy_extremal_on_localized_hom_posets():
     hp8 = hom_poset_loc(En, ms, "t", "w", None)
     cat8 = poset_as_pcategory(hp8.elements, hp8.leq)
     assert find_homotopy_extremal(cat8) is None
+
+
+def test_categories_flows_and_nerves_are_built_without_decoding_an_order_pair(monkeypatch):
+    # every order is read through its down-set masks; only reports and tests
+    # decode pairs
+    decoded = []
+    iterate = Order.__iter__
+    monkeypatch.setattr(Order, "__iter__", lambda self: decoded.append(self) or iterate(self))
+    entrance_path_category(simplicial_to_complex(combinations(range(4), 3)))
+    for _, cat, ms, max_len in flow_instances():
+        geometric_nerve(flow_category(cat, ms, max_len).category, 3)
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    assert stabilized_flow(En, matching_to_morse_system(fx.complex, fx.matching, En), 4)[1] == "stable"
+    assert decoded == []
 
 
 def test_antisymmetry_guard():

@@ -282,7 +282,7 @@ def test_dim_4_nerves_match_the_per_candidate_reference():
 def test_nerve_order_follows_sort_keys_not_the_order_of_hom_elements():
     boundary_of_3_simplex = entrance_path_category(simplicial_to_complex(list(combinations(range(4), 3))))
     for cat in (boundary_of_3_simplex, _calc63_flow(2)):
-        homs = {key: HomPoset(hp.elements[::-1], hp.relation) for key, hp in cat._homs.items()}
+        homs = {key: HomPoset.build(hp.elements[::-1], hp.relation) for key, hp in cat._homs.items()}
         reversed_cat = PCategory(cat.objects, homs, cat._compose, cat._identities)
         assert any(hp.elements != tuple(sorted(hp.elements, key=sort_key)) for hp in homs.values())
         skel = geometric_nerve(reversed_cat, 3)
