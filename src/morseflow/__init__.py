@@ -40,6 +40,7 @@ from .localization import (
     OrderViolation,
     Zigzag,
     ZigzagClass,
+    Zigzags,
     enumerate_zigzags,
     essential_chain,
     flow_category,

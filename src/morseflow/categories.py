@@ -259,6 +259,7 @@ class PCategory:
         self._identities = dict(identities)
         self._splittings = splittings_fn
         self._reachable = None  # object -> reachable objects, built on first read
+        self._moves = None  # the localization move table, built on first use
 
     # -- structure ---------------------------------------------------------
 

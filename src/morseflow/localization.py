@@ -22,7 +22,9 @@ compares successive bounds.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 from .categories import HomPoset, Order, PCategory, _close_order, _walks
@@ -57,12 +59,6 @@ class Zigzag:
                 raise ValueError(f"column {i}: forward target {self.rights[i].target} != {f.target}")
             if self.rights[i + 1].source != f.source:
                 raise ValueError(f"column {i}: next forward source != {f.source}")
-        # Zigzags key every class lookup: hash the nested fields once.
-        # Equality stays field-wise.
-        object.__setattr__(self, "_hash", hash((self.rights, self.lefts)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def source(self) -> str:
@@ -73,14 +69,15 @@ class Zigzag:
         return self.rights[-1].target
 
     def key(self):
-        return (
-            len(self.lefts),
-            tuple(g.label for g in self.rights),
-            tuple(f.label for f in self.lefts),
-        )
+        return _order(self.rights, self.lefts)
 
     def __repr__(self):
         return f"Zigzag({zigzag_to_text(self)!r})"
+
+
+def _order(rights, lefts) -> tuple:
+    """The zigzag order: fewer backward arrows first, then the forward labels, then the backward ones."""
+    return len(lefts), tuple(g.label for g in rights), tuple(f.label for f in lefts)
 
 
 def zigzag_to_text(z: Zigzag) -> str:
@@ -142,9 +139,9 @@ class _MoveTable:
     step (``_larger``) one forward morphism g_i.  Which morphisms qualify
     depends on the move and the span alone, so each span's replacements are
     computed on first use, in first-seen order, checked once and kept as ids
-    in one cache, by move and span, for the table's lifetime (one flow
-    category or one localized hom-poset).  ``splices`` and ``reduce`` read
-    it; moves splice keys, and a zigzag is built only to decode a key.
+    in one cache, by move and span, for the lifetime of the category that
+    keeps the table (``_moves``).  ``splices`` and ``reduce`` read it; moves
+    splice keys, and a zigzag is built only to decode a key.
     """
 
     def __init__(self, cat: PCategory):
@@ -249,9 +246,30 @@ class _MoveTable:
         return self.cat.hom(g.source, g.target).above(g)
 
 
+def _moves(cat: PCategory) -> _MoveTable:
+    """The category's one move table, built on first use and kept on it."""
+    cat._moves = cat._moves or _MoveTable(cat)
+    return cat._moves
+
+
+class Zigzags(Sequence):
+    """Zigzags held as keys of one move table; a ``Zigzag`` is built only when an item is read."""
+
+    __slots__ = ("moves", "keys")
+
+    def __init__(self, moves: _MoveTable, keys: tuple):
+        self.moves, self.keys = moves, keys
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        return self.moves.zigzag(self.keys[i])
+
+
 def reduce_zigzag(cat: PCategory, z: Zigzag) -> Zigzag:
     """Apply the first contraction until none is left; the result is irreducible."""
-    moves = _MoveTable(cat)
+    moves = _moves(cat)
     return moves.zigzag(moves.reduce(moves.key(z)))
 
 
@@ -265,8 +283,8 @@ def _check_max_len(max_len):
         raise ValueError(f"the zigzag length bound must be at least 0, not {max_len}")
 
 
-def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4):
-    """All normal-form zigzags from w to z.
+def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4) -> Zigzags:
+    """All normal-form zigzags from w to z, sorted by ``Zigzag.key``, as keys of the category's move table.
 
     With singleton arrow hom-posets, chains of backward arrows are strictly
     descending and the enumeration is complete whatever the bound; otherwise
@@ -298,16 +316,21 @@ def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4
     starts = [f for f in ms.sigma if not cat.hom(w, f.target).is_empty()] if max_len != 0 else []
     chains = [()]
     chains.extend(_walks(starts, succ, None if max_len is None else max_len - 1))
-    out = []
+    moves = _moves(cat)
+    arrows = {f: (moves._id(f),) for f in ms.sigma}
+    slot = cache(lambda a, b: tuple(map(moves._id, cat.hom(a, b).elements)))  # hom(a, b)'s ids, once per call
+    keys = []
     for chain in chains:
-        slots = []
-        src = w
-        for f in chain:
-            slots.append(cat.hom(src, f.target).elements)
-            src = f.source
-        slots.append(cat.hom(src, z).elements)
-        out.extend(Zigzag(combo, chain) for combo in product(*slots))
-    return sorted(out, key=Zigzag.key)
+        last = slot(chain[-1].source if chain else w, z)
+        if last:  # the first slot and each successor's slot are filled: only the last can be empty
+            slots, src = [], w
+            for f in chain:
+                slots += (slot(src, f.target), arrows[f])
+                src = f.source
+            keys += product(*slots, last)
+    morphisms = moves._morphisms
+    keys.sort(key=lambda k: _order([morphisms[i] for i in k[0::2]], [morphisms[i] for i in k[1::2]]))
+    return Zigzags(moves, tuple(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +341,12 @@ def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4
 @dataclass(frozen=True)
 class ZigzagClass:
     canonical: Zigzag
-    members: frozenset
+    members: Zigzags = field(compare=False)  # the canonical first; classes are equal when their canonicals are
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.canonical, self.members)))
         # Classes are sorted, compared across bounds and keyed in nerve
-        # simplices: build the canonical label tuples once.
+        # simplices: hash the canonical and build its label tuples once.
+        object.__setattr__(self, "_hash", hash(self.canonical))
         object.__setattr__(self, "_key", self.canonical.key())
 
     def __hash__(self):
@@ -348,14 +371,15 @@ class ZigzagClass:
         return f"[{zigzag_to_text(self.canonical)}]"
 
 
-def _partition_into_classes(moves: _MoveTable, zigzags):
-    """The classes of the enumerated zigzags under contraction, sorted, on list positions.
+def _partition_into_classes(zigzags: Zigzags):
+    """The classes of the enumerated zigzags under contraction, sorted, on key positions.
 
     Returns the classes, each zigzag's key mapped to its position, and each
     position's class number.
     """
-    index = {moves.key(zg): p for p, zg in enumerate(zigzags)}
-    parent = list(range(len(zigzags)))
+    moves, keys = zigzags.moves, zigzags.keys
+    index = {key: p for p, key in enumerate(keys)}
+    parent = list(range(len(keys)))
 
     def find(a):
         while parent[a] != a:
@@ -373,23 +397,25 @@ def _partition_into_classes(moves: _MoveTable, zigzags):
             if ra != rb:
                 parent[rb] = ra
     groups: dict = {}
-    for p in range(len(zigzags)):
+    for p in range(len(keys)):
         groups.setdefault(find(p), []).append(p)
     # Zigzags come sorted by key, and a contraction drops a column, so it
     # lowers the key: a class's first member is its smallest irreducible one,
     # its canonical, and the groups come sorted by their canonicals.
-    classes, number = [], [0] * len(zigzags)
+    classes, number = [], [0] * len(keys)
     for n, members in enumerate(groups.values()):
-        classes.append(ZigzagClass(zigzags[members[0]], frozenset(zigzags[p] for p in members)))
+        view = Zigzags(moves, tuple(keys[p] for p in members))
+        classes.append(ZigzagClass(view[0], view))
         for p in members:
             number[p] = n
     return classes, index, number
 
 
-def _loc_hom(moves: _MoveTable, ms: MorseSystem, w: str, z: str, max_len=4):
+def _loc_hom(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4):
     """The localized hom-poset from w to z, each zigzag key's position and each position's class number."""
-    zigzags = enumerate_zigzags(moves.cat, ms, w, z, max_len)
-    classes, index, number = _partition_into_classes(moves, zigzags)
+    zigzags = enumerate_zigzags(cat, ms, w, z, max_len)
+    moves = zigzags.moves
+    classes, index, number = _partition_into_classes(zigzags)
 
     # Single-slot steps generate the componentwise order of same-shape
     # zigzags; every step stays in the enumerated product of the slots.
@@ -419,12 +445,13 @@ def close_order_relation(elements, rel) -> Order:
 
 def hom_poset_loc(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4) -> HomPoset:
     """Hom-poset of the localization between two objects."""
-    return _loc_hom(_MoveTable(cat), ms, w, z, max_len)[0]
+    return _loc_hom(cat, ms, w, z, max_len)[0]
 
 
 def zigzag_class_of(hom: HomPoset, z: Zigzag) -> ZigzagClass:
+    key = hom.elements[0].members.moves.key(z) if hom.elements else None  # the classes share one table
     for cls in hom.elements:
-        if z in cls.members:
+        if key in cls.members.keys:
             return cls
     raise KeyError(f"{z!r} is in no class of this hom-poset")
 
@@ -503,18 +530,15 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
     critical = ms.critical
     singleton = ms.all_singleton_homs(cat)
     effective = None if singleton else max_len
-    moves = _MoveTable(cat)
+    moves = _moves(cat)
     homs, identities = {}, {}
     partitions = {}  # (m, m2) -> (classes, zigzag key -> position, class numbers)
-    canonical = {}  # class -> the key of its canonical zigzag
     for m in critical:
         for m2 in critical:
-            hp, index, number = _loc_hom(moves, ms, m, m2, effective)
+            hp, index, number = _loc_hom(cat, ms, m, m2, effective)
             if not hp.is_empty():
                 homs[(m, m2)] = hp
             partitions[(m, m2)] = hp.elements, index, number
-            for cls in hp.elements:
-                canonical[cls] = moves.key(cls.canonical)
             if m == m2:
                 identities[m] = hp.elements[number[index[(moves._id(cat.identity(m)),)]]]
 
@@ -524,7 +548,7 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
         known = table.get((c1, c2))
         if known is not None:
             return known
-        k1, k2 = canonical[c1], canonical[c2]
+        k1, k2 = c1.members.keys[0], c2.members.keys[0]
         middle = moves._id(cat.compose(c1.canonical.rights[-1], c2.canonical.rights[0]))
         classes, index, number = partitions[(c1.source, c2.target)]
         p = index.get(moves.reduce(k1[:-1] + (middle,) + k2[1:]))

@@ -49,8 +49,12 @@ class Matching:
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
         try:
-            kind = doc["kind"]
-            pairs = tuple((str(u), str(l)) for u, l in doc["pairs"])
+            kind, raw = doc["kind"], doc["pairs"]
+            if not isinstance(raw, list) or not all(
+                isinstance(p, list) and len(p) == 2 and all(type(c) in (str, int) for c in p) for p in raw
+            ):
+                raise TypeError("pairs must be a list of [upper, lower] ids, each a str or an int")
+            pairs = tuple((str(u), str(l)) for u, l in raw)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"matching file: expected kind and pairs ({exc})") from exc
         return Matching(pairs, kind)

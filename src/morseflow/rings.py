@@ -186,7 +186,7 @@ def ring_from_name(name: str) -> Ring:
         return ZZ
     if name == "Q":
         return QQ
-    if name.startswith("Fp:"):
+    if isinstance(name, str) and name.startswith("Fp:"):
         return PrimeField(int(name.split(":", 1)[1]))
     raise ValueError(f"unknown ring {name!r}; expected Z, Q or Fp:<p>")
 

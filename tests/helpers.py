@@ -28,7 +28,6 @@ from morseflow.cosheaves import Cosheaf
 from morseflow.fixtures import get_fixture
 from morseflow.localization import (
     Zigzag,
-    _MoveTable,
     _partition_into_classes,
     enumerate_zigzags,
     zigzag_class_of,
@@ -569,7 +568,7 @@ def loc_order_reference(cat, ms, w, z, max_len):
     classes, the closed relation and the pairs comparable both ways.
     """
     zigzags = enumerate_zigzags(cat, ms, w, z, max_len)
-    classes = _partition_into_classes(_MoveTable(cat), zigzags)[0]
+    classes = _partition_into_classes(zigzags)[0]
     member_to_class = {m: cls for cls in classes for m in cls.members}
     pairs = set()
     for z1 in zigzags:

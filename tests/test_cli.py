@@ -531,11 +531,35 @@ def test_unknown_cells_in_matching_and_cosheaf_files_are_bad_input(fixture_files
     ({"stalks": {"w": 1.9}}, "stalk ranks must be non-negative ints"),
     ({"stalks": {"w": "1"}}, "stalk ranks must be non-negative ints"),
     ({"stalks": {"w": -1}, "maps": {"t>w": [[1]]}}, "stalk ranks must be non-negative ints"),
+    ({"ring": 5, "stalks": {}}, "unknown ring 5; expected Z, Q or Fp:<p>"),
+    ({"ring": None, "stalks": {}}, "unknown ring None; expected Z, Q or Fp:<p>"),
+    ({"ring": ["Z"], "stalks": {}}, "unknown ring ['Z']; expected Z, Q or Fp:<p>"),
 ])
 def test_malformed_cosheaf_files_are_bad_input(fixture_files, tmp_path, capsys, cosheaf, detail):
     path = _write_json(tmp_path / "bad-c.json", {"ring": "Z", **cosheaf})
     assert main(["homology", "cosheaf", fixture_files["sphere"]["complex"], path]) == 1
     assert capsys.readouterr().err == f"error: cosheaf file: bad ring or stalks ({detail})\n"
+
+
+@pytest.mark.parametrize("pairs", [
+    ["xy", "bz"],
+    {"xy": 1},
+    "xy",
+    [["x", "y", "b"]],
+    [["x", True]],
+    [["x", None]],
+    [["x", 1.5]],
+    [("x", "y"), {"b": "z"}],
+])
+def test_malformed_matching_files_are_bad_input(fixture_files, tmp_path, capsys, pairs):
+    sphere = fixture_files["sphere"]["complex"]
+    path = _write_json(tmp_path / "bad-m.json", {"kind": "classical", "pairs": pairs})
+    for argv in (["validate", sphere, path], ["homology", "morse", sphere, path]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: matching file: expected kind and pairs"
+            " (pairs must be a list of [upper, lower] ids, each a str or an int)\n"
+        )
 
 
 def test_an_internal_key_error_is_not_reported_as_bad_input(fixture_files, monkeypatch):

@@ -101,7 +101,7 @@ def test_enumeration_counts():
     _, En, ms = _sphere_setup()
     zs = enumerate_zigzags(En, ms, "t", "w", None)
     assert len(zs) == 12
-    assert enumerate_zigzags(En, ms, "w", "t", None) == []
+    assert list(enumerate_zigzags(En, ms, "w", "t", None)) == []
     plain = enumerate_zigzags(En, ms, "t", "w", 0)
     assert {z.rights[0].label for z in plain} == {("t", "w"), ("t", "x", "w"), ("t", "z", "w")}
     assert all(not z.lefts for z in plain)
@@ -500,6 +500,33 @@ def test_flow_composition_builds_no_zigzag(monkeypatch):
     assert pairs > 0 and built == []
 
 
+def test_a_flow_category_builds_one_zigzag_per_class(monkeypatch):
+    built = []
+    post_init = Zigzag.__post_init__
+    monkeypatch.setattr(Zigzag, "__post_init__", lambda z: built.append(z) or post_init(z))
+    for name, cat, ms, max_len in flow_instances():
+        del built[:]
+        flow = flow_category(cat, ms, max_len)
+        canonicals = [c.canonical for a in flow.objects for b in flow.objects for c in flow.hom(a, b).elements]
+        assert len(built) == len(canonicals) > 0, name
+        assert all(z is c for z, c in zip(built, canonicals)), name
+
+
+def test_a_category_builds_one_move_table(monkeypatch):
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    ms = matching_to_morse_system(fx.complex, fx.matching, En)
+    tables = []
+    init = _MoveTable.__init__
+    monkeypatch.setattr(_MoveTable, "__init__", lambda self, cat: tables.append(self) or init(self, cat))
+    flow, status = stabilized_flow(En, ms, 4)
+    assert status == "stable" and flow.max_len == 5
+    (cls,) = hom_poset_loc(En, ms, "b", "y", 3).elements
+    for member in cls.members:
+        assert reduce_zigzag(En, member) in cls.members
+    assert len(tables) == 1
+
+
 def test_zigzag_and_class_hashes_agree_with_equality():
     fx = get_fixture("calc63")
     En = entrance_path_category(fx.complex)
@@ -508,7 +535,7 @@ def test_zigzag_and_class_hashes_agree_with_equality():
     second = hom_poset_loc(En, ms, "t", "w", 3)
     for c1, c2 in zip(first.elements, second.elements):
         assert c1 is not c2 and c1 == c2 and hash(c1) == hash(c2)
-        assert hash(c1) == hash((c1.canonical, c1.members))
+        assert hash(c1) == hash(c1.canonical)
         assert c1.key() == c1.canonical.key() == c2.key()
         for z in c1.members:
             rebuilt = Zigzag(tuple(z.rights), tuple(z.lefts))
@@ -557,7 +584,7 @@ def test_enumeration_matches_the_recursive_reference():
         for w in En.objects:
             for z in En.objects:
                 for b in bounds:
-                    got = enumerate_zigzags(En, ms, w, z, b)
+                    got = list(enumerate_zigzags(En, ms, w, z, b))
                     assert got == enumerate_zigzags_reference(En, ms, w, z, b), (name, w, z, b)
                     checked += len(got)
     assert checked > 1000
@@ -708,7 +735,7 @@ def test_chains_of_a_cyclic_singleton_system_repeat_no_arrow():
     for bound in (6, None):  # the bounded pass first: a missing guard fails there, not by hanging
         for w in En.objects:
             for z in En.objects:
-                got = enumerate_zigzags(En, ms, w, z, bound)
+                got = list(enumerate_zigzags(En, ms, w, z, bound))
                 assert got == enumerate_zigzags_reference(En, ms, w, z, bound), (w, z, bound)
                 assert all(len(set(zg.lefts)) == len(zg.lefts) for zg in got)
     longest = enumerate_zigzags(En, ms, "e0", "v0", None)[-1]
