@@ -65,7 +65,7 @@ from .homology import (
     invariant_factors,
     smith_normal_form,
 )
-from .rings import Mat, NotInvertible, PrimeField, QQ, Ring, SparseMat, ZZ, ring_from_name
+from .rings import Mat, NotInvertible, PrimeField, QQ, Ring, ZZ, ring_from_name
 from .cosheaves import (
     Cosheaf,
     MorseComplex,

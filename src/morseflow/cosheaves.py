@@ -61,7 +61,7 @@ class Cosheaf:
             upper, lower = upper.strip(), lower.strip()
             data = tuple(tuple(ring.parse_scalar(x) for x in row) for row in rows)
             expect = (stalks.get(lower, 0), stalks.get(upper, 0))
-            m = Mat(len(data), len(data[0]) if data else 0, data) if data else Mat(0, expect[1], ())
+            m = Mat.from_rows(data, len(data[0]) if data else expect[1])
             if (m.rows, m.cols) != expect:
                 raise ValueError(
                     f"maps[{key!r}] has shape {m.rows}x{m.cols}, expected {expect[0]}x{expect[1]}"
@@ -82,7 +82,7 @@ class Cosheaf:
 
 
 def constant_cosheaf(c: Complex, ring: Ring, rank: int = 1) -> Cosheaf:
-    ident = Mat.identity(rank, ring.one, ring.zero)
+    ident = Mat.identity(rank, ring.one)
     return Cosheaf(
         ring,
         {cid: rank for cid in c.ids()},
@@ -108,7 +108,7 @@ def validate_cosheaf(c: Complex, F: Cosheaf) -> ValidationReport:
             y1, y2 = mids
             via1 = F.cover_map(y1, z).mul(F.cover_map(x, y1), F.ring)
             via2 = F.cover_map(y2, z).mul(F.cover_map(x, y2), F.ring)
-            if via1.normalized(F.ring) != via2.normalized(F.ring):
+            if via1 != via2:
                 report.add(
                     "functoriality",
                     f"diamond [{z}, {x}] does not commute (via {y1} vs {y2})",
@@ -124,7 +124,7 @@ def extension_map(c: Complex, F: Cosheaf, upper: str, lower: str) -> Mat:
     chain is used for determinism.
     """
     if upper == lower:
-        return Mat.identity(F.stalk(upper), F.ring.one, F.ring.zero)
+        return Mat.identity(F.stalk(upper), F.ring.one)
     if (upper, lower) in c.covers:
         return F.cover_map(upper, lower)
     for mid in sorted(c.cover_faces[upper]):
@@ -135,7 +135,7 @@ def extension_map(c: Complex, F: Cosheaf, upper: str, lower: str) -> Mat:
 
 def path_map(c: Complex, F: Cosheaf, label: tuple) -> Mat:
     """Composite extension along an entrance path's cell sequence."""
-    m = Mat.identity(F.stalk(label[0]), F.ring.one, F.ring.zero)
+    m = Mat.identity(F.stalk(label[0]), F.ring.one)
     for a, b in zip(label, label[1:]):
         m = extension_map(c, F, a, b).mul(m, F.ring)
     return m
@@ -161,8 +161,8 @@ def cosheaf_chain_complex(c: Complex, signs, F: Cosheaf) -> ChainComplex:
         for y in c.cover_faces[x]:
             block = F.cover_map(x, y)
             s = signs(x, y)
-            for i in range(block.rows):
-                yield (y, i), ring.mul(s, block[i, j])
+            for i, entry in block.columns[j]:
+                yield (y, i), s * entry
 
     cells = [c.cells_of_dim(d) for d in range(max(c.top_dim, 0) + 1)]
     return ChainComplex.from_faces(ring, _stalk_generators(F.stalk, cells), faces)
@@ -245,7 +245,7 @@ class _Maps:
                 raise NotInvertible(f"matched extension {u}>{l} is not invertible over {F.ring.name}") from None
 
     def unit(self, cid):
-        return Mat.identity(self.F.stalk(cid), self.ring.one, self.ring.zero)
+        return Mat.identity(self.F.stalk(cid), self.ring.one)
 
     def through(self, block, upper, lower, scalar):
         """``scalar`` times the block after the extension ``upper > lower``."""
@@ -259,7 +259,7 @@ class _Maps:
         return a.add(b, self.ring)
 
     def column(self, block, j):
-        return ((i, block[i, j]) for i in range(block.rows))
+        return block.columns[j]
 
 
 def morse_chain_complex(c: Complex, signs, F: Cosheaf | None, m: Matching) -> MorseComplex:

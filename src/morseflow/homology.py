@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from .rings import ZZ, Mat, Ring, SparseMat, _sparse_column, eliminate_units, rank_over_field, to_sparse
+from .rings import ZZ, Mat, Ring, _sparse_column, eliminate_units, rank_over_field
 
 
 class NotAComplex(Exception):
@@ -127,11 +127,7 @@ def smith_normal_form(m: Mat):
             u[t] = [-x for x in u[t]]
         t += 1
 
-    return (
-        Mat.from_rows(u) if nr else Mat(0, 0, ()),
-        Mat(nr, nc, tuple(tuple(row) for row in a)),
-        Mat.from_rows(v) if nc else Mat(0, 0, ()),
-    )
+    return Mat.from_rows(u, nr), Mat.from_rows(a, nc), Mat.from_rows(v, nc)
 
 
 def invariant_factors(m) -> list[int]:
@@ -145,7 +141,7 @@ def invariant_factors(m) -> list[int]:
     return [1] * units + _core_factors(core, ZZ)
 
 
-def _core_factors(core: SparseMat, ring: Ring) -> list[int]:
+def _core_factors(core: Mat, ring: Ring) -> list[int]:
     """The nonzero invariant factors over ``ring`` of a core left by ``eliminate_units``.
 
     Over Z the core's Smith form gives them; over a field they are all 1,
@@ -154,8 +150,7 @@ def _core_factors(core: SparseMat, ring: Ring) -> list[int]:
     if not (core.rows and core.cols):
         return []
     if ring.is_field():
-        columns = tuple(_sparse_column(dict(col), ring) for col in core.columns)
-        return [1] * rank_over_field(SparseMat(core.rows, core.cols, columns), ring)
+        return [1] * rank_over_field(core, ring)
     _, d, _ = smith_normal_form(core)
     return sorted(int(d[i, i]) for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
 
@@ -169,8 +164,7 @@ def _core_factors(core: SparseMat, ring: Ring) -> list[int]:
 class ChainComplex:
     """Free chain complex: ranks per degree and boundaries d_n: C_n -> C_(n-1).
 
-    Boundaries are stored as ``SparseMat`` with entries in ``ring``; a dense
-    ``Mat`` given by the caller is converted on construction.  Construction
+    Boundaries are ``Mat`` whose entries are read in ``ring``.  Construction
     checks d o d = 0 once, in ``ring``, and raises ``NotAComplex`` otherwise,
     so every instance is a complex.  ``coefficients`` is the ring that
     ``homology`` reads the complex over: ``ring`` itself, or for a complex
@@ -179,7 +173,7 @@ class ChainComplex:
 
     ring: Ring
     ranks: tuple[int, ...]
-    boundaries: dict  # degree n >= 1 -> SparseMat of shape ranks[n-1] x ranks[n]
+    boundaries: dict  # degree n >= 1 -> Mat of shape ranks[n-1] x ranks[n]
     coefficients: Ring = field(init=False)
     # degree n -> eliminate_units(d_n, ring), shared by every read of the complex
     _eliminated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -194,8 +188,6 @@ class ChainComplex:
                     f"d_{n} has shape {d.rows}x{d.cols}, expected "
                     f"{self.ranks[n - 1]}x{self.ranks[n]}"
                 )
-        sparse = {n: to_sparse(d, self.ring) for n, d in self.boundaries.items()}
-        object.__setattr__(self, "boundaries", sparse)
         self.check_boundary_squares_to_zero()
 
     @staticmethod
@@ -218,19 +210,19 @@ class ChainComplex:
                     i = where[face]
                     acc[i] = acc.get(i, 0) + coeff
                 columns.append(_sparse_column(acc, ring))
-            boundaries[d] = SparseMat(len(gens[d - 1]), len(gens[d]), tuple(columns))
+            boundaries[d] = Mat(len(gens[d - 1]), len(gens[d]), tuple(columns))
         return ChainComplex(ring, tuple(len(level) for level in gens), boundaries)
 
     @property
     def top(self) -> int:
         return len(self.ranks) - 1
 
-    def boundary(self, n: int) -> SparseMat:
+    def boundary(self, n: int) -> Mat:
         if 1 <= n <= self.top and n in self.boundaries:
             return self.boundaries[n]
         rows = self.ranks[n - 1] if 1 <= n <= self.top else 0
         cols = self.ranks[n] if 0 <= n <= self.top else 0
-        return SparseMat.zeros(rows, cols)
+        return Mat.zeros(rows, cols)
 
     def over(self, ring: Ring) -> "ChainComplex":
         """This complex read over ``ring``: the same boundaries, checked once.

@@ -1,4 +1,4 @@
-"""Exact coefficient rings, small dense matrices and sparse elimination.
+"""Exact coefficient rings, one column-sparse matrix type and sparse elimination.
 
 Everything is computed with arbitrary-precision integers, exact rationals
 or prime-field residues; there is no floating point anywhere in the package.
@@ -61,7 +61,10 @@ class Ring:
         if isinstance(token, str):
             num, _, den = token.partition("/")
             if den:
-                return self.normalize(Fraction(int(num), int(den)))
+                try:
+                    return self.normalize(Fraction(int(num), int(den)))
+                except (ZeroDivisionError, NotInvertible):
+                    raise ValueError(f"{token} has a denominator that is 0 or not invertible in {self.name}") from None
             return self.normalize(int(num))
         raise ValueError(f"cannot parse ring element {token!r}")
 
@@ -191,77 +194,6 @@ def ring_from_name(name: str) -> Ring:
     raise ValueError(f"unknown ring {name!r}; expected Z, Q or Fp:<p>")
 
 
-@dataclass(frozen=True)
-class Mat:
-    """Immutable dense matrix; the shape is explicit so empty matrices work."""
-
-    rows: int
-    cols: int
-    data: tuple  # tuple of row tuples
-
-    def __post_init__(self):
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
-            raise ValueError("matrix data does not match shape")
-
-    @staticmethod
-    def from_rows(rows) -> "Mat":
-        data = tuple(tuple(r) for r in rows)
-        n = len(data[0]) if data else 0
-        return Mat(len(data), n, data)
-
-    @staticmethod
-    def zeros(rows: int, cols: int, zero=0) -> "Mat":
-        return Mat(rows, cols, tuple(tuple(zero for _ in range(cols)) for _ in range(rows)))
-
-    @staticmethod
-    def identity(n: int, one=1, zero=0) -> "Mat":
-        return Mat(n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def mul(self, other: "Mat", ring: Ring) -> "Mat":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        rows = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ring.zero
-                for k in range(self.cols):
-                    acc = ring.add(acc, ring.mul(self.data[i][k], other.data[k][j]))
-                row.append(acc)
-            rows.append(tuple(row))
-        return Mat(self.rows, other.cols, tuple(rows))
-
-    def add(self, other: "Mat", ring: Ring) -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in add")
-        return Mat(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(ring.add(self.data[i][j], other.data[i][j]) for j in range(self.cols))
-                for i in range(self.rows)
-            ),
-        )
-
-    def scale(self, c, ring: Ring) -> "Mat":
-        return Mat(
-            self.rows,
-            self.cols,
-            tuple(tuple(ring.mul(c, x) for x in row) for row in self.data),
-        )
-
-    def normalized(self, ring: Ring) -> "Mat":
-        return Mat(
-            self.rows,
-            self.cols,
-            tuple(tuple(ring.normalize(x) for x in row) for row in self.data),
-        )
-
-
 def mat_inverse(m: Mat, ring: Ring) -> Mat:
     """Inverse of a square matrix over the ring, by Gauss-Jordan elimination.
 
@@ -292,19 +224,20 @@ def mat_inverse(m: Mat, ring: Ring) -> Mat:
                 a[r] = [field.sub(x, f * y) for x, y in zip(a[r], a[col])]
                 inv[r] = [field.sub(x, f * y) for x, y in zip(inv[r], inv[col])]
     try:
-        rows = tuple(tuple(ring.normalize(x) for x in row) for row in inv)
+        rows = [[ring.normalize(x) for x in row] for row in inv]
     except ValueError as exc:
         raise NotInvertible(f"inverse is not defined over {ring.name}") from exc
-    return Mat(n, n, rows)
+    return Mat.from_rows(rows, n)
 
 
 @dataclass(frozen=True)
-class SparseMat:
-    """Immutable column-sparse matrix over a ring.
+class Mat:
+    """Immutable column-sparse matrix over a ring; the shape is explicit so empty matrices work.
 
     ``columns[j]`` holds the nonzero entries of column j as ``(row, coeff)``
-    pairs in increasing row order.  Entries are normalized ring elements, so
-    a coefficient is zero exactly when it is falsy.
+    pairs in increasing row order.  ``mul``, ``add`` and ``scale`` add up
+    raw values and normalize each entry of the result once, so what they
+    return holds normalized ring elements and no zeros.
     """
 
     rows: int
@@ -322,8 +255,22 @@ class SparseMat:
                 prev = i
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "SparseMat":
-        return SparseMat(rows, cols, ((),) * cols)
+    def from_rows(rows, cols: int | None = None) -> "Mat":
+        """The matrix with these rows, zero entries dropped; ``cols`` is the width (needed when there are no rows)."""
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
+            raise ValueError("matrix data does not match shape")
+        columns = tuple(tuple((i, row[j]) for i, row in enumerate(rows) if row[j]) for j in range(cols))
+        return Mat(len(rows), cols, columns)
+
+    @staticmethod
+    def zeros(rows: int, cols: int) -> "Mat":
+        return Mat(rows, cols, ((),) * cols)
+
+    @staticmethod
+    def identity(n: int, one=1) -> "Mat":
+        return Mat(n, n, tuple(((j, one),) for j in range(n)))
 
     @property
     def data(self) -> tuple:
@@ -338,7 +285,7 @@ class SparseMat:
         i, j = ij
         return next((x for r, x in self.columns[j] if r == i), 0)
 
-    def mul(self, other: "SparseMat", ring: Ring) -> "SparseMat":
+    def mul(self, other: "Mat", ring: Ring) -> "Mat":
         """Product touching only nonzeros: each column of ``other`` combines columns of self.
 
         The products of an entry are added up raw and the sum is normalized
@@ -353,7 +300,22 @@ class SparseMat:
                 for i, a in self.columns[k]:
                     acc[i] = acc.get(i, 0) + a * b
             out.append(_sparse_column(acc, ring))
-        return SparseMat(self.rows, other.cols, tuple(out))
+        return Mat(self.rows, other.cols, tuple(out))
+
+    def add(self, other: "Mat", ring: Ring) -> "Mat":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in add")
+        out = []
+        for a, b in zip(self.columns, other.columns):
+            acc = dict(a)
+            for i, x in b:
+                acc[i] = acc.get(i, 0) + x
+            out.append(_sparse_column(acc, ring))
+        return Mat(self.rows, self.cols, tuple(out))
+
+    def scale(self, c, ring: Ring) -> "Mat":
+        columns = tuple(_sparse_column({i: c * x for i, x in col}, ring) for col in self.columns)
+        return Mat(self.rows, self.cols, columns)
 
 
 def _sparse_column(acc: dict, ring: Ring) -> tuple:
@@ -366,16 +328,7 @@ def _sparse_column(acc: dict, ring: Ring) -> tuple:
     return tuple(column)
 
 
-def to_sparse(m, ring: Ring) -> SparseMat:
-    """The sparse form of a dense ``Mat`` with normalized entries; a SparseMat is returned as is."""
-    if isinstance(m, SparseMat):
-        return m
-    rows = [[ring.normalize(x) for x in row] for row in m.data]
-    columns = tuple(tuple((i, row[j]) for i, row in enumerate(rows) if row[j]) for j in range(m.cols))
-    return SparseMat(m.rows, m.cols, columns)
-
-
-def eliminate_units(m, ring: Ring):
+def eliminate_units(m: Mat, ring: Ring):
     """Eliminate on unit pivots only; return (number of pivots, leftover core).
 
     Each step takes, among the columns holding a unit, one with the fewest
@@ -384,18 +337,21 @@ def eliminate_units(m, ring: Ring):
     cleared by row operations and the pivot row and column are dropped,
     which leaves the rank and, over Z, the Smith form unchanged.  Over a
     field every nonzero is a unit, so the core comes back empty; over Z the
-    core is a SparseMat on the surviving rows and columns with no unit
+    core is a ``Mat`` on the surviving rows and columns with no unit
     entry left.  The steps over Z are unimodular, so they commute with
     Z -> Q and Z -> F_p: over either field the rank of ``m`` is the number
     of pivots plus the rank of the core's entries mapped into the field.
+    Each entry is normalized in ``ring`` as it is loaded, so any matrix of
+    raw integers eliminates over any ring.
     """
-    m = to_sparse(m, ring)
     rows: dict = {}  # row -> {col: coeff}
     cols: dict = {}  # col -> set of rows
     for j, col in enumerate(m.columns):
         for i, x in col:
-            rows.setdefault(i, {})[j] = x
-            cols.setdefault(j, set()).add(i)
+            x = ring.normalize(x)
+            if x:
+                rows.setdefault(i, {})[j] = x
+                cols.setdefault(j, set()).add(i)
     heap = [(len(s), j) for j, s in cols.items()]
     heapq.heapify(heap)
     pivots = 0
@@ -440,12 +396,12 @@ def eliminate_units(m, ring: Ring):
     for k, i in enumerate(live_rows):
         for j, x in rows[i].items():
             columns[where[j]].append((k, x))
-    core = SparseMat(len(live_rows), len(live_cols), tuple(tuple(col) for col in columns))
+    core = Mat(len(live_rows), len(live_cols), tuple(tuple(col) for col in columns))
     return pivots, core
 
 
-def rank_over_field(m, ring: Ring) -> int:
-    """Rank of a dense or sparse matrix by exact sparse elimination over a field."""
+def rank_over_field(m: Mat, ring: Ring) -> int:
+    """Rank of a matrix by exact sparse elimination over a field."""
     if not ring.is_field():
         raise ValueError("rank_over_field requires a field")
     return eliminate_units(m, ring)[0]

@@ -52,7 +52,7 @@ from morseflow.nerves import (
     nerve_homology,
     order_complex,
 )
-from morseflow.rings import QQ, ZZ, SparseMat, mat_inverse, rank_over_field
+from morseflow.rings import QQ, ZZ, mat_inverse, rank_over_field
 
 
 def cell_name(vertices) -> str:
@@ -242,14 +242,19 @@ def minors_gcd_invariant_factors(m: Mat) -> list[int]:
 
 
 def random_int_matrix(rng, rows, cols, lo=-4, hi=4) -> Mat:
-    return Mat.from_rows([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]) if rows else Mat(0, cols, ())
+    return Mat.from_rows([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], cols)
 
 
 def random_invertible(rng, n, ring) -> Mat:
     while True:
         m = Mat.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         if det_int(m.data) != 0:
-            return m.normalized(ring)
+            return normalized(m, ring)
+
+
+def normalized(m: Mat, ring) -> Mat:
+    """``m`` with every entry normalized in ``ring``; entries that vanish there are dropped."""
+    return Mat.from_rows([[ring.normalize(x) for x in row] for row in m.data], m.cols)
 
 
 def random_twisted_cosheaf(rng, cx: Complex, ring, rank=None) -> Cosheaf:
@@ -850,7 +855,7 @@ def homology_reference(cc, ring):
     boundaries = {}
     for n, d in cc.boundaries.items():
         columns = [[(i, ring.normalize(x)) for i, x in col] for col in d.columns]
-        boundaries[n] = SparseMat(d.rows, d.cols, tuple(tuple((i, x) for i, x in col if x) for col in columns))
+        boundaries[n] = Mat(d.rows, d.cols, tuple(tuple((i, x) for i, x in col if x) for col in columns))
     direct = ChainComplex(ring, cc.ranks, boundaries)
     if ring.is_field():
         factors = {n: [1] * rank_over_field(direct.boundary(n), ring) for n in range(1, direct.top + 1)}
@@ -889,7 +894,7 @@ def random_integer_complex(rng, top=3, max_rank=5, weights=(1, 2, 3, 4, 6)):
             d[y][x] = k
         u, _ = changes[n - 1]
         _, v_inv = changes[n]
-        boundaries[n] = u.mul(Mat(ranks[n - 1], ranks[n], tuple(map(tuple, d))), ZZ).mul(v_inv, ZZ)
+        boundaries[n] = u.mul(Mat.from_rows(d, ranks[n]), ZZ).mul(v_inv, ZZ)
     expected = {}
     for name in ("Z", "Q", "Fp:2", "Fp:3"):
         p = int(name[3:]) if name.startswith("Fp:") else None
@@ -899,8 +904,8 @@ def random_integer_complex(rng, top=3, max_rank=5, weights=(1, 2, 3, 4, 6)):
             torsion = ()
             if name == "Z":
                 ks = [k for _, _, k in pairs.get(n + 1, ())]
-                diagonal = Mat(len(ks), len(ks), tuple(tuple(k if i == j else 0 for j in range(len(ks)))
-                                                       for i, k in enumerate(ks)))
+                diagonal = Mat.from_rows([[k if i == j else 0 for j in range(len(ks))] for i, k in enumerate(ks)],
+                                         len(ks))
                 torsion = tuple(f for f in minors_gcd_invariant_factors(diagonal) if f > 1)
             groups.append((len(free[n]) + len(divisible), torsion))
         expected[name] = tuple(groups)
@@ -917,7 +922,7 @@ def _random_unimodular(rng, n):
         u[i] = [a + c * b for a, b in zip(u[i], u[j])]  # u <- (I + c e_ij) u
         for row in u_inv:  # u_inv <- u_inv (I - c e_ij)
             row[j] -= c * row[i]
-    return Mat(n, n, tuple(map(tuple, u))), Mat(n, n, tuple(map(tuple, u_inv)))
+    return Mat.from_rows(u, n), Mat.from_rows(u_inv, n)
 
 
 def greedy_collapses_reference(skel):

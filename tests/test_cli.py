@@ -541,6 +541,23 @@ def test_malformed_cosheaf_files_are_bad_input(fixture_files, tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: cosheaf file: bad ring or stalks ({detail})\n"
 
 
+@pytest.mark.parametrize("ring, entry, message", [
+    ("Z", "1/0", "1/0 has a denominator that is 0 or not invertible in Z"),
+    ("Fp:3", "1/3", "1/3 has a denominator that is 0 or not invertible in Fp:3"),
+    ("Z", "1/2", "1/2 is not an integer"),
+])
+@pytest.mark.parametrize("mode", ["cosheaf", "morse"])
+def test_cosheaf_entries_outside_the_ring_are_bad_input(fixture_files, tmp_path, capsys, ring, entry, message, mode):
+    calc61 = fixture_files["calc61"]
+    cx = get_fixture("calc61").complex
+    maps = {f"{u}>{l}": [[1]] for u, l in cx.covers}
+    maps["t>x"] = [[entry]]
+    path = _write_json(tmp_path / "bad-entry.json", {"ring": ring, "stalks": {c.id: 1 for c in cx.cells}, "maps": maps})
+    files = [calc61["complex"], path] if mode == "cosheaf" else [calc61["complex"], calc61["matching"], path]
+    assert main(["homology", mode, *files]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("pairs", [
     ["xy", "bz"],
     {"xy": 1},

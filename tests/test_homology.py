@@ -9,7 +9,6 @@ from morseflow import (
     NotAComplex,
     PrimeField,
     QQ,
-    SparseMat,
     ZZ,
     assign_incidence_signs,
     cellular_chain_complex,
@@ -24,7 +23,7 @@ from morseflow import (
 )
 from morseflow.cosheaves import constant_cosheaf, morse_chain_complex
 from morseflow.fixtures import FIXTURES
-from morseflow.rings import eliminate_units, mat_inverse, NotInvertible, rank_over_field, ring_from_name, to_sparse
+from morseflow.rings import eliminate_units, mat_inverse, NotInvertible, rank_over_field, ring_from_name
 
 from helpers import (
     KLEIN_FACETS,
@@ -36,6 +35,7 @@ from helpers import (
     homology_reference,
     mat_inverse_reference,
     minors_gcd_invariant_factors,
+    normalized,
     random_acyclic_matching,
     random_int_matrix,
     random_integer_complex,
@@ -110,7 +110,7 @@ def test_not_a_complex_raises():
 
 def test_rank_over_field_and_inverse():
     m = Mat.from_rows([[1, 2], [2, 4]])
-    assert rank_over_field(m.normalized(QQ), QQ) == 1
+    assert rank_over_field(normalized(m, QQ), QQ) == 1
     with pytest.raises(NotInvertible):
         mat_inverse(m, QQ)
     inv = mat_inverse(Mat.from_rows([[2, 1], [1, 1]]), ZZ)
@@ -132,12 +132,12 @@ def test_mat_inverse_matches_the_adjugate_over_each_ring():
             want = mat_inverse_reference(m, ring)
             if want is None:
                 with pytest.raises(NotInvertible):
-                    mat_inverse(m.normalized(ring), ring)
+                    mat_inverse(normalized(m, ring), ring)
                 singular_mod_p[ring.name] += det_int(m.data) != 0
                 continue
-            got = mat_inverse(m.normalized(ring), ring)
+            got = mat_inverse(normalized(m, ring), ring)
             assert got == want, (m, ring)
-            assert got.mul(m.normalized(ring), ring) == Mat.identity(m.rows, ring.one, ring.zero)
+            assert got.mul(normalized(m, ring), ring) == Mat.identity(m.rows, ring.one)
             invertible[ring.name] += 1
     assert min(invertible.values()) >= 50
     assert singular_mod_p["Q"] == 0 and min(singular_mod_p[f"Fp:{p}"] for p in (2, 3, 5)) >= 10
@@ -145,7 +145,7 @@ def test_mat_inverse_matches_the_adjugate_over_each_ring():
     m = Mat.from_rows([[1, 2], [2, 1]])
     assert mat_inverse(m, QQ) == mat_inverse_reference(m, QQ)
     with pytest.raises(NotInvertible, match="matrix is singular"):
-        mat_inverse(m.normalized(PrimeField(3)), PrimeField(3))
+        mat_inverse(normalized(m, PrimeField(3)), PrimeField(3))
     # det 1 and no unit entry: no unit pivot over Z, yet invertible there
     assert mat_inverse(Mat.from_rows([[2, 3], [3, 5]]), ZZ).data == ((5, -3), (-3, 2))
 
@@ -184,7 +184,7 @@ def test_sparse_field_rank_matches_dense_reference():
         for ring in (QQ, PrimeField(2), PrimeField(3), PrimeField(5)):
             want = dense_rank_over_field(m, ring)
             assert rank_over_field(m, ring) == want
-            assert rank_over_field(to_sparse(m, ring), ring) == want
+            assert rank_over_field(normalized(m, ring), ring) == want
             pivots, core = eliminate_units(m, ring)
             assert (pivots, core.rows, core.cols) == (want, 0, 0)
 
@@ -195,7 +195,7 @@ def test_sparse_invariant_factors_match_smith_diagonal():
         _, d, _ = smith_normal_form(m)
         diag = [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i] != 0]
         assert invariant_factors(m) == diag
-        assert invariant_factors(to_sparse(m, ZZ)) == diag
+        assert invariant_factors(normalized(m, ZZ)) == diag
 
 
 def test_unit_elimination_leaves_the_non_unit_core_over_z():
@@ -209,23 +209,56 @@ def test_unit_elimination_leaves_the_non_unit_core_over_z():
 
 def test_sparse_matrix_dense_view():
     m = Mat.from_rows([[0, 3, 0], [-1, 0, 0]])
-    s = to_sparse(m, ZZ)
+    s = normalized(m, ZZ)
     assert s.columns == (((1, -1),), ((0, 3),), ())
     assert s.data == m.data
     assert [s[i, j] for i in range(2) for j in range(3)] == [0, 3, 0, -1, 0, 0]
     with pytest.raises(ValueError):
-        SparseMat(2, 1, (((1, 1), (0, 1)),))  # rows out of order
+        Mat(2, 1, (((1, 1), (0, 1)),))  # rows out of order
     with pytest.raises(ValueError):
-        SparseMat(2, 1, (((0, 0),),))  # explicit zero
+        Mat(2, 1, (((0, 0),),))  # explicit zero
+
+
+def _dense(rows, cols, entry):
+    return tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows))
+
+
+def test_mat_matches_nested_list_arithmetic():
+    rng = random.Random(29)
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)] + [tuple(rng.randint(1, 4) for _ in range(3)) for _ in range(40)]
+    for ring in (ZZ, QQ, PrimeField(2), PrimeField(3)):
+        def draw(rows, cols):
+            return [[ring.normalize(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
+
+        for r, k, c in shapes:
+            a, a2, b = draw(r, k), draw(r, k), draw(k, c)
+            s = ring.normalize(rng.randint(-3, 3))
+            ma, ma2, mb = Mat.from_rows(a, k), Mat.from_rows(a2, k), Mat.from_rows(b, c)
+            assert (ma.rows, ma.cols) == (r, k)
+            assert ma.data == _dense(r, k, lambda i, j: a[i][j])
+            assert [ma[i, j] for i in range(r) for j in range(k)] == [x for row in a for x in row]
+            # results hold normalized entries with the zeros dropped, as from_rows of the reference does
+            product = _dense(r, c, lambda i, j: ring.normalize(sum((a[i][t] * b[t][j] for t in range(k)), 0)))
+            assert ma.mul(mb, ring) == Mat.from_rows(product, c)
+            assert ma.add(ma2, ring) == Mat.from_rows(_dense(r, k, lambda i, j: ring.normalize(a[i][j] + a2[i][j])), k)
+            assert ma.scale(s, ring) == Mat.from_rows(_dense(r, k, lambda i, j: ring.normalize(s * a[i][j])), k)
+            assert Mat.identity(r, ring.one).data == _dense(r, r, lambda i, j: ring.one if i == j else 0)
+            assert Mat.identity(r, ring.one).mul(ma, ring) == ma == ma.mul(Mat.identity(k, ring.one), ring)
+            assert Mat.zeros(r, c).data == _dense(r, c, lambda i, j: 0)
+            assert ma.mul(Mat.zeros(k, c), ring) == Mat.zeros(r, c)
+    with pytest.raises(ValueError, match="matrix data does not match shape"):
+        Mat.from_rows([[1, 2], [3]])  # ragged rows
+    with pytest.raises(ValueError, match="matrix data does not match shape"):
+        Mat.from_rows([[1]], 2)  # rows narrower than the width given
 
 
 def test_sparse_non_complex_raises():
-    d1 = SparseMat(2, 2, (((0, 1),), ((1, 1),)))
-    d2 = SparseMat(2, 1, (((0, 1),),))
+    d1 = Mat(2, 2, (((0, 1),), ((1, 1),)))
+    d2 = Mat(2, 1, (((0, 1),),))
     with pytest.raises(NotAComplex, match=r"d_1 o d_2 != 0"):
         ChainComplex(QQ, (2, 2, 1), {1: d1, 2: d2})
-    cancelling = SparseMat(2, 1, (((0, 1), (1, -1)),))
-    d1 = SparseMat(1, 2, (((0, 1),), ((0, 1),)))
+    cancelling = Mat(2, 1, (((0, 1), (1, -1)),))
+    d1 = Mat(1, 2, (((0, 1),), ((0, 1),)))
     assert homology(ChainComplex(ZZ, (1, 2, 1), {1: d1, 2: cancelling})).betti() == (0, 0, 0)
 
 
