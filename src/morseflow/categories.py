@@ -1,7 +1,8 @@
 """Finite poset-enriched categories with explicit hom-posets.
 
-Morphisms are hashable tokens carrying their endpoints.  Path-backed
-categories (entrance paths, face posets) use the cell sequence as the token;
+Morphisms are hashable tokens carrying their endpoints.  Entrance paths use
+the cell sequence as the token and split by cutting it; thin categories (face
+posets, posets) use the endpoint pair and split only through identities;
 hand-built categories use arbitrary labels plus a composition table.
 """
 
@@ -294,20 +295,11 @@ class PCategory:
         return self.hom(f.source, f.target).leq(f, g)
 
     def splittings(self, f):
-        """All factorizations f = p o q as (p, mid, q), including the trivial ones.
-
-        Path-backed categories cut the stored sequence; a generic category
-        enumerates its composition table.
-        """
-        if self._splittings is not None:
-            return self._splittings(f)
-        out = []
-        for mid in self.objects:
-            for p in self.hom(f.source, mid).elements:
-                for q in self.hom(mid, f.target).elements:
-                    if self.compose(p, q) == f:
-                        out.append((p, mid, q))
-        return out
+        """All factorizations f = p o q as (p, mid, q), including the trivial
+        ones, by the category's own splitting rule."""
+        if self._splittings is None:
+            raise ValueError("category has no splitting rule")
+        return self._splittings(f)
 
     # -- axioms ------------------------------------------------------------
 
@@ -407,44 +399,34 @@ def _poset_compose(f, g):
     return Morphism(f.source, g.target, (f.source, g.target))
 
 
-def face_poset_category(c) -> PCategory:
-    """One morphism per strict face relation; tokens do not decompose."""
-    ids = c.ids()
-    identities = {cid: identity_morphism(cid) for cid in ids}
+def _thin_category(ids, targets) -> PCategory:
+    """A thin category: an identity on each object, and one morphism a -> b
+    for each b in ``targets(a)``.  A morphism splits only through its two
+    identities; its token does not decompose."""
+    identities = {a: identity_morphism(a) for a in ids}
     homs = {}
     for a in ids:
         homs[(a, a)] = HomPoset.build([identities[a]], [])
-        for b in c.strict_faces(a):
+        for b in targets(a):
             homs[(a, b)] = HomPoset.build([Morphism(a, b, (a, b))], [])
 
     def splittings(f):
         if f.source == f.target:
             return [(f, f.source, f)]
-        return [
-            (identities[f.source], f.source, f),
-            (f, f.target, identities[f.target]),
-        ]
+        return [(identities[f.source], f.source, f), (f, f.target, identities[f.target])]
 
     return PCategory(ids, homs, _poset_compose, identities, splittings)
 
 
-def poset_as_pcategory(elements, leq) -> PCategory:
-    """View a finite poset as a p-category with singleton hom-posets."""
-    els = list(elements)
-    names = {e: f"p{i}" for i, e in enumerate(els)}
-    ids = [names[e] for e in els]
-    back = {names[e]: e for e in els}
-    identities = {n: identity_morphism(n) for n in ids}
-    homs = {}
-    for a in els:
-        for b in els:
-            if a == b:
-                homs[(names[a], names[a])] = HomPoset.build([identities[names[a]]], [])
-            elif leq(a, b):
-                na, nb = names[a], names[b]
-                homs[(na, nb)] = HomPoset.build([Morphism(na, nb, (na, nb))], [])
+def face_poset_category(c) -> PCategory:
+    """One morphism per strict face relation."""
+    return _thin_category(c.ids(), c.strict_faces)
 
-    cat = PCategory(ids, homs, _poset_compose, identities)
+
+def poset_as_pcategory(elements, leq) -> PCategory:
+    """View a finite poset as a thin p-category; element i is object ``p{i}``."""
+    back = {f"p{i}": e for i, e in enumerate(elements)}
+    cat = _thin_category(tuple(back), lambda a: [b for b, e in back.items() if b != a and leq(back[a], e)])
     cat.poset_element = back  # object id -> original poset element
     return cat
 

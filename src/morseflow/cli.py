@@ -24,30 +24,24 @@ from .nerves import geometric_nerve, nerve_homology
 from .rings import NotInvertible, ring_from_name
 
 
-def _load_complex(path: str) -> Complex:
-    return Complex.from_json(Path(path).read_text(encoding="utf-8"))
+def _read(path: str, parse):
+    """The input file at ``path``, parsed by a ``from_json``."""
+    return parse(Path(path).read_text(encoding="utf-8"))
 
 
-def _load_matching(path: str) -> Matching:
-    return Matching.from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def _load_cosheaf(path: str) -> Cosheaf:
-    return Cosheaf.from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def _category(complex_, which: str):
-    if which == "face-poset":
-        return face_poset_category(complex_)
-    return entrance_path_category(complex_)
-
-
-def _valid_category(complex_, which: str):
-    """The category of a complex that passes validation; bad input otherwise."""
+def _require_valid(complex_) -> None:
+    """Refuse a complex that fails validation as bad input."""
     report = validate_complex(complex_)
     if not report.ok:
         raise ValueError(f"complex fails validation: {report}")
-    return _category(complex_, which)
+
+
+def _checked_system(complex_, matching, which: str):
+    """The category of a valid complex, the matching's Morse system on it, and
+    the system's axiom and mildness reports."""
+    cat = face_poset_category(complex_) if which == "face-poset" else entrance_path_category(complex_)
+    system = matching_to_morse_system(complex_, matching, cat)
+    return cat, system, validate_morse_system(cat, system), check_mildness(cat, system)
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -94,7 +88,7 @@ def cmd_validate(args) -> int:
     warnings: list[str] = []
     results: dict = {}
     failed = False
-    complex_ = _load_complex(args.complex)
+    complex_ = _read(args.complex, Complex.from_json)
     report = validate_complex(complex_)
     if report.ok:
         try:
@@ -104,48 +98,40 @@ def cmd_validate(args) -> int:
     results["complex"] = report.as_dict()
     failed |= not report.ok
     if args.matching and report.ok:
-        matching = _load_matching(args.matching)
+        matching = _read(args.matching, Matching.from_json)
         acyclic = check_acyclic(complex_, matching)
         results["acyclicity"] = acyclic.as_dict()
         failed |= not acyclic.ok
         if acyclic.ok:
-            cat = _category(complex_, args.category)
-            system = matching_to_morse_system(complex_, matching, cat)
+            _, system, axioms, mild = _checked_system(complex_, matching, args.category)
             results["critical"] = list(system.critical)
-            axioms = validate_morse_system(cat, system)
             results["axioms"] = axioms.as_dict()
-            failed |= not axioms.ok
-            mild = check_mildness(cat, system)
             results["mildness"] = mild.as_dict()
-            failed |= not mild.all_mild
+            failed |= not axioms.ok or not mild.all_mild
     _emit({"command": "validate", "results": results, "warnings": warnings}, args.format)
     return 1 if failed else 0
 
 
-def _flow_with_status(complex_, matching, category_name, max_len):
-    cat = _valid_category(complex_, category_name)
-    system = matching_to_morse_system(complex_, matching, cat)
+def _flow_with_status(complex_, args):
+    """The category, system, stabilized flow, status and warnings of a valid
+    complex and the matching file in ``args``."""
+    matching = _read(args.matching, Matching.from_json)
+    _require_valid(complex_)
+    cat, system, axioms, mild = _checked_system(complex_, matching, args.category)
     warnings = []
-    axioms = validate_morse_system(cat, system)
     if not axioms.ok:
-        warnings.append(
-            "system fails the Morse axioms; homotopy-equivalence claims are not guaranteed"
-        )
-    mild = check_mildness(cat, system)
+        warnings.append("system fails the Morse axioms; homotopy-equivalence claims are not guaranteed")
     if not mild.all_mild:
         warnings.append("system is not mild; homotopy-equivalence claims are not guaranteed")
-    flow, status = stabilized_flow(cat, system, max_len)
+    flow, status = stabilized_flow(cat, system, args.max_zigzag_len)
     if status == "unstable":
         warnings.append("zigzag enumeration did not stabilize; results are truncated")
     return cat, system, flow, status, warnings
 
 
 def cmd_flow(args) -> int:
-    complex_ = _load_complex(args.complex)
-    matching = _load_matching(args.matching)
-    cat, system, flow, status, warnings = _flow_with_status(
-        complex_, matching, args.category, args.max_zigzag_len
-    )
+    complex_ = _read(args.complex, Complex.from_json)
+    cat, system, flow, status, warnings = _flow_with_status(complex_, args)
     src, dst = args.from_cell, args.to_cell
     hom = flow.hom(src, dst) if (src in flow.objects and dst in flow.objects) else None
     if hom is None:
@@ -172,45 +158,38 @@ def cmd_homology(args) -> int:
     ring = ring_from_name(args.coefficients)
     warnings: list[str] = []
     results: dict = {"mode": args.mode}
-    complex_ = _load_complex(args.complex)
+    complex_ = _read(args.complex, Complex.from_json)
+    needs = {"nerve-flow": "matching", "cosheaf": "cosheaf", "morse": "matching"}.get(args.mode)
+    if needs and not args.matching:
+        raise ValueError(f"mode {args.mode} needs a {needs} file")
     if args.mode == "complex":
         signs = assign_incidence_signs(complex_)
         summary = homology(cellular_chain_complex(complex_, signs, ring))
         results["homology"] = _summary_dict(summary)
     elif args.mode == "nerve-en":
-        cat = _valid_category(complex_, "entrance-path")
+        _require_valid(complex_)
+        cat = entrance_path_category(complex_)
         results["max_nerve_dim"] = args.max_nerve_dim
         results["homology"] = _summary_dict(nerve_homology(geometric_nerve(cat, args.max_nerve_dim), ring))
     elif args.mode == "nerve-flow":
-        if not args.matching:
-            raise ValueError("mode nerve-flow needs a matching file")
-        matching = _load_matching(args.matching)
-        cat, system, flow, status, warnings = _flow_with_status(
-            complex_, matching, args.category, args.max_zigzag_len
-        )
+        _, system, flow, status, warnings = _flow_with_status(complex_, args)
         results["status"] = status
         results["critical"] = list(system.critical)
         results["max_nerve_dim"] = args.max_nerve_dim
         results["homology"] = _summary_dict(nerve_homology(flow.nerve(args.max_nerve_dim), ring))
     elif args.mode == "cosheaf":
-        if not args.matching:
-            raise ValueError("mode cosheaf needs a cosheaf file")
-        cosheaf = _load_cosheaf(args.matching)  # second positional is the cosheaf here
+        cosheaf = _read(args.matching, Cosheaf.from_json)  # second positional is the cosheaf here
         signs = assign_incidence_signs(complex_)
         summary = cosheaf_homology(complex_, signs, cosheaf)
         results["homology"] = _summary_dict(summary)
-    elif args.mode == "morse":
-        if not args.matching:
-            raise ValueError("mode morse needs a matching file")
-        matching = _load_matching(args.matching)
+    else:  # morse
+        matching = _read(args.matching, Matching.from_json)
         signs = assign_incidence_signs(complex_)
-        cosheaf = _load_cosheaf(args.cosheaf) if args.cosheaf else None
+        cosheaf = _read(args.cosheaf, Cosheaf.from_json) if args.cosheaf else None
         mc = morse_chain_complex(complex_, signs, cosheaf, matching)
         results["generators"] = {str(d): list(cells) for d, cells in enumerate(mc.critical)}
         # without a cosheaf the complex is over Z and reads over any ring; a cosheaf's stays over its own ring
         results["homology"] = _summary_dict(homology(mc.chain if cosheaf else mc.chain.over(ring)))
-    else:
-        raise ValueError(f"unknown homology mode {args.mode!r}")
     _emit({"command": "homology", "results": results, "warnings": warnings}, args.format)
     return 0
 
@@ -237,10 +216,6 @@ def cmd_fixture(args) -> int:
         m_path = outdir / f"{fx.name}-matching.json"
         m_path.write_text(fx.matching.to_json() + "\n", encoding="utf-8")
         written.append(str(m_path))
-    if fx.cosheaf is not None:
-        c_path = outdir / f"{fx.name}-cosheaf.json"
-        c_path.write_text(fx.cosheaf.to_json() + "\n", encoding="utf-8")
-        written.append(str(c_path))
     _emit(
         {
             "command": "fixture",

@@ -20,6 +20,14 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
 _DIM_ID = attrgetter("dim", "id")
 
 
+def _read_json(text: str):
+    """The document in ``text``; malformed JSON is bad input, named by line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
 class SignInconsistency(Exception):
     """The diamond parity constraints admit no solution (non-regular input)."""
 
@@ -152,10 +160,7 @@ class Complex:
 
     @staticmethod
     def from_json(text: str) -> "Complex":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        doc = _read_json(text)
         if not isinstance(doc, dict):
             raise ValueError("top level must be an object")
         try:

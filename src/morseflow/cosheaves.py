@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .complexes import Complex, ValidationReport
+from .complexes import Complex, ValidationReport, _read_json
 from .homology import ChainComplex
 from .localization import Zigzag
 from .matchings import Matching, check_pairs
@@ -38,10 +38,7 @@ class Cosheaf:
 
     @staticmethod
     def from_json(text: str) -> "Cosheaf":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        doc = _read_json(text)
         try:
             ring = ring_from_name(doc["ring"])
             stalks, raw_maps = doc["stalks"], doc.get("maps", {})

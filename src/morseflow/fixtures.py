@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import Cell, Complex
-from .cosheaves import Cosheaf
 from .matchings import Matching
 
 
@@ -14,7 +13,6 @@ class Fixture:
     name: str
     complex: Complex
     matching: Matching | None = None
-    cosheaf: Cosheaf | None = None
     category: str = "entrance-path"
     expected: dict = field(default_factory=dict)
 

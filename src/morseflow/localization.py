@@ -286,9 +286,12 @@ def _check_max_len(max_len):
 def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4) -> Zigzags:
     """All normal-form zigzags from w to z, sorted by ``Zigzag.key``, as keys of the category's move table.
 
-    With singleton arrow hom-posets, chains of backward arrows are strictly
-    descending and the enumeration is complete whatever the bound; otherwise
-    at most ``max_len`` backward arrows are used (and a bound is required).
+    A bound that is passed is applied to every system: at most ``max_len``
+    backward arrows are used.  With singleton arrow hom-posets (a classical
+    system) chains of backward arrows are strictly descending, so ``None``
+    enumerates them all; only ``None`` gives the complete enumeration, and
+    it is what ``flow_category`` and the CLI pass for such systems.  Any
+    other system needs a bound.
     """
     _check_max_len(max_len)
     for end in (w, z):
@@ -444,7 +447,12 @@ def close_order_relation(elements, rel) -> Order:
 
 
 def hom_poset_loc(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4) -> HomPoset:
-    """Hom-poset of the localization between two objects."""
+    """Hom-poset of the localization between two objects.
+
+    The zigzags are enumerated under ``max_len`` as in ``enumerate_zigzags``:
+    the default bound cuts a classical system too, and only ``None`` gives
+    its complete hom-poset.
+    """
     return _loc_hom(cat, ms, w, z, max_len)[0]
 
 

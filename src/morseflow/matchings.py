@@ -18,7 +18,7 @@ from .categories import (
     find_homotopy_extremal,
     full_subcategory,
 )
-from .complexes import Complex, ValidationReport
+from .complexes import Complex, ValidationReport, _read_json
 
 CERTIFIED = "CERTIFIED"
 ACYCLIC = "ACYCLIC"
@@ -44,10 +44,7 @@ class Matching:
 
     @staticmethod
     def from_json(text: str) -> "Matching":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        doc = _read_json(text)
         try:
             kind, raw = doc["kind"], doc["pairs"]
             if not isinstance(raw, list) or not all(

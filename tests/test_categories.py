@@ -144,6 +144,12 @@ def test_incomparable_hom_has_no_atom():
     assert not is_cellular(cat)
 
 
+def test_a_category_without_a_splitting_rule_refuses_to_split():
+    cat = _two_incomparable_arrows_category()
+    with pytest.raises(ValueError, match="no splitting rule"):
+        cat.splittings(cat.hom("a", "b").elements[0])
+
+
 def test_homotopy_extremal_on_posets():
     chain = poset_as_pcategory([0, 1, 2], lambda a, b: a <= b)
     found = find_homotopy_extremal(chain)

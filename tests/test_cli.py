@@ -478,6 +478,16 @@ def test_invalid_complexes_exit_1_without_traceback(tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
+def test_modes_without_their_second_file_exit_1(fixture_files, capsys):
+    cx = fixture_files["calc61"]["complex"]
+    for mode, needs in (("nerve-flow", "matching"), ("cosheaf", "cosheaf"), ("morse", "matching")):
+        code = main(["homology", mode, cx])
+        captured = capsys.readouterr()
+        assert code == 1, mode
+        assert captured.out == ""
+        assert captured.err == f"error: mode {mode} needs a {needs} file\n"
+
+
 def test_validate_reports_missing_incidence_signs(tmp_path, capsys):
     cone = _write_json(tmp_path / "cone.json", json.loads(coned_complex(RP2_FACETS).to_json()))
     code, doc = run_json(capsys, "validate", cone)

@@ -9,6 +9,7 @@ from morseflow import (
     Matching,
     OrderViolation,
     QQ,
+    atom,
     entrance_path_category,
     enumerate_zigzags,
     essential_chain,
@@ -18,8 +19,10 @@ from morseflow import (
     hom_poset_loc,
     homology,
     matching_to_morse_system,
+    morse_system_from_arrows,
     normalized_chain_complex,
     order_complex,
+    poset_as_pcategory,
     reduce_zigzag,
     stabilized_flow,
     zigzag_from_text,
@@ -165,6 +168,24 @@ def test_face_poset_localization_has_four_classes_with_bottom():
     bottom = hp.minimum()
     assert bottom is not None
     assert zigzag_to_text(bottom.canonical) == "t > z < b > y < x > w"
+
+
+def test_both_thin_builders_localize_the_face_poset_alike():
+    # the face poset built directly and as a poset: both split only through identities
+    fx = get_fixture("calc62")
+    cx = fx.complex
+    Fc = face_poset_category(cx)
+    Pc = poset_as_pcategory(cx.ids(), lambda a, b: a == b or cx.is_face(a, b))
+    name = {e: p for p, e in Pc.poset_element.items()}
+    ms_f = matching_to_morse_system(cx, fx.matching, Fc)
+    ms_p = morse_system_from_arrows(Pc, [atom(Pc, name[u], name[l]) for u, l in fx.matching.pairs])
+    assert len(hom_poset_loc(Fc, ms_f, "t", "w", None)) == 4
+    assert len(hom_poset_loc(Pc, ms_p, name["t"], name["w"], None)) == 4
+    betti = [
+        homology(normalized_chain_complex(geometric_nerve(flow_category(cat, ms, None).category, 3), QQ)).betti()[:3]
+        for cat, ms in ((Fc, ms_f), (Pc, ms_p))
+    ]
+    assert betti[0] == betti[1] == (1, 0, 0)
 
 
 def test_trivial_system_reproduces_entrance_paths():
