@@ -381,11 +381,8 @@ def entrance_path_category(c) -> PCategory:
     identities = {cid: identity_morphism(cid) for cid in ids}
     for (a, b), labels in paths.items():
         els = sorted(Morphism(a, b, lab) for lab in labels)
-        pairs = [
-            (Morphism(a, b, g.label[:i] + g.label[i + 1:]), g)
-            for g in els
-            for i in range(1, len(g.label) - 1)
-        ]
+        by_label = {g.label: g for g in els}
+        pairs = [(by_label[g.label[:i] + g.label[i + 1:]], g) for g in els for i in range(1, len(g.label) - 1)]
         homs[(a, b)] = HomPoset.build(els, pairs)
     return PCategory(ids, homs, _path_compose, identities, _path_splittings)
 
@@ -462,8 +459,11 @@ def atom(cat: PCategory, x: str, y: str):
 def _weakly_indecomposable(cat: PCategory, f) -> bool:
     x, y = f.source, f.target
     for z in cat.reachable(x):
+        hzy = cat.hom(z, y)
+        if hzy.is_empty():
+            continue
         for g in cat.hom(x, z).elements:
-            for h in cat.hom(z, y).elements:
+            for h in hzy.elements:
                 if cat.leq(cat.compose(g, h), f):
                     if z == x and cat.is_identity(g) and h == f:
                         continue

@@ -136,11 +136,9 @@ def cmd_flow(args) -> int:
     hom = flow.hom(src, dst) if (src in flow.objects and dst in flow.objects) else None
     if hom is None:
         hom = hom_poset_loc(cat, system, src, dst, flow.max_len)
-    classes = [zigzag_to_text(c.canonical) for c in hom.elements]
-    covers = [
-        f"{zigzag_to_text(a.canonical)}  =>  {zigzag_to_text(b.canonical)}"
-        for a, b in hom.covers()
-    ]
+    text = {c: zigzag_to_text(c.canonical) for c in hom.elements}
+    classes = list(text.values())
+    covers = [f"{text[a]}  =>  {text[b]}" for a, b in hom.covers()]
     results = {
         "from": src,
         "to": dst,

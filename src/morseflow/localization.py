@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import product
 
 from .categories import HomPoset, Order, PCategory, _close_order, _walks
@@ -69,15 +68,11 @@ class Zigzag:
         return self.rights[-1].target
 
     def key(self):
-        return _order(self.rights, self.lefts)
+        """The zigzag order: fewer backward arrows first, then the forward labels, then the backward ones."""
+        return len(self.lefts), tuple(g.label for g in self.rights), tuple(f.label for f in self.lefts)
 
     def __repr__(self):
         return f"Zigzag({zigzag_to_text(self)!r})"
-
-
-def _order(rights, lefts) -> tuple:
-    """The zigzag order: fewer backward arrows first, then the forward labels, then the backward ones."""
-    return len(lefts), tuple(g.label for g in rights), tuple(f.label for f in lefts)
 
 
 def zigzag_to_text(z: Zigzag) -> str:
@@ -136,18 +131,27 @@ class _MoveTable:
     the tuple (g_0, f_0, g_1, ..., g_k) of its ids.  A move replaces one span
     of a key by a single forward morphism: a contraction (``_merge``) or an
     erasure (``_erase``) replaces a column (g_i, f_i, g_(i+1)), a single-slot
-    step (``_larger``) one forward morphism g_i.  Which morphisms qualify
-    depends on the move and the span alone, so each span's replacements are
-    computed on first use, in first-seen order, checked once and kept as ids
-    in one cache, by move and span, for the lifetime of the category that
-    keeps the table (``_moves``).  ``splices`` and ``reduce`` read it; moves
-    splice keys, and a zigzag is built only to decode a key.
+    step (``_larger``) one forward morphism g_i.  Moves take and yield ids and
+    read per-id tables, each filled once: a morphism's cuts (the category's
+    splittings), its place in its hom-poset (so ``_leq`` is one bit test),
+    each composite (``_composites``) and each hom's element ids.  Which morphisms
+    qualify depends on the move and the span alone, so each span's
+    replacements are computed on first use, in first-seen order, checked once
+    and kept in one cache, by move and span, for the lifetime of the category
+    that keeps the table (``_moves``).  ``splices`` and ``reduce`` read it;
+    moves splice keys, and a zigzag is built only to decode a key.
     """
 
     def __init__(self, cat: PCategory):
         self.cat = cat
         self._ids: dict = {}  # morphism -> id
-        self._morphisms: list = []  # id -> morphism
+        ms = self._morphisms = []  # id -> morphism
+        # id -> its hom's order (None when the hom does not hold it), its position there and its down-set mask
+        self._home, self._position, self._down = [], [], []
+        self._composites = _Memo(lambda ij: self._id(cat.compose(ms[ij[0]], ms[ij[1]])))  # (i, j) -> id of i then j
+        # id -> its splittings (p, a, q), in the category's order, as (id of p, a, id of q)
+        self._cuts = _Memo(lambda i: [(self._id(p), a, self._id(q)) for p, a, q in cat.splittings(ms[i])])
+        self._elements = _Memo(lambda ab: tuple(map(self._id, cat.hom(*ab).elements)))  # (a, b) -> hom(a, b)'s ids
         self._cache: dict = {}  # move -> {ids of a span -> ids of its replacements}
 
     def _id(self, g) -> int:
@@ -155,14 +159,27 @@ class _MoveTable:
         if i is None:
             i = self._ids[g] = len(self._morphisms)
             self._morphisms.append(g)
+            order = self.cat.hom(g.source, g.target).relation
+            p = order.index.get(g)
+            self._home.append(None if p is None else order)
+            self._position.append(p or 0)
+            self._down.append(0 if p is None else order.down[p])
         return i
+
+    def _leq(self, i, j):
+        """Whether morphism i lies below morphism j: false across homs, else one bit of j's down-set."""
+        return self._home[i] is self._home[j] and self._down[j] >> self._position[i] & 1
 
     def key(self, z: Zigzag) -> tuple:
         """The ids of z's morphisms g_0, f_0, g_1, ..., g_k."""
-        slots = [None] * (2 * len(z.lefts) + 1)
-        slots[0::2] = z.rights
-        slots[1::2] = z.lefts
-        return tuple(map(self._id, slots))
+        return tuple(map(self._id, _slots(z)))
+
+    def find(self, z):
+        """z's key if z is a zigzag whose morphisms all have ids, else None; interns nothing."""
+        if not isinstance(z, Zigzag):
+            return None
+        key = tuple(map(self._ids.get, _slots(z)))
+        return None if None in key else key
 
     def zigzag(self, key) -> Zigzag:
         ms = self._morphisms
@@ -175,8 +192,7 @@ class _MoveTable:
         and a mismatch raises the error of building the spliced zigzag.
         """
         ms = self._morphisms
-        found = move(*(ms[i] for i in key[a:b]))
-        out = self._cache[move][key[a:b]] = tuple(dict.fromkeys(map(self._id, found)))
+        out = self._cache[move][key[a:b]] = tuple(dict.fromkeys(move(*key[a:b])))
         first, last = ms[key[a]], ms[key[b - 1]]
         for r in out:
             g = ms[r]
@@ -223,27 +239,48 @@ class _MoveTable:
         """Contractions: cancellations of a column through a common splitting
         point a: g1 ends with p: a -> y, g2 starts with q: x -> a, and f lies
         below q o p."""
-        cat = self.cat
-        heads = cat.splittings(g2)
-        for p_head, a, p in cat.splittings(g1):
+        leq, composites, cuts = self._leq, self._composites, self._cuts
+        heads = cuts[g2]
+        for p_head, a, p in cuts[g1]:
             for q, a2, h_tail in heads:
-                if a == a2 and cat.leq(f, cat.compose(q, p)):
-                    yield cat.compose(p_head, h_tail)
+                if a == a2 and leq(f, composites[q, p]):
+                    yield composites[p_head, h_tail]
 
     def _erase(self, g1, f, g2):
         """Erasures: replacements of a column by one morphism lying above it in
         the order; the longer zigzag lies below the result."""
-        cat = self.cat
-        for r in cat.hom(f.target, g2.target).elements:
-            if cat.leq(g2, cat.compose(f, r)):
-                yield cat.compose(g1, r)
-        for r in cat.hom(g1.source, f.source).elements:
-            if cat.leq(g1, cat.compose(r, f)):
-                yield cat.compose(r, g2)
+        ms, leq, composites = self._morphisms, self._leq, self._composites
+        for r in self._elements[ms[f].target, ms[g2].target]:
+            if leq(g2, composites[f, r]):
+                yield composites[g1, r]
+        for r in self._elements[ms[g1].source, ms[f].source]:
+            if leq(g1, composites[r, f]):
+                yield composites[r, g2]
 
     def _larger(self, g):
         """Single-slot steps: the elements strictly above g in its hom-poset, in element order."""
-        return self.cat.hom(g.source, g.target).above(g)
+        m = self._morphisms[g]
+        return [h for h in self._elements[m.source, m.target] if h != g and self._leq(g, h)]
+
+
+class _Memo(dict):
+    """A dict that computes each missing value once, by calling ``make`` on its key."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _slots(z: Zigzag) -> list:
+    """z's morphisms g_0, f_0, g_1, ..., g_k."""
+    slots = [None] * (2 * len(z.lefts) + 1)
+    slots[0::2] = z.rights
+    slots[1::2] = z.lefts
+    return slots
 
 
 def _moves(cat: PCategory) -> _MoveTable:
@@ -265,6 +302,11 @@ class Zigzags(Sequence):
 
     def __getitem__(self, i):
         return self.moves.zigzag(self.keys[i])
+
+    def __contains__(self, z):
+        """Membership by key: anything that is not a zigzag of the table's morphisms is not a member."""
+        key = self.moves.find(z)
+        return key is not None and key in self.keys
 
 
 def reduce_zigzag(cat: PCategory, z: Zigzag) -> Zigzag:
@@ -321,18 +363,24 @@ def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4
     chains.extend(_walks(starts, succ, None if max_len is None else max_len - 1))
     moves = _moves(cat)
     arrows = {f: (moves._id(f),) for f in ms.sigma}
-    slot = cache(lambda a, b: tuple(map(moves._id, cat.hom(a, b).elements)))  # hom(a, b)'s ids, once per call
-    keys = []
+    slot = moves._elements
+    keys, used = [], set()
     for chain in chains:
-        last = slot(chain[-1].source if chain else w, z)
+        last = slot[chain[-1].source if chain else w, z]
         if last:  # the first slot and each successor's slot are filled: only the last can be empty
             slots, src = [], w
             for f in chain:
-                slots += (slot(src, f.target), arrows[f])
+                slots += (slot[src, f.target], arrows[f])
                 src = f.source
-            keys += product(*slots, last)
+            slots.append(last)
+            used.update(*slots)
+            keys += product(*slots)
+    # Sort in ``Zigzag.key`` order on dense ranks of the ids by label: equal
+    # labels rank equal, so the ranks compare as the label tuples do.
     morphisms = moves._morphisms
-    keys.sort(key=lambda k: _order([morphisms[i] for i in k[0::2]], [morphisms[i] for i in k[1::2]]))
+    position = {label: r for r, label in enumerate(sorted({morphisms[i].label for i in used}))}
+    rank = {i: position[morphisms[i].label] for i in used}
+    keys.sort(key=lambda k: (len(k), *map(rank.__getitem__, k[0::2] + k[1::2])))
     return Zigzags(moves, tuple(keys))
 
 
@@ -457,7 +505,7 @@ def hom_poset_loc(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4) ->
 
 
 def zigzag_class_of(hom: HomPoset, z: Zigzag) -> ZigzagClass:
-    key = hom.elements[0].members.moves.key(z) if hom.elements else None  # the classes share one table
+    key = hom.elements[0].members.moves.find(z) if hom.elements else None  # the classes share one table
     for cls in hom.elements:
         if key in cls.members.keys:
             return cls
@@ -557,9 +605,8 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
         if known is not None:
             return known
         k1, k2 = c1.members.keys[0], c2.members.keys[0]
-        middle = moves._id(cat.compose(c1.canonical.rights[-1], c2.canonical.rights[0]))
         classes, index, number = partitions[(c1.source, c2.target)]
-        p = index.get(moves.reduce(k1[:-1] + (middle,) + k2[1:]))
+        p = index.get(moves.reduce(k1[:-1] + (moves._composites[k1[-1], k2[0]],) + k2[1:]))
         if p is None:
             raise LocalizationInconsistency("composite zigzag leaves the enumerated range; raise the length bound")
         cls = table[(c1, c2)] = classes[number[p]]

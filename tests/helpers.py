@@ -246,9 +246,10 @@ def random_int_matrix(rng, rows, cols, lo=-4, hi=4) -> Mat:
 
 
 def random_invertible(rng, n, ring) -> Mat:
+    """A random n x n matrix with entries in -2..2 whose determinant is a unit of ``ring``."""
     while True:
         m = Mat.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if det_int(m.data) != 0:
+        if ring.is_unit(ring.normalize(det_int(m.data))):
             return normalized(m, ring)
 
 

@@ -9,6 +9,7 @@ from morseflow import (
     Mat,
     NotAComplex,
     NotInvertible,
+    PrimeField,
     QQ,
     ZZ,
     assign_incidence_signs,
@@ -58,6 +59,12 @@ def test_random_twisted_cosheaves_are_valid():
         cx = random_complex(rng, 10)
         F = random_twisted_cosheaf(rng, cx, QQ)
         assert validate_cosheaf(cx, F).ok
+
+
+def test_random_twisted_cosheaves_over_a_prime_field_are_valid():
+    # over F_3 a twist needs a determinant prime to 3, not only a nonzero one
+    F = random_twisted_cosheaf(random.Random(7), sphere_complex(), PrimeField(3), 2)
+    assert validate_cosheaf(sphere_complex(), F).ok
 
 
 def test_scaled_cosheaf_homology_against_direct_assembly():

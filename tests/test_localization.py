@@ -698,6 +698,54 @@ def test_splittings_run_at_most_twice_per_distinct_column(monkeypatch):
     assert 0 < len(calls) <= 2 * len(columns)
 
 
+def _boundary_4_simplex_cone():
+    """∂Δ⁴ with the cone matching: each simplex s without vertex 0 paired with s + 0, where that is a cell."""
+    cx = simplicial_to_complex(combinations(range(5), 4))
+    cells = set(cx.ids())
+    pairs = [("s0_" + c[1:], c) for c in cx.ids() if "0" not in c[1:].split("_") and "s0_" + c[1:] in cells]
+    return cx, Matching(tuple(sorted(pairs)))
+
+
+def test_the_move_table_splits_each_morphism_once_and_composes_each_pair_once(monkeypatch):
+    cx, matching = _boundary_4_simplex_cone()
+    En = entrance_path_category(cx)
+    ms = matching_to_morse_system(cx, matching, En)
+    splits, composed = [], []
+    splittings, compose = En.splittings, En.compose
+    monkeypatch.setattr(En, "splittings", lambda f: splits.append(f) or splittings(f))
+    monkeypatch.setattr(En, "compose", lambda f, g: composed.append((f, g)) or compose(f, g))
+    flow = flow_category(En, ms, None)
+    assert ms.critical == ("s0", "s1_2_3_4") and len(flow.hom("s1_2_3_4", "s0")) == 338
+    for c1 in flow.hom("s1_2_3_4", "s1_2_3_4").elements:
+        for c2 in flow.hom("s1_2_3_4", "s0").elements:
+            flow.category.compose(c1, c2)
+    moves = En._moves
+    morphisms = moves._morphisms
+    assert 0 < len(splits) == len(set(splits)) and set(splits) <= set(morphisms)
+    # the category composes each pair once, and the memo keeps it under (first, second)
+    assert 0 < len(composed) == len(moves._composites)
+    for (i, j), k in moves._composites.items():
+        assert morphisms[k] == compose(morphisms[i], morphisms[j])
+
+
+def test_zigzags_answer_membership_by_key_and_intern_nothing():
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    ms = matching_to_morse_system(fx.complex, fx.matching, En)
+    elsewhere = hom_poset_loc(En, ms, "t", "w", 2).elements[0].canonical
+    hp = hom_poset_loc(En, ms, "b", "y", 2)
+    (cls,) = hp.elements
+    moves = cls.members.moves
+    known = len(moves._morphisms)
+    assert all(m in cls.members for m in cls.members) and elsewhere not in cls.members
+    stranger = Zigzag((Morphism("q", "q", ("q",)),), ())
+    for other in (stranger, None, "b > y", cls.canonical.rights):
+        assert other not in cls.members
+    with pytest.raises(KeyError):
+        zigzag_class_of(hp, stranger)
+    assert len(moves._morphisms) == known
+
+
 def test_the_canonical_member_is_the_smallest_irreducible_one():
     # calc63's hom(b, y) is one class with three irreducible members.
     fx = get_fixture("calc63")
