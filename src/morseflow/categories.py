@@ -101,10 +101,10 @@ class HomPoset:
             mask &= down[index[b]] if b in index else 0
         return mask
 
-    def above(self, f) -> list:
-        """The elements strictly above f, in element order: those whose down-set holds f."""
-        bit = 1 << self.relation.index[f]
-        return [g for g, down in zip(self.elements, self.relation.down) if down & bit and g != f]
+    def above(self, f) -> int:
+        """Bitmask of the element positions at or above f: those whose down-set holds f (none for a non-element)."""
+        i = self.relation.index.get(f)
+        return 0 if i is None else sum(1 << j for j, down in enumerate(self.relation.down) if down >> i & 1)
 
     def minimum(self):
         return next((self.elements[i] for i in _bits(self.below_all(self.elements))), None)
@@ -261,6 +261,7 @@ class PCategory:
         self._splittings = splittings_fn
         self._reachable = None  # object -> reachable objects, built on first read
         self._moves = None  # the localization move table, built on first use
+        self._atoms = {}  # (x, y) -> hom(x, y)'s atom, None or the NoAtom it raises, kept on first read
 
     # -- structure ---------------------------------------------------------
 
@@ -368,7 +369,10 @@ def entrance_path_category(c) -> PCategory:
 
     A path with one interior cell deleted is again a path of the same hom,
     because the face relation is transitive, and every subsequence is reached
-    by such deletions; so the deletions generate each hom's order.
+    by such deletions; so the deletions generate each hom's order.  A deletion
+    always shortens a path, so they form no cycle, and the down-set masks are
+    filled straight from label positions: taken by increasing length, a
+    path's mask is its own bit ORed with the masks of its deletions.
     """
     ids = c.ids()
     cyclic = [a for a in ids if a in c.strict_faces(a)]
@@ -380,10 +384,15 @@ def entrance_path_category(c) -> PCategory:
     homs = {}
     identities = {cid: identity_morphism(cid) for cid in ids}
     for (a, b), labels in paths.items():
-        els = sorted(Morphism(a, b, lab) for lab in labels)
-        by_label = {g.label: g for g in els}
-        pairs = [(by_label[g.label[:i] + g.label[i + 1:]], g) for g in els for i in range(1, len(g.label) - 1)]
-        homs[(a, b)] = HomPoset.build(els, pairs)
+        labels.sort()
+        index = {lab: i for i, lab in enumerate(labels)}
+        down = [0] * len(labels)
+        for i in sorted(range(len(labels)), key=lambda i: len(labels[i])):
+            lab, m = labels[i], 1 << i
+            for k in range(1, len(lab) - 1):
+                m |= down[index[lab[:k] + lab[k + 1:]]]
+            down[i] = m
+        homs[(a, b)] = HomPoset(Order(tuple(Morphism(a, b, lab) for lab in labels), down))
     return PCategory(ids, homs, _path_compose, identities, _path_splittings)
 
 
@@ -445,15 +454,18 @@ def atom(cat: PCategory, x: str, y: str):
     """The minimum, weakly indecomposable element of hom(x, y), if any.
 
     Returns None for an empty hom-poset and raises NoAtom when the hom-poset
-    is nonempty but no element satisfies the atom conditions.
+    is nonempty but no element satisfies the atom conditions.  The outcome is
+    kept on the category, so each hom is searched once.
     """
-    hp = cat.hom(x, y)
-    if hp.is_empty():
-        return None
-    f = hp.minimum()
-    if f is not None and _weakly_indecomposable(cat, f) and (x != y or cat.is_identity(f)):
-        return f
-    raise NoAtom(f"hom({x}, {y}) has no atom")
+    if (x, y) not in cat._atoms:
+        hp = cat.hom(x, y)
+        f = hp.minimum()
+        ok = f is not None and _weakly_indecomposable(cat, f) and (x != y or cat.is_identity(f))
+        cat._atoms[(x, y)] = None if hp.is_empty() else f if ok else NoAtom(f"hom({x}, {y}) has no atom")
+    found = cat._atoms[(x, y)]
+    if isinstance(found, NoAtom):
+        raise NoAtom(*found.args)
+    return found
 
 
 def _weakly_indecomposable(cat: PCategory, f) -> bool:

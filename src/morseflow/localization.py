@@ -343,22 +343,32 @@ def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4
     if max_len is None and not singleton:
         raise ValueError("a length bound is required for this system")
 
-    if singleton and _find_cycle(ms.sigma, ms.successors) is None:
-        def succ(chain):  # an acyclic order repeats no arrow
-            return ms.successors[chain[-1]]
-    elif singleton:
-        def succ(chain):
-            return [f for f in ms.successors[chain[-1]] if f not in chain]
-    else:  # an arrow may repeat: it follows itself and its successors, in sigma order
+    # A chain yields zigzags only once its last slot hom(f.source, z) is
+    # filled, so walks pass only through the arrows from which such an arrow
+    # is reachable: one pass over the reversed successors finds them.
+    live = {f for f in ms.sigma if not cat.hom(f.source, z).is_empty()}
+    before: dict = {}
+    for f, nxt in ms.successors.items():
+        for g in nxt:
+            before.setdefault(g, []).append(f)
+    stack = list(live)
+    while stack:
+        for f in before.get(stack.pop(), ()):
+            if f not in live:
+                live.add(f)
+                stack.append(f)
+    after = {f: [g for g in ms.successors[f] if g in live] for f in live}
+    if not singleton:  # an arrow may repeat: it follows itself and its successors, in sigma order
         position = {f: i for i, f in enumerate(ms.sigma)}
-        again = {f: sorted({f, *after}, key=position.__getitem__) for f, after in ms.successors.items()}
+        after = {f: sorted({f, *nxt}, key=position.__getitem__) for f, nxt in after.items()}
+    cyclic = singleton and _find_cycle(ms.sigma, ms.successors) is not None
 
-        def succ(chain):
-            return again[chain[-1]]
+    def succ(chain):  # a singleton chain repeats no arrow, which an acyclic order ensures by itself
+        return [f for f in after[chain[-1]] if f not in chain] if cyclic else after[chain[-1]]
 
     # A chain whose first slot hom(w, f.target) is empty stays empty however
     # it is extended, so walks start only where that slot is filled.
-    starts = [f for f in ms.sigma if not cat.hom(w, f.target).is_empty()] if max_len != 0 else []
+    starts = [f for f in ms.sigma if f in live and not cat.hom(w, f.target).is_empty()] if max_len != 0 else []
     chains = [()]
     chains.extend(_walks(starts, succ, None if max_len is None else max_len - 1))
     moves = _moves(cat)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .categories import (
     NoAtom,
     PCategory,
+    _bits,
     atom,
     find_homotopy_extremal,
     full_subcategory,
@@ -213,32 +214,40 @@ def validate_morse_system(cat: PCategory, ms: MorseSystem) -> ValidationReport:
         names = tuple(repr(x) for x in cyc)
         report.add("order", "order relation has a cycle: " + " -> ".join(names), names)
 
-    # lifting
+    # lifting: a square (g, gp) with f0 o gp <= g o f1 splits through a p
+    # with f0 o p <= g and gp <= p o f1.  Each composite is formed once per
+    # pair.  Per g, down-set masks give the gp of its squares and the p below
+    # it, and it splits the gp below p o f1 for one of those p.  A composite
+    # outside its hom is below nothing.
     for f0 in sigma:
         for f1 in ms.successors[f0]:
-            h_gs = cat.hom(f0.source, f1.source).elements
-            h_gps = cat.hom(f0.target, f1.target).elements
-            h_ps = cat.hom(f0.target, f1.source).elements
-            for g in h_gs:
-                for gp in h_gps:
-                    if not cat.leq(cat.compose(f0, gp), cat.compose(g, f1)):
-                        continue
-                    if not any(
-                        cat.leq(cat.compose(f0, p), g) and cat.leq(gp, cat.compose(p, f1))
-                        for p in h_ps
-                    ):
-                        report.add(
-                            "lifting",
-                            f"square ({f0!r}, {g!r}, {gp!r}, {f1!r}) does not split",
-                            (repr(f0), repr(g), repr(gp), repr(f1)),
-                        )
-
-    # switching
-    for f0 in sigma:
-        for f1 in ms.successors[f0]:
-            if cat.hom(f0.source, f1.source).is_empty():
+            h_g, h_gp = cat.hom(f0.source, f1.source), cat.hom(f0.target, f1.target)
+            if h_g.is_empty() or h_gp.is_empty():
                 continue
-            if cat.hom(f0.target, f1.target).is_empty():
+            h_v, ps = cat.hom(f0.source, f1.target), cat.hom(f0.target, f1.source).elements
+            ps_below = _landing(h_g, [cat.compose(f0, p) for p in ps])
+            gps_below = _landing(h_v, [cat.compose(f0, gp) for gp in h_gp.elements])
+            lifted = [h_gp.below_all((cat.compose(p, f1),)) for p in ps]
+            for g, down in zip(h_g.elements, h_g.relation.down):
+                closed = gps_below(h_v.below_all((cat.compose(g, f1),)))
+                if not closed:
+                    continue
+                split = 0
+                for k in _bits(ps_below(down)):
+                    split |= lifted[k]
+                for j in _bits(closed & ~split):
+                    gp = h_gp.elements[j]
+                    report.add(
+                        "lifting",
+                        f"square ({f0!r}, {g!r}, {gp!r}, {f1!r}) does not split",
+                        (repr(f0), repr(g), repr(gp), repr(f1)),
+                    )
+
+    # switching: the v above both sides are one mask AND, and the composite
+    # through the atom q is formed once per pair
+    for f0 in sigma:
+        for f1 in ms.successors[f0]:
+            if cat.hom(f0.source, f1.source).is_empty() or cat.hom(f0.target, f1.target).is_empty():
                 continue
             try:
                 h = atom(cat, f0.source, f1.source)
@@ -246,32 +255,44 @@ def validate_morse_system(cat: PCategory, ms: MorseSystem) -> ValidationReport:
             except NoAtom:
                 report.add("switching", "atom missing for switching square", (repr(f0), repr(f1)))
                 continue
-            side_a = cat.compose(f0, ell)
-            side_b = cat.compose(h, f1)
-            for v in cat.hom(f0.source, f1.target).elements:
-                if not (cat.leq(side_a, v) and cat.leq(side_b, v)):
-                    continue
-                q_hom = cat.hom(f0.target, f1.source)
-                if q_hom.is_empty():
-                    report.add(
-                        "switching",
-                        f"no morphism {f0.target} -> {f1.source} below {v!r}",
-                        (repr(f0), repr(f1), repr(v)),
-                    )
-                    continue
-                try:
-                    q = atom(cat, f0.target, f1.source)
-                except NoAtom:
+            h_v = cat.hom(f0.source, f1.target)
+            tops = h_v.above(cat.compose(f0, ell)) & h_v.above(cat.compose(h, f1))
+            if not tops:
+                continue
+            vs = [h_v.elements[i] for i in _bits(tops)]
+            if cat.hom(f0.target, f1.source).is_empty():
+                for v in vs:
+                    report.add("switching", f"no morphism {f0.target} -> {f1.source} below {v!r}", (repr(f0), repr(f1), repr(v)))
+                continue
+            try:
+                q = atom(cat, f0.target, f1.source)
+            except NoAtom:
+                for v in vs:
                     report.add("switching", "hom has no atom", (f0.target, f1.source))
-                    continue
-                through = cat.compose(cat.compose(f0, q), f1)
-                if not cat.leq(through, v):
-                    report.add(
-                        "switching",
-                        f"{through!r} is not below {v!r}",
-                        (repr(f0), repr(f1), repr(v)),
-                    )
+                continue
+            through = cat.compose(cat.compose(f0, q), f1)
+            for i in _bits(tops & ~h_v.above(through)):
+                v = h_v.elements[i]
+                report.add("switching", f"{through!r} is not below {v!r}", (repr(f0), repr(f1), repr(v)))
     return report
+
+
+def _landing(hp, composites):
+    """Maps a mask of hp's positions to the mask of the composites, by index, at them (none outside hp)."""
+    at: dict = {}
+    for k, c in enumerate(composites):
+        i = hp.relation.index.get(c)
+        if i is not None:
+            at[i] = at.get(i, 0) | 1 << k
+    reach = sum(1 << i for i in at)
+
+    def gather(mask):
+        out = 0
+        for i in _bits(mask & reach):
+            out |= at[i]
+        return out
+
+    return gather
 
 
 # ---------------------------------------------------------------------------

@@ -152,20 +152,17 @@ def _picker(positions):
 
 
 @lru_cache(maxsize=None)
-def _extension(d: int):
-    """For extending a (d-1)-simplex s by a column col = (f_(d-1,d), .., f_(0,d)).
-
-    Returns the picker of the new flat ids out of ``s_ids + col``; per slot
-    i < d - 1 of the column, the (position of f_ij in s_ids, position of
-    f_jd in col) of each composite bound f_ij o f_jd; and the positions of
-    f_(i,d-1) in s_ids for i < d - 1.
-    """
-    base = (d - 1) * d // 2
-    merge = [p for i in range(d)
-             for p in (*range(_flat_index(d - 1, i, i + 1), _flat_index(d - 1, i, d - 1) + 1), base + d - 1 - i)]
-    bounds = tuple(tuple((_flat_index(d - 1, i, j), d - 1 - j) for j in range(i + 1, d)) for i in range(d))
+def _join(d: int):
+    """For joining (d-1)-simplices s and t into a d-simplex: the ids pickers of
+    the front face (last vertex dropped) and back face (vertex 0 dropped) of a
+    (d-1)-simplex; per bound f_0j o f_jd on f_(0,d), the positions of f_0j in
+    s's ids and of f_jd in t's; the positions of f_(i,d) in the d-simplex's
+    ids and of f_(i,d-1) in s's."""
+    faces = _face_maps(d - 1)
+    bounds = tuple((j - 1, _flat_index(d - 1, j - 1, d - 1)) for j in range(1, d))
+    col = tuple(_flat_index(d, i, d) for i in range(d))
     last = tuple(_flat_index(d - 1, i, d - 1) for i in range(d - 1))
-    return _picker(merge), bounds, last
+    return faces[d - 1][2], faces[0][2], bounds, col, last
 
 
 @lru_cache(maxsize=None)
@@ -211,13 +208,16 @@ def geometric_nerve(cat: PCategory, maxdim: int) -> SimplicialSetSkeleton:
     """Simplices are tuples of objects with compatible morphism triangles.
 
     Beyond dimension 2 a simplex exists exactly when all its triangles do, so
-    each dimension extends the previous one by a vertex x, filling its
-    column as a walk.  The candidates for f_(i,d) are the elements of
-    hom(x_i, x) below every composite f_ij o f_jd: the AND of their down-set
-    masks, each composite formed once per nerve.  Morphisms are numbered
-    once, so simplices are flat int tuples; degeneracy is decided as each
-    simplex is built (``SimplicialSetSkeleton``), and each level is sorted
-    by objects, then by the sort-key ranks of the morphisms row by row.
+    a d-simplex joins the (d-1)-simplex s on its first d vertices with one, t,
+    on its last d, looked up among level d-1 bucketed once by front face; only
+    f_(0,d) is new.  Its candidates are the elements of hom(x_0, x_d) below
+    every composite f_0j o f_jd: the AND of their down-set masks, each
+    composite formed once per nerve.  Morphisms are numbered once, so
+    simplices are flat int tuples; degeneracy is decided as each simplex is
+    built (``SimplicialSetSkeleton``), and each level is sorted, stably, by
+    objects, then by the sort-key ranks of the morphisms row by row.  Tied
+    d-simplices of one s have tied t, which sit in their bucket in build
+    order, so by induction on d ties keep the order of a column fill.
     """
     objects = sorted(cat.objects)
     table, homs, rank = _number_morphisms(cat, objects)
@@ -226,41 +226,37 @@ def geometric_nerve(cat: PCategory, maxdim: int) -> SimplicialSetSkeleton:
     below: dict = {}  # f_id * n + g_id -> down-set mask of f o g in its hom
     levels = {0: [((x,), (), 0) for x in objects]}
     for d in range(1, maxdim + 1):
-        merge, bounds, last = _extension(d)
+        front, back, bounds, col, last = _join(d)
+        buckets: dict = {}  # front face -> the (d-1)-simplices with it, in level order
+        for t in levels[d - 1]:
+            buckets.setdefault((t[0][:-1], front(t[1])), []).append(t)
         level = []
         for objs, fids, degenerate in levels[d - 1]:
-            y = objs[-1]
-            for x, first in homs[y].items():
-                cols = [homs[a].get(x) for a in objs]  # ids of hom(x_i, x) by position
-                if None in cols:
+            x0, y, head = objs[0], objs[-1], fids[:d - 1]
+            for t_objs, t_ids, _ in buckets.get((objs[1:], back(fids)), ()):
+                x = t_objs[-1]
+                first = homs[x0].get(x)  # ids of hom(x_0, x) by position
+                if first is None:
                     continue
-
-                def succ(col):
-                    # col holds f_(d-1, d) .. f_(i+1, d); f_(i, d) lies below every f_ij o f_jd
-                    i = d - 1 - len(col)
-                    mask = -1
-                    for p, c in bounds[i]:
-                        key = fids[p] * n + col[c]
-                        m = below.get(key)
-                        if m is None:
-                            m = below[key] = cat.hom(objs[i], x).below_all((cat.compose(table[fids[p]], table[col[c]]),))
-                        mask &= m
-                    ids = cols[i]
-                    return [ids[k] for k in _bits(mask)]
-
+                mask = (1 << len(first)) - 1
+                for p, c in bounds:
+                    key = fids[p] * n + t_ids[c]
+                    m = below.get(key)
+                    if m is None:
+                        m = below[key] = cat.hom(x0, x).below_all((cat.compose(table[fids[p]], table[t_ids[c]]),))
+                    mask &= m
                 grown = objs + (x,)
-                for col in _walks(first, succ, d - 1):
-                    if len(col) < d:
-                        continue
-                    # s.x collapses at k < d - 1 where s does and f_kd = f_(k+1)d, and at d - 1
+                for pos in _bits(mask):
+                    ids = head + (first[pos],) + t_ids
+                    # collapses at k < d - 1 where s does and f_kd = f_(k+1)d, and at d - 1
                     # where x repeats x_(d-1) through an identity and f_i(d-1) = f_id for all i
                     collapsed = 0
                     for k in _bits(degenerate):
-                        if col[d - 1 - k] == col[d - 2 - k]:
+                        if ids[col[k]] == ids[col[k + 1]]:
                             collapsed |= 1 << k
-                    if x == y and is_identity[col[0]] and all(fids[p] == col[d - 1 - i] for i, p in enumerate(last)):
+                    if x == y and is_identity[ids[col[d - 1]]] and all(fids[p] == ids[col[i]] for i, p in enumerate(last)):
                         collapsed |= 1 << (d - 1)
-                    level.append((grown, merge(fids + col), collapsed))
+                    level.append((grown, ids, collapsed))
         level.sort(key=lambda t: (t[0], tuple(map(rank.__getitem__, t[1]))))
         levels[d] = level
     return SimplicialSetSkeleton._flat(maxdim, cat, table, levels)

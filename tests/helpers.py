@@ -23,7 +23,20 @@ from morseflow import (
     matching_to_morse_system,
     validate_complex,
 )
-from morseflow.categories import HomPoset, NoAtom, Order, PCategory, atom, find_homotopy_extremal, sort_key
+from morseflow.categories import (
+    HomPoset,
+    Morphism,
+    NoAtom,
+    Order,
+    PCategory,
+    _path_compose,
+    _path_splittings,
+    _walks,
+    atom,
+    find_homotopy_extremal,
+    identity_morphism,
+    sort_key,
+)
 from morseflow.cosheaves import Cosheaf
 from morseflow.fixtures import get_fixture
 from morseflow.localization import (
@@ -425,6 +438,22 @@ def assign_incidence_signs_reference(c: Complex) -> IncidenceSigns:
                         sign[(x, y2)] = 1 if (p2 ^ p0) == 0 else -1
                         assigned.add(y2)
     return IncidenceSigns(sign)
+
+
+def entrance_path_category_reference(c) -> PCategory:
+    """Reference entrance path category: each hom's single-interior-deletion
+    pairs, found by label among its sorted morphisms and closed by ``HomPoset.build``."""
+    ids = c.ids()
+    paths = {}
+    for path in _walks(ids, lambda p: c.strict_faces(p[-1])):
+        paths.setdefault((path[0], path[-1]), []).append(path)
+    homs = {}
+    for (a, b), labels in paths.items():
+        els = sorted(Morphism(a, b, lab) for lab in labels)
+        by_label = {g.label: g for g in els}
+        pairs = [(by_label[g.label[:i] + g.label[i + 1:]], g) for g in els for i in range(1, len(g.label) - 1)]
+        homs[(a, b)] = HomPoset.build(els, pairs)
+    return PCategory(ids, homs, _path_compose, {cid: identity_morphism(cid) for cid in ids}, _path_splittings)
 
 
 def hom_poset_from_pairs(elements, pairs):

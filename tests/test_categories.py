@@ -21,16 +21,20 @@ from morseflow.categories import _close_order, _walks, identity_morphism
 from morseflow.localization import OrderViolation, close_order_relation
 
 from helpers import (
+    KLEIN_FACETS,
+    RP2_FACETS,
+    TORUS_FACETS,
     close_order_reference,
     close_order_warshall,
     count_descending_chains,
     covers_reference,
+    entrance_path_category_reference,
     hom_poset_from_pairs,
     random_complex,
     simplicial_to_complex,
     subsequence,
 )
-from morseflow.fixtures import sphere_complex
+from morseflow.fixtures import FIXTURES, sphere_complex
 
 
 def test_face_poset_homs_are_singletons():
@@ -93,6 +97,27 @@ def test_entrance_path_order_is_the_subsequence_order():
                 assert hp.relation == rel, (a, b)
                 pairs += len(rel) - len(hp)
     assert pairs > 500
+
+
+def test_entrance_path_masks_match_the_closed_deletion_pairs():
+    # Each hom's down-set masks are filled from label positions, by
+    # increasing length; closing the single-deletion pairs with the kernel
+    # must give the same elements in the same order and the same masks.
+    rng = random.Random(37)
+    complexes = [fx.complex for fx in FIXTURES.values()]
+    complexes += [simplicial_to_complex(combinations(range(k + 1), k)) for k in (3, 4, 5)]
+    complexes += [simplicial_to_complex(facets) for facets in (RP2_FACETS, TORUS_FACETS, KLEIN_FACETS)]
+    complexes += [random_complex(rng, 12) for _ in range(30)]
+    longest = 0
+    for cx in complexes:
+        En, ref = entrance_path_category(cx), entrance_path_category_reference(cx)
+        assert En.objects == ref.objects
+        assert En._homs.keys() == ref._homs.keys()
+        for (a, b), hp in ref._homs.items():
+            assert En.hom(a, b).elements == hp.elements
+            assert En.hom(a, b).relation.down == hp.relation.down
+            longest = max(longest, *(len(f.label) for f in hp.elements))
+    assert longest == 5  # a 4-cell of the boundary of the 5-simplex down to a vertex
 
 
 def test_category_axioms_hold_on_fixture():
@@ -272,7 +297,8 @@ def test_mask_scans_match_brute_force():
             assert poset.maximum() == (tops[0] if tops else None)
             assert poset.covers() == covers_reference(els, closed)
             for e in els:
-                assert poset.above(e) == [g for g in els if g != e and (e, g) in closed]
+                assert poset.above(e) == sum(1 << j for j, g in enumerate(els) if (e, g) in closed)
+            assert poset.above(object()) == 0  # a non-element is below nothing
     assert orders > 200
     assert HomPoset.build((), ()).minimum() is None
     assert HomPoset.build((), ()).maximum() is None

@@ -20,11 +20,13 @@ from morseflow import (
     restriction_category,
     validate_morse_system,
 )
+from morseflow import categories
 from morseflow.categories import Morphism, NoAtom, atom
 from morseflow.matchings import CERTIFIED, FAIL, _find_cycle
 
 from helpers import (
     RP2_FACETS,
+    cell_name,
     check_mildness_reference,
     close_order_reference,
     cycle_graph_complex,
@@ -318,3 +320,20 @@ def test_system_work_is_linear_on_a_long_cycle():
     assert check_mildness(En, ms).all_mild
     assert len(ms.sigma) == n - 1
     assert len(calls) <= 50 * n
+
+
+def test_each_hom_is_searched_for_its_atom_once(monkeypatch):
+    # The cone matching of the 3-sphere pairs each simplex s without vertex 0
+    # with s + 0.  Deriving the system asks for each arrow's atom, and
+    # exhaustion and switching ask again; the category keeps every outcome.
+    cx = simplicial_to_complex(combinations(range(5), 4))
+    cone = Matching(tuple((cell_name((0, *s)), cell_name(s)) for k in (1, 2, 3) for s in combinations(range(1, 5), k)))
+    searched = Counter()
+    search = categories._weakly_indecomposable
+    monkeypatch.setattr(categories, "_weakly_indecomposable", lambda cat, f: searched.update([(f.source, f.target)]) or search(cat, f))
+    En = entrance_path_category(cx)
+    ms = matching_to_morse_system(cx, cone, En)
+    assert len(ms.sigma) == 14 and ms.critical == ("s0", "s1_2_3_4")
+    assert validate_morse_system(En, ms).ok
+    assert len(searched) > len(ms.sigma)  # switching searched homs beyond the arrows'
+    assert max(searched.values()) == 1

@@ -314,24 +314,54 @@ class _Parallel:
         return (self.source, self.target)
 
 
-def test_simplices_with_tied_sort_keys_keep_the_order_they_were_built_in():
-    # a -u-> b -r,s-> c with u o r = q and u o s = p: the triangles (u, q, r)
-    # and (u, p, s) tie, and are built in that order although p's id is lower.
-    ids = {x: _Parallel(x, x, "1") for x in "abc"}
-    u, r, s, p, q = (_Parallel(*m) for m in ("abu", "bcr", "bcs", "acp", "acq"))
-    homs = {(x, x): HomPoset.build([ids[x]], []) for x in "abc"}
+def test_simplices_with_tied_sort_keys_keep_the_order_they_were_built_in(monkeypatch):
+    # a -u-> b -r,s-> c -t-> d with u o r = q and u o s = p: the triangles
+    # (u, q, r) and (u, p, s) tie, and are built in that order although p's
+    # id is lower.  Above them r o t = n, s o t = m, q o t = u o n = l and
+    # p o t = u o m = k: the tetrahedra through r and s tie as well, and keep
+    # the order of their triangles although k and m come first in their homs.
+    ids = {x: _Parallel(x, x, "1") for x in "abcd"}
+    u, r, s, p, q, t, m, n, k, l = (
+        _Parallel(*spec) for spec in ("abu", "bcr", "bcs", "acp", "acq", "cdt", "bdm", "bdn", "adk", "adl")
+    )
+    homs = {(x, x): HomPoset.build([ids[x]], []) for x in "abcd"}
     homs.update({("a", "b"): HomPoset.build([u], []), ("b", "c"): HomPoset.build([r, s], []),
-                 ("a", "c"): HomPoset.build([p, q], [])})
-    table = {(u, r): q, (u, s): p}
+                 ("a", "c"): HomPoset.build([p, q], []), ("c", "d"): HomPoset.build([t], []),
+                 ("b", "d"): HomPoset.build([m, n], []), ("a", "d"): HomPoset.build([k, l], [])})
+    table = {(u, r): q, (u, s): p, (r, t): n, (s, t): m, (q, t): l, (p, t): k, (u, n): l, (u, m): k}
 
     def compose(f, g):
         return g if f in ids.values() else f if g in ids.values() else table[(f, g)]
 
-    cat = PCategory("abc", homs, compose, ids)
+    cat = PCategory("abcd", homs, compose, ids)
     skel, ref = geometric_nerve(cat, 3), geometric_nerve_reference(cat, 3)
-    assert [(t.f(0, 2), t.f(1, 2)) for t in skel.simplices[2] if t.objects == ("a", "b", "c")] == [(q, r), (p, s)]
+    assert [(x.f(0, 2), x.f(1, 2)) for x in skel.simplices[2] if x.objects == ("a", "b", "c")] == [(q, r), (p, s)]
+    assert [(x.f(0, 3), x.f(1, 3)) for x in skel.simplices[3] if x.objects == ("a", "b", "c", "d")] == [(l, n), (k, m)]
     assert skel.simplices == ref.simplices
     assert skel.nondegenerate == ref.nondegenerate
+    # With sort keys cut down to endpoints every parallel pair ties, so each
+    # level's order among ties is the order the simplices were built in; the
+    # homs' elements are shuffled so that positions and ids disagree.
+    monkeypatch.setattr(nerves, "sort_key", lambda f: (f.source, f.target))
+    rng = random.Random(19)
+    bases = [entrance_path_category(simplicial_to_complex(combinations(range(4), 3)))]
+    bases += [entrance_path_category(random_complex(rng, 10)) for _ in range(4)]
+    for base in bases:
+        homs = {key: HomPoset.build(rng.sample(hp.elements, len(hp)), hp.relation) for key, hp in base._homs.items()}
+        cat = PCategory(base.objects, homs, base._compose, base._identities)
+        for maxdim in (3, 4) if base is bases[0] else (3,):
+            assert geometric_nerve(cat, maxdim).simplices == geometric_nerve_reference(cat, maxdim).simplices
+
+
+def test_nerves_of_random_entrance_path_and_face_poset_categories_match_the_reference():
+    rng = random.Random(47)
+    complexes = [random_complex(rng, 10) for _ in range(20)]
+    cats = [entrance_path_category(cx) for cx in complexes]
+    cats += [face_poset_category(cx) for cx in complexes + [fx.complex for fx in FIXTURES.values()]]
+    for cat in cats:
+        skel, ref = geometric_nerve(cat, 3), geometric_nerve_reference(cat, 3)
+        assert skel.simplices == ref.simplices
+        assert skel.nondegenerate == ref.nondegenerate
 
 
 def test_the_dim_4_flow_nerve_of_the_3_sphere():
