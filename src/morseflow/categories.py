@@ -502,24 +502,13 @@ def find_homotopy_extremal(cat: PCategory):
     Returns (object, "minimal" | "maximal") or None.  Such an object forces
     the classifying space of the category to be contractible.
     """
-    for w in cat.objects:
-        ok = True
-        for z in cat.objects:
-            hp = cat.hom(w, z)
-            bot = hp.minimum() if not hp.is_empty() else None
-            if bot is None or (w == z and not cat.is_identity(bot)):
-                ok = False
-                break
-        if ok:
-            return w, "minimal"
-    for z in cat.objects:
-        ok = True
+    orientations = ((HomPoset.minimum, cat.hom, "minimal"), (HomPoset.maximum, lambda a, b: cat.hom(b, a), "maximal"))
+    for extreme, hom, kind in orientations:  # every object is tried as minimal before any as maximal
         for w in cat.objects:
-            hp = cat.hom(w, z)
-            top = hp.maximum() if not hp.is_empty() else None
-            if top is None or (w == z and not cat.is_identity(top)):
-                ok = False
-                break
-        if ok:
-            return z, "maximal"
+            for z in cat.objects:
+                e = extreme(hom(w, z))
+                if e is None or (w == z and not cat.is_identity(e)):
+                    break
+            else:
+                return w, kind
     return None

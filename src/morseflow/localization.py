@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .categories import HomPoset, Order, PCategory, _close_order, _walks
-from .matchings import MorseSystem, _find_cycle
+from .matchings import MorseSystem
 
 STABILIZATION_NERVE_DIM = 3  # successive bounds must agree on nerve homology through degree 2
 
@@ -329,39 +329,34 @@ def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4
     """All normal-form zigzags from w to z, sorted by ``Zigzag.key``, as keys of the category's move table.
 
     A bound that is passed is applied to every system: at most ``max_len``
-    backward arrows are used.  With singleton arrow hom-posets (a classical
-    system) chains of backward arrows are strictly descending, so ``None``
-    enumerates them all; only ``None`` gives the complete enumeration, and
-    it is what ``flow_category`` and the CLI pass for such systems.  Any
-    other system needs a bound.
+    backward arrows are used.  With singleton arrow hom-posets
+    (``ms.complete``, as in a classical system) chains of backward arrows
+    are strictly descending, so ``None`` enumerates them all; only ``None``
+    gives the complete enumeration, and it is what ``flow_category`` and
+    the CLI pass for such systems.  Any other system needs a bound.
     """
     _check_max_len(max_len)
     for end in (w, z):
         if end not in cat.objects:
             raise ValueError(f"zigzag endpoint {end!r} is not an object of the category")
-    singleton = ms.all_singleton_homs(cat)
-    if max_len is None and not singleton:
+    if max_len is None and not ms.complete:
         raise ValueError("a length bound is required for this system")
 
     # A chain yields zigzags only once its last slot hom(f.source, z) is
     # filled, so walks pass only through the arrows from which such an arrow
-    # is reachable: one pass over the reversed successors finds them.
+    # is reachable: one pass over the predecessors finds them.
     live = {f for f in ms.sigma if not cat.hom(f.source, z).is_empty()}
-    before: dict = {}
-    for f, nxt in ms.successors.items():
-        for g in nxt:
-            before.setdefault(g, []).append(f)
     stack = list(live)
     while stack:
-        for f in before.get(stack.pop(), ()):
+        for f in ms.predecessors[stack.pop()]:
             if f not in live:
                 live.add(f)
                 stack.append(f)
     after = {f: [g for g in ms.successors[f] if g in live] for f in live}
-    if not singleton:  # an arrow may repeat: it follows itself and its successors, in sigma order
+    if not ms.complete:  # an arrow may repeat: it follows itself and its successors, in sigma order
         position = {f: i for i, f in enumerate(ms.sigma)}
         after = {f: sorted({f, *nxt}, key=position.__getitem__) for f, nxt in after.items()}
-    cyclic = singleton and _find_cycle(ms.sigma, ms.successors) is not None
+    cyclic = ms.complete and ms.cycle is not None
 
     def succ(chain):  # a singleton chain repeats no arrow, which an acyclic order ensures by itself
         return [f for f in after[chain[-1]] if f not in chain] if cyclic else after[chain[-1]]
@@ -420,10 +415,6 @@ class ZigzagClass:
     @property
     def target(self) -> str:
         return self.canonical.target
-
-    @property
-    def label(self) -> tuple:
-        return ("[" + zigzag_to_text(self.canonical) + "]",)
 
     def key(self):
         return self._key
@@ -594,8 +585,7 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
     """Full localized subcategory on the critical objects."""
     _check_max_len(max_len)
     critical = ms.critical
-    singleton = ms.all_singleton_homs(cat)
-    effective = None if singleton else max_len
+    effective = None if ms.complete else max_len
     moves = _moves(cat)
     homs, identities = {}, {}
     partitions = {}  # (m, m2) -> (classes, zigzag key -> position, class numbers)
@@ -647,7 +637,7 @@ def stabilized_flow(cat: PCategory, ms: MorseSystem, start_len=4, cap=8):
     from .nerves import nerve_homology
     from .rings import QQ
 
-    if ms.all_singleton_homs(cat):
+    if ms.complete:
         return flow_category(cat, ms, start_len), "complete"
 
     def verdict_of(flow):

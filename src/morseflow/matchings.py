@@ -130,9 +130,9 @@ class MorseSystem:
     successors: dict  # f -> the arrows g != f with hom(f.source, g.target) nonempty, in sigma order
     critical: tuple  # object ids
     span: dict  # f -> frozenset of the objects between its endpoints
-
-    def all_singleton_homs(self, cat: PCategory) -> bool:
-        return all(len(cat.hom(f.source, f.target)) == 1 for f in self.sigma)
+    predecessors: dict  # f -> the arrows g with f in successors[g], in sigma order
+    complete: bool  # every arrow spans a singleton hom-poset: descending chains give every zigzag
+    cycle: list | None  # the first cycle of the order that _find_cycle meets, closed, or None
 
 
 def morse_system_from_arrows(cat: PCategory, arrows) -> MorseSystem:
@@ -141,21 +141,27 @@ def morse_system_from_arrows(cat: PCategory, arrows) -> MorseSystem:
     f comes before g when hom(f.source, g.target) is nonempty, so the
     successors of f are the arrows ending at an object that f.source
     reaches; the span of f is the reachable objects that reach f.target.
+    The reversed order, its first cycle and completeness are derived here
+    too, so their readers never derive them again.
     """
     sigma = tuple(sorted(arrows))
     position = {f: i for i, f in enumerate(sigma)}
     ending_at = {}  # object -> the arrows of sigma with that target
     for g in sigma:
         ending_at.setdefault(g.target, []).append(g)
-    successors, span = {}, {}
+    successors, span, predecessors = {}, {}, {f: [] for f in sigma}
     for f in sigma:
         reach = cat.reachable(f.source)
         after = [g for z in reach for g in ending_at.get(z, ()) if g != f]
         successors[f] = tuple(sorted(after, key=position.__getitem__))
         span[f] = frozenset(w for w in reach if not cat.hom(w, f.target).is_empty())
+        for g in successors[f]:
+            predecessors[g].append(f)
     spanned = set().union(*span.values())
     critical = tuple(sorted(o for o in cat.objects if o not in spanned))
-    return MorseSystem(sigma, successors, critical, span)
+    complete = all(len(cat.hom(f.source, f.target)) == 1 for f in sigma)
+    predecessors = {f: tuple(before) for f, before in predecessors.items()}
+    return MorseSystem(sigma, successors, critical, span, predecessors, complete, _find_cycle(sigma, successors))
 
 
 def matching_to_morse_system(c: Complex, m: Matching, cat: PCategory) -> MorseSystem:
@@ -209,9 +215,8 @@ def validate_morse_system(cat: PCategory, ms: MorseSystem) -> ValidationReport:
                     )
 
     # order: the relation generates a partial order iff its digraph is acyclic
-    cyc = _find_cycle(sigma, ms.successors)
-    if cyc is not None:
-        names = tuple(repr(x) for x in cyc)
+    if ms.cycle is not None:
+        names = tuple(repr(x) for x in ms.cycle)
         report.add("order", "order relation has a cycle: " + " -> ".join(names), names)
 
     # lifting: a square (g, gp) with f0 o gp <= g o f1 splits through a p
@@ -304,7 +309,7 @@ def restriction_category(cat: PCategory, ms: MorseSystem, f) -> PCategory:
     """Full subcategory on objects reachable from source(f) but not above target(f)."""
     if f not in ms.span:
         raise ValueError(f"{f!r} is not in the system")
-    return full_subcategory(cat, [z for z in cat.reachable(f.source) if cat.hom(z, f.target).is_empty()])
+    return full_subcategory(cat, [z for z in cat.reachable(f.source) if z not in ms.span[f]])
 
 
 @dataclass

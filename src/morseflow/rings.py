@@ -23,9 +23,6 @@ class Ring:
     def normalize(self, x):
         raise NotImplementedError
 
-    def add(self, a, b):
-        return self.normalize(a + b)
-
     def sub(self, a, b):
         return self.normalize(a - b)
 

@@ -54,7 +54,6 @@ from morseflow.matchings import (
     MildnessEntry,
     MildnessReport,
     MorseSystem,
-    _find_cycle,
 )
 from morseflow.nerves import (
     Simplex,
@@ -622,7 +621,7 @@ def loc_order_reference(cat, ms, w, z, max_len):
 def enumerate_zigzags_reference(cat, ms, w, z, max_len=4):
     """Reference zigzag enumeration: recursive Σ-chains from every arrow, each
     chain dropped at its first empty slot."""
-    singleton = ms.all_singleton_homs(cat)
+    singleton = all(len(cat.hom(f.source, f.target).elements) == 1 for f in ms.sigma)
     if max_len is None and not singleton:
         raise ValueError("a length bound is required for this system")
     chains = [()]
@@ -674,13 +673,13 @@ def enumerate_zigzags_reference(cat, ms, w, z, max_len=4):
 
 def morse_system_reference(cat, arrows) -> MorseSystem:
     """Reference system by the all-pairs scans: f0 before f1 over every sigma x
-    sigma pair with hom(f0.source, f1.target) nonempty, and each span over
-    every object."""
+    sigma pair with hom(f0.source, f1.target) nonempty, in both directions,
+    each span over every object, completeness over every arrow's hom, and the
+    first cycle by a recursive depth-first search."""
     sigma = tuple(sorted(arrows))
-    successors = {
-        f0: tuple(f1 for f1 in sigma if f1 != f0 and not cat.hom(f0.source, f1.target).is_empty())
-        for f0 in sigma
-    }
+    before = lambda f0, f1: f1 != f0 and not cat.hom(f0.source, f1.target).is_empty()
+    successors = {f0: tuple(f1 for f1 in sigma if before(f0, f1)) for f0 in sigma}
+    predecessors = {f1: tuple(f0 for f0 in sigma if before(f0, f1)) for f1 in sigma}
     span = {
         f: frozenset(
             w for w in cat.objects
@@ -690,7 +689,35 @@ def morse_system_reference(cat, arrows) -> MorseSystem:
     }
     spanned = set().union(*span.values())
     critical = tuple(sorted(o for o in cat.objects if o not in spanned))
-    return MorseSystem(sigma, successors, critical, span)
+    complete = all(len(cat.hom(f.source, f.target).elements) == 1 for f in sigma)
+    cycle = find_cycle_reference(sigma, successors)
+    return MorseSystem(sigma, successors, critical, span, predecessors, complete, cycle)
+
+
+def find_cycle_reference(nodes, succ):
+    """The first cycle a recursive depth-first search meets, closed (first ==
+    last), or None: searches start at ``nodes`` in order and follow ``succ`` in
+    list order, and the witness runs from the node a back edge returns to."""
+    done, path = set(), []
+
+    def visit(node):
+        path.append(node)
+        for nxt in succ[node]:
+            if nxt in path:
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in done:
+                cycle = visit(nxt)
+                if cycle is not None:
+                    return cycle
+        done.add(path.pop())
+        return None
+
+    for start in nodes:
+        if start not in done:
+            cycle = visit(start)
+            if cycle is not None:
+                return cycle
+    return None
 
 
 def validate_morse_system_reference(cat, ms) -> ValidationReport:
@@ -719,9 +746,8 @@ def validate_morse_system_reference(cat, ms) -> ValidationReport:
                         f"{g} touches {obj}, which lies between the endpoints of {f}",
                         (repr(f), repr(g), obj),
                     )
-    cyc = _find_cycle(sigma, ref.successors)
-    if cyc is not None:
-        names = tuple(repr(x) for x in cyc)
+    if ref.cycle is not None:
+        names = tuple(repr(x) for x in ref.cycle)
         report.add("order", "order relation has a cycle: " + " -> ".join(names), names)
     for f0, f1 in product(sigma, repeat=2):
         if f0 == f1:

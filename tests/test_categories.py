@@ -177,8 +177,13 @@ def test_a_category_without_a_splitting_rule_refuses_to_split():
 
 def test_homotopy_extremal_on_posets():
     chain = poset_as_pcategory([0, 1, 2], lambda a, b: a <= b)
-    found = find_homotopy_extremal(chain)
-    assert found is not None
+    assert find_homotopy_extremal(chain) == ("p0", "minimal")
+    # every object is tried as minimal before any as maximal: the top p0 comes first but is not returned
+    falling = poset_as_pcategory([2, 1, 0], lambda a, b: a <= b)
+    assert find_homotopy_extremal(falling) == ("p2", "minimal")
+    # two minimal elements under a top: only the top is extremal
+    vee = poset_as_pcategory(["a", "b", "top"], lambda a, b: a == b or b == "top")
+    assert find_homotopy_extremal(vee) == ("p2", "maximal")
     # 8-element crown: alternating minimal and maximal elements around a cycle
     crown = poset_as_pcategory(
         list(range(8)),

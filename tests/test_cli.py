@@ -520,6 +520,18 @@ def test_missing_cosheaf_data_and_unknown_fixtures_are_named(fixture_files, tmp_
         Cosheaf(ZZ, {}, {}).stalk("x")
 
 
+def test_a_cosheaf_without_stalks_and_maps_exits_1_naming_them(fixture_files, tmp_path, capsys):
+    cosheaf = _write_json(tmp_path / "w-only.json", {"ring": "Z", "stalks": {"w": 1}, "maps": {}})
+    code = main(["homology", "cosheaf", fixture_files["calc61"]["complex"], cosheaf])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: cosheaf fails validation: stalks: no stalk rank for cell ")
+    for cell in "btxyz":
+        assert f"no stalk rank for cell {cell};" in line
+    assert line.endswith("maps: no extension map for cover ('z', 'y')")
+
+
 def test_unknown_cells_in_matching_and_cosheaf_files_are_bad_input(fixture_files, tmp_path, capsys):
     sphere = fixture_files["sphere"]["complex"]
     matching = _write_json(tmp_path / "unknown-m.json", {"kind": "classical", "pairs": [["x", "nope"]]})

@@ -53,6 +53,16 @@ def test_broken_diamond_is_reported():
     assert any(f.code == "functoriality" for f in report.findings)
 
 
+def test_missing_stalks_and_maps_are_each_named():
+    # Only w has a stalk and no cover has a map: every other cell and every
+    # cover is named, cells in complex order and covers sorted.
+    cx = sphere_complex()
+    report = validate_cosheaf(cx, Cosheaf(ZZ, {"w": 1}, {}))
+    assert [f.witness for f in report.findings if f.code == "stalks"] == [(c,) for c in cx.ids() if c != "w"]
+    assert [f.witness for f in report.findings if f.code == "maps"] == sorted(cx.covers)
+    assert [f.code for f in report.findings] == ["stalks"] * 5 + ["maps"] * 8
+
+
 def test_random_twisted_cosheaves_are_valid():
     rng = random.Random(43)
     for _ in range(10):

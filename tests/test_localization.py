@@ -25,10 +25,11 @@ from morseflow import (
     poset_as_pcategory,
     reduce_zigzag,
     stabilized_flow,
+    validate_morse_system,
     zigzag_from_text,
     zigzag_to_text,
 )
-from morseflow import localization
+from morseflow import localization, matchings
 from morseflow.categories import Morphism, Order
 from morseflow.localization import Zigzag, _MoveTable, zigzag_class_of
 
@@ -759,17 +760,43 @@ def test_the_canonical_member_is_the_smallest_irreducible_one():
         assert zigzag_to_text(cls.canonical) == "b > x > y"
 
 
+def _count_cycle_searches(monkeypatch) -> list:
+    """Wrap ``_find_cycle`` wherever a morseflow module binds it; each call appends its nodes to the list returned."""
+    calls, search = [], matchings._find_cycle
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "morseflow" and getattr(module, "_find_cycle", None) is search:
+            monkeypatch.setattr(module, "_find_cycle", lambda nodes, succ: calls.append(nodes) or search(nodes, succ))
+    return calls
+
+
 @pytest.fixture(scope="module")
 def boundary_5_simplex_flow():
-    """The flow category of the 4-sphere ∂Δ⁵ (62 cells) under a random classical matching."""
+    """The flow category of the 4-sphere ∂Δ⁵ (62 cells) under a random classical
+    matching, its category and system, and the cycle searches the flow made."""
     cx = simplicial_to_complex(combinations(range(6), 5))
     En = entrance_path_category(cx)
     ms = matching_to_morse_system(cx, random_acyclic_matching(random.Random(5), cx), En)
-    return En, flow_category(En, ms, None)
+    with pytest.MonkeyPatch.context() as mp:
+        searches = _count_cycle_searches(mp)
+        flow = flow_category(En, ms, None)
+    return En, flow, ms, searches
+
+
+def test_the_order_of_a_system_is_searched_for_a_cycle_once(boundary_5_simplex_flow, monkeypatch):
+    # The system decides its order's first cycle, predecessors and completeness
+    # when it is built: neither the flow category's 36 enumerations, one per
+    # hom, nor the axioms search its order again.
+    En, flow, ms, searches = boundary_5_simplex_flow
+    assert len(flow.objects) ** 2 == 36 and searches == []
+    calls = _count_cycle_searches(monkeypatch)
+    assert validate_morse_system(En, ms).ok
+    assert calls == []
+    assert morse_system_from_arrows(En, ms.sigma) == ms
+    assert calls == [ms.sigma]
 
 
 def test_the_flow_category_of_the_4_sphere(boundary_5_simplex_flow):
-    _, flow = boundary_5_simplex_flow
+    _, flow, *_ = boundary_5_simplex_flow
     assert flow.objects == ("s0_1_2", "s0_2_3_4_5", "s0_2_4_5", "s1_2_4", "s1_3_4_5", "s2")
     assert sum(len(flow.hom(a, b)) for a in flow.objects for b in flow.objects) == 39_750
     hp = flow.hom("s0_2_3_4_5", "s2")
@@ -781,7 +808,7 @@ def test_every_flow_class_has_exactly_one_irreducible_member(boundary_5_simplex_
     # On calc63 only the critical pairs: hom(b, y) has one class with three
     # irreducible members (b > y, b > x > y, b > z > y).  On ∂Δ⁵ the largest
     # hom, 37,182 classes.
-    En5, flow5 = boundary_5_simplex_flow
+    En5, flow5, *_ = boundary_5_simplex_flow
     homs = [("boundary of the 5-simplex", En5, flow5.hom("s0_2_3_4_5", "s2"))]
     for name, En, ms, bound in flow_instances():
         objects = En.objects if bound is None else ms.critical

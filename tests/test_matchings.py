@@ -21,7 +21,7 @@ from morseflow import (
     validate_morse_system,
 )
 from morseflow import categories
-from morseflow.categories import Morphism, NoAtom, atom
+from morseflow.categories import HomPoset, Morphism, NoAtom, PCategory, atom, identity_morphism
 from morseflow.matchings import CERTIFIED, FAIL, _find_cycle
 
 from helpers import (
@@ -38,7 +38,7 @@ from helpers import (
     simplicial_to_complex,
     validate_morse_system_reference,
 )
-from morseflow.fixtures import FIXTURES, fig2_complex, sphere_complex
+from morseflow.fixtures import FIXTURES, fig2_complex, get_fixture, sphere_complex
 
 
 def triangle_boundary():
@@ -180,6 +180,73 @@ def test_mildness_certified_for_generalized_fixture():
     assert report.entries[0].verdict == CERTIFIED
 
 
+def _labelled_category(homs, order=()):
+    """A hand-built category: ``homs`` maps (a, b) to the labels of hom(a, b),
+    ``order`` lists (smaller, larger) label pairs, and composition concatenates
+    labels, so a composite outside its hom is below nothing."""
+    objects = sorted({o for ab in homs for o in ab})
+    ids = {o: identity_morphism(o) for o in objects}
+    built = {(o, o): [ids[o]] for o in objects}
+    for (a, b), labels in homs.items():
+        built[(a, b)] = [Morphism(a, b, label) for label in labels]
+    at = {m.label: m for els in built.values() for m in els}
+    pairs = {ab: [(at[x], at[y]) for x, y in order if at[x] in els] for ab, els in built.items()}
+
+    def compose(f, g):
+        if f == ids[f.source]:
+            return g
+        return f if g == ids[g.source] else Morphism(f.source, g.target, f.label + g.label)
+
+    return PCategory(objects, {ab: HomPoset.build(els, pairs[ab]) for ab, els in built.items()}, compose, ids)
+
+
+def _switching_square(bc_labels):
+    """Arrows f0: A -> B and f1: C -> D with atoms h: A -> C and ell: B -> D
+    and hom(B, C) on ``bc_labels``; in hom(A, D), t = f0 o q o f1 lies above
+    f0 o ell and h o f1, and so does v, which is not above t."""
+    homs = {
+        ("A", "B"): [("f0",)], ("C", "D"): [("f1",)], ("B", "C"): bc_labels,
+        ("A", "C"): [("h",), ("f0", "q")], ("B", "D"): [("ell",), ("q", "f1")],
+        ("A", "D"): [("f0", "ell"), ("h", "f1"), ("f0", "q", "f1"), ("v",)],
+    }
+    order = [(("h",), ("f0", "q")), (("ell",), ("q", "f1"))]
+    order += [(low, high) for low in (("f0", "ell"), ("h", "f1")) for high in (("f0", "q", "f1"), ("v",))]
+    cat = _labelled_category(homs, order)
+    return cat, morse_system_from_arrows(cat, [atom(cat, "A", "B"), atom(cat, "C", "D")])
+
+
+def test_switching_names_a_middle_hom_without_atom_and_a_route_not_below_a_top():
+    # With q the atom of hom(B, C), the route f0 o q o f1 is t, below t but not
+    # below v.  With a second, incomparable q2, hom(B, C) has no atom, and each
+    # of t and v is named.
+    cat, ms = _switching_square([("q",)])
+    findings = [(f.code, f.message, f.witness) for f in validate_morse_system(cat, ms).findings]
+    assert findings == [("switching", "<f0 > q > f1> is not below <v>", ("<f0>", "<f1>", "<v>"))]
+    cat, ms = _switching_square([("q",), ("q2",)])
+    findings = [(f.code, f.message, f.witness) for f in validate_morse_system(cat, ms).findings]
+    assert findings == [("switching", "hom has no atom", ("B", "C"))] * 2
+
+
+def test_exhaustion_names_an_arrow_that_is_not_the_atom_of_its_hom():
+    # t > x > w lies above the atom t > w; a hom of two incomparable arrows has no atom.
+    En = entrance_path_category(get_fixture("calc61").complex)
+    (f,) = [g for g in En.hom("t", "w").elements if g.label == ("t", "x", "w")]
+    cat = _labelled_category({("a", "b"): [("f",), ("g",)]})
+    for category, arrow in ((En, f), (cat, cat.hom("a", "b").elements[0])):
+        report = validate_morse_system(category, morse_system_from_arrows(category, [arrow]))
+        want = [("exhaustion", f"{arrow} is not the atom of its hom-poset")]
+        assert [(g.code, g.message) for g in report.findings] == want
+
+
+def test_mildness_fails_an_arrow_whose_restriction_is_empty():
+    # Every object reachable from p0 reaches p1: the span of p0 -> p1 leaves nothing.
+    cat = poset_as_pcategory([0, 1], lambda a, b: a <= b)
+    ms = morse_system_from_arrows(cat, [atom(cat, "p0", "p1")])
+    assert restriction_category(cat, ms, ms.sigma[0]).objects == ()
+    (entry,) = check_mildness(cat, ms).entries
+    assert (entry.verdict, entry.detail) == (FAIL, "restriction category is empty")
+
+
 def test_random_classical_systems_pass_axioms():
     rng = random.Random(37)
     for _ in range(15):
@@ -202,14 +269,14 @@ def test_axiom_order_check_survives_chains_longer_than_the_recursion_limit():
     cx = cycle_graph_complex(n)
     En = entrance_path_category(cx)
     path = Matching(tuple((f"e{i}", f"v{i}") for i in range(1, n)), "classical")
-    ms = matching_to_morse_system(cx, path, En)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + n // 2)
-    try:
+    try:  # the order's cycle is searched when the system is built
+        ms = matching_to_morse_system(cx, path, En)
         report = validate_morse_system(En, ms)
     finally:
         sys.setrecursionlimit(limit)
-    assert report.ok
+    assert ms.cycle is None and report.ok
 
 
 def test_find_cycle_on_long_paths_and_cycles():
@@ -288,11 +355,15 @@ def test_systems_and_reports_match_the_all_pairs_scans():
     # The order is walked through the successor lists and each span through the
     # reachable objects; the scans of every sigma x sigma pair and every object
     # are the references, and every report keeps its findings in their order.
-    systems, codes = 0, Counter()
+    # The predecessors, completeness and first cycle of the order are derived
+    # with the system, and the references derive them by their own scans.
+    systems, codes, kinds = 0, Counter(), Counter()
     for cat, arrows in _system_cases():
         ms = morse_system_from_arrows(cat, arrows)
         ref = morse_system_reference(cat, arrows)
         assert (ms.sigma, ms.successors, ms.span, ms.critical) == (ref.sigma, ref.successors, ref.span, ref.critical)
+        assert (ms.predecessors, ms.complete, ms.cycle) == (ref.predecessors, ref.complete, ref.cycle)
+        kinds.update([(ms.complete, ms.cycle is not None)])
         for f in ms.sigma:
             assert list(restriction_category(cat, ms, f).objects) == restriction_objects_reference(cat, f)
         report = validate_morse_system(cat, ms).as_dict()
@@ -302,6 +373,7 @@ def test_systems_and_reports_match_the_all_pairs_scans():
         codes.update(f["code"] for f in report["findings"])
     assert systems > 600
     assert set(codes) == {"exhaustion", "order", "lifting", "switching"}
+    assert len(kinds) == 4  # complete or not, cyclic or not
 
 
 def test_system_work_is_linear_on_a_long_cycle():
