@@ -469,12 +469,27 @@ def atom(cat: PCategory, x: str, y: str):
 
 
 def _weakly_indecomposable(cat: PCategory, f) -> bool:
+    """Whether no composite g o h through an object z lies at or below f, the
+    minimum of hom(x, y), apart from f's two identity factorizations.
+
+    Composition is monotone in each argument, so where hom(x, z) and
+    hom(z, y) have minima g0 and h0, every composite g o h lies at or above
+    g0 o h0: one lies at or below f exactly when g0 o h0 does, and that one
+    test decides z.  For z = x and z = y, where the identity factorizations
+    are exempt, and where a hom has no minimum, every composite is tested.
+    """
     x, y = f.source, f.target
     for z in cat.reachable(x):
         hzy = cat.hom(z, y)
         if hzy.is_empty():
             continue
-        for g in cat.hom(x, z).elements:
+        hxz = cat.hom(x, z)
+        g0, h0 = (None, None) if z in (x, y) else (hxz.minimum(), hzy.minimum())
+        if g0 is not None and h0 is not None:
+            if cat.leq(cat.compose(g0, h0), f):
+                return False
+            continue
+        for g in hxz.elements:
             for h in hzy.elements:
                 if cat.leq(cat.compose(g, h), f):
                     if z == x and cat.is_identity(g) and h == f:

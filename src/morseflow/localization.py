@@ -11,8 +11,11 @@ classes is generated by single-slot steps (one forward morphism raised in
 its hom-poset, which generates the componentwise order of same-shape
 zigzags) together with column erasures (the longer zigzag sits below),
 closed through the classes.  Every move replaces one column or one
-morphism, so a move table computes each once, as ids of morphisms, and
-moves splice zigzags keyed by those ids.
+morphism, so a move table computes each once, as ids of morphisms.  The
+zigzags of one Σ-chain are the product of its slots, kept as one block of
+grid indices, and every move is index arithmetic between blocks: the class
+partition, the order pairs and the class of a composite all work on grid
+indices.
 
 For systems whose arrows span singleton hom-posets (classical matchings,
 codimension 1) the strictly descending enumeration is complete and no length
@@ -24,9 +27,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product, repeat
+from operator import mul
 
-from .categories import HomPoset, Order, PCategory, _close_order, _walks
+from .categories import HomPoset, Order, PCategory, _close_order
 from .matchings import MorseSystem
 
 STABILIZATION_NERVE_DIM = 3  # successive bounds must agree on nerve homology through degree 2
@@ -129,7 +133,7 @@ class _MoveTable:
 
     The table gives each morphism it sees a small int id and keys a zigzag by
     the tuple (g_0, f_0, g_1, ..., g_k) of its ids.  A move replaces one span
-    of a key by a single forward morphism: a contraction (``_merge``) or an
+    of a zigzag by a single forward morphism: a contraction (``_merge``) or an
     erasure (``_erase``) replaces a column (g_i, f_i, g_(i+1)), a single-slot
     step (``_larger``) one forward morphism g_i.  Moves take and yield ids and
     read per-id tables, each filled once: a morphism's cuts (the category's
@@ -138,8 +142,9 @@ class _MoveTable:
     qualify depends on the move and the span alone, so each span's
     replacements are computed on first use, in first-seen order, checked once
     and kept in one cache, by move and span, for the lifetime of the category
-    that keeps the table (``_moves``).  ``splices`` and ``reduce`` read it;
-    moves splice keys, and a zigzag is built only to decode a key.
+    that keeps the table (``_moves``).  A hom's ``_Grid`` turns them into
+    edges between grid indices, and ``reduce`` rewrites keys with them; a
+    zigzag is built only to decode a key.
     """
 
     def __init__(self, cat: PCategory):
@@ -201,24 +206,6 @@ class _MoveTable:
                 raise ValueError(f"{g!r} does not span {first.source} -> {last.target}")
         return out
 
-    def splices(self, move, key) -> list:
-        """Each key made by replacing one span of key with one of its ``move``
-        replacements, once: a column for contractions and erasures, one forward
-        morphism for steps."""
-        width = 1 if move == self._larger else 3
-        cache = self._cache.setdefault(move, {})
-        out = []
-        for a in range(0, len(key) - width + 1, 2):
-            b = a + width
-            rs = cache.get(key[a:b])
-            if rs is None:
-                rs = self._replacements(move, key, a, b)
-            if rs:
-                head, tail = key[:a], key[b:]
-                out += [head + (r,) + tail for r in rs]
-        # Steps on different slots differ there: only column splices can repeat.
-        return list(dict.fromkeys(out)) if width == 3 and len(out) > 1 else out
-
     def reduce(self, key) -> tuple:
         """Apply the first contraction to a key until none is left; the result is irreducible."""
         merge = self._merge
@@ -263,6 +250,92 @@ class _MoveTable:
         return [h for h in self._elements[m.source, m.target] if h != g and self._leq(g, h)]
 
 
+class _Grid:
+    """The zigzags of one hom as blocks of grid indices, one block per Σ-chain.
+
+    A block is the product of its chain's slots, each slot its hom's element
+    ids in element order, so a morphism's coordinate there is its position
+    in its hom.  The zigzag at coordinates c_j has the index offset + sum of
+    c_j * stride_j, stride_j being the product of the sizes of the later
+    slots, as ``product`` lists them; the keys are kept in index order.
+    A step stays in its block; a contraction or erasure of column i lands in
+    the block of the chain without f_i.  Both blocks share the slots and
+    strides outside the span, so a move's edges are runs of indices.
+    """
+
+    __slots__ = ("moves", "blocks", "of_chain", "keys")
+
+    def __init__(self, moves: _MoveTable):
+        self.moves = moves
+        self.blocks = []  # (offset, chain of arrow ids, slots of element ids, strides), in offset order
+        self.of_chain = {}  # chain -> its block
+        self.keys = []  # index -> the key of its zigzag, to decode an index
+
+    def add(self, chain: tuple, slots: list):
+        """Append the block of a chain (arrow ids) whose slots (element ids) are all filled."""
+        spans = [None] * (2 * len(slots) - 1)
+        spans[0::2], spans[1::2] = slots, zip(chain)  # a one-id slot per arrow
+        strides = [*accumulate(map(len, slots[:0:-1]), mul, initial=1)][::-1]
+        self.blocks.append((len(self.keys), chain, slots, strides))
+        self.of_chain[chain] = self.blocks[-1]
+        self.keys += product(*spans)
+
+    def index(self, key: tuple):
+        """The grid index of a key, or None when no block holds it."""
+        block = self.of_chain.get(key[1::2])
+        if block is None:
+            return None
+        g = block[0] + sum(map(mul, map(self.moves._position.__getitem__, key[0::2]), block[3]))
+        return g if g < len(self.keys) and self.keys[g] == key else None
+
+    def order(self) -> list:
+        """The grid indices in ``Zigzag.key`` order, on dense ranks of the ids by label."""
+        if len(self.keys) < 2:
+            return list(range(len(self.keys)))
+        ms = self.moves._morphisms
+        used = set().union(*self.keys)
+        position = {label: r for r, label in enumerate(sorted({ms[i].label for i in used}))}
+        rank = {i: position[ms[i].label] for i in used}.__getitem__
+        keys = []
+        for _, chain, slots, _ in self.blocks:  # per block: its length, its slots' ranks, one-rank slots of its arrows
+            keys += product((len(chain),), *map(tuple, map(map, repeat(rank), slots)), *zip(map(rank, chain)))
+        return sorted(range(len(keys)), key=keys.__getitem__)
+
+    def edges(self, move, message=""):
+        """The edges of ``move`` as runs (source, target, length): source + s goes
+        to target + s for s < length.  Each span is looked up once per block,
+        and a target block only for a column that has a replacement; a move
+        that no block holds raises ``LocalizationInconsistency``.
+        """
+        moves = self.moves
+        cache, position = moves._cache.setdefault(move, {}), moves._position
+        width = 1 if move == moves._larger else 3
+        for block in self.blocks:
+            offset, chain, slots, strides = block
+            for i in range(len(slots) if width == 1 else len(chain)):
+                if width == 1 and len(slots[i]) == 1:
+                    continue  # a singleton slot has no larger element
+                target = block if width == 1 else None
+                spans = zip(slots[i]) if width == 1 else product(slots[i], chain[i:i + 1], slots[i + 1])
+                for c, span in enumerate(spans):
+                    rs = cache.get(span)
+                    if rs is None:
+                        rs = moves._replacements(move, self.keys[offset + c * strides[i + width // 2]], 2 * i, 2 * i + width)
+                    if not rs:
+                        continue
+                    run = strides[i + width // 2]  # the zigzags with the c-th span start at offset + c * run
+                    if target is None:
+                        target = self.of_chain.get(chain[:i] + chain[i + 1:])
+                    for r in rs:
+                        p, ids = position[r], target[2][i] if target else ()
+                        if p >= len(ids) or ids[p] != r:
+                            key = self.keys[offset + c * run]
+                            raise LocalizationInconsistency(message + repr(moves.zigzag(key[:2 * i] + (r,) + key[2 * i + width:])))
+                        period, start = strides[i] * len(slots[i]), target[0] + p * run
+                        for n in range(strides[0] * len(slots[0]) // period):
+                            yield offset + c * run + n * period, start + n * run * len(ids), run
+
+
 class _Memo(dict):
     """A dict that computes each missing value once, by calling ``make`` on its key."""
 
@@ -290,23 +363,23 @@ def _moves(cat: PCategory) -> _MoveTable:
 
 
 class Zigzags(Sequence):
-    """Zigzags held as keys of one move table; a ``Zigzag`` is built only when an item is read."""
+    """Zigzags held as indices of one hom's grid; a ``Zigzag`` is built only when an item is read."""
 
-    __slots__ = ("moves", "keys")
+    __slots__ = ("grid", "indices")
 
-    def __init__(self, moves: _MoveTable, keys: tuple):
-        self.moves, self.keys = moves, keys
+    def __init__(self, grid: _Grid, indices: list):
+        self.grid, self.indices = grid, indices
 
     def __len__(self):
-        return len(self.keys)
+        return len(self.indices)
 
     def __getitem__(self, i):
-        return self.moves.zigzag(self.keys[i])
+        return self.grid.moves.zigzag(self.grid.keys[self.indices[i]])
 
     def __contains__(self, z):
-        """Membership by key: anything that is not a zigzag of the table's morphisms is not a member."""
-        key = self.moves.find(z)
-        return key is not None and key in self.keys
+        """Membership by grid index: anything that is not a zigzag of the grid is not a member."""
+        key = self.grid.moves.find(z)
+        return key is not None and self.grid.index(key) in self.indices
 
 
 def reduce_zigzag(cat: PCategory, z: Zigzag) -> Zigzag:
@@ -326,7 +399,7 @@ def _check_max_len(max_len):
 
 
 def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4) -> Zigzags:
-    """All normal-form zigzags from w to z, sorted by ``Zigzag.key``, as keys of the category's move table.
+    """All normal-form zigzags from w to z, sorted by ``Zigzag.key``, as a view of their hom's grid.
 
     A bound that is passed is applied to every system: at most ``max_len``
     backward arrows are used.  With singleton arrow hom-posets
@@ -356,37 +429,44 @@ def enumerate_zigzags(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4
     if not ms.complete:  # an arrow may repeat: it follows itself and its successors, in sigma order
         position = {f: i for i, f in enumerate(ms.sigma)}
         after = {f: sorted({f, *nxt}, key=position.__getitem__) for f, nxt in after.items()}
-    cyclic = ms.complete and ms.cycle is not None
-
-    def succ(chain):  # a singleton chain repeats no arrow, which an acyclic order ensures by itself
-        return [f for f in after[chain[-1]] if f not in chain] if cyclic else after[chain[-1]]
+    cyclic = ms.complete and ms.cycle is not None  # a singleton chain repeats no arrow, which an acyclic order ensures by itself
 
     # A chain whose first slot hom(w, f.target) is empty stays empty however
     # it is extended, so walks start only where that slot is filled.
     starts = [f for f in ms.sigma if f in live and not cat.hom(w, f.target).is_empty()] if max_len != 0 else []
-    chains = [()]
-    chains.extend(_walks(starts, succ, None if max_len is None else max_len - 1))
     moves = _moves(cat)
-    arrows = {f: (moves._id(f),) for f in ms.sigma}
-    slot = moves._elements
-    keys, used = [], set()
-    for chain in chains:
-        last = slot[chain[-1].source if chain else w, z]
+    slot, arrow = moves._elements, moves._id
+    grid = _Grid(moves)
+    if slot[w, z]:
+        grid.add((), [slot[w, z]])
+    for chain in _chains(starts, after, cyclic, None if max_len is None else max_len - 1):
+        last = slot[chain[-1].source, z]
         if last:  # the first slot and each successor's slot are filled: only the last can be empty
             slots, src = [], w
             for f in chain:
-                slots += (slot[src, f.target], arrows[f])
+                slots.append(slot[src, f.target])
                 src = f.source
             slots.append(last)
-            used.update(*slots)
-            keys += product(*slots)
-    # Sort in ``Zigzag.key`` order on dense ranks of the ids by label: equal
-    # labels rank equal, so the ranks compare as the label tuples do.
-    morphisms = moves._morphisms
-    position = {label: r for r, label in enumerate(sorted({morphisms[i].label for i in used}))}
-    rank = {i: position[morphisms[i].label] for i in used}
-    keys.sort(key=lambda k: (len(k), *map(rank.__getitem__, k[0::2] + k[1::2])))
-    return Zigzags(moves, tuple(keys))
+            grid.add(tuple(map(arrow, chain)), slots)
+    return Zigzags(grid, grid.order())
+
+
+def _chains(starts, after, cyclic, max_steps):
+    """Every Σ-chain that begins at a start and follows ``after``, in depth-first preorder.
+
+    The chain is one list, extended and cut in place and yielded each time,
+    so a step costs the same at any depth and a reader copies the chains it
+    keeps.  Chains take at most ``max_steps`` steps (None: no limit); with
+    ``cyclic``, a chain repeats no arrow.
+    """
+    chain, stack = [], [(f, 0) for f in reversed(starts)]
+    while stack:
+        f, depth = stack.pop()
+        del chain[depth:]
+        chain.append(f)
+        yield chain
+        if max_steps is None or depth < max_steps:
+            stack.extend((g, depth + 1) for g in reversed(after[f]) if not (cyclic and g in chain))
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +504,9 @@ class ZigzagClass:
 
 
 def _partition_into_classes(zigzags: Zigzags):
-    """The classes of the enumerated zigzags under contraction, sorted, on key positions.
-
-    Returns the classes, each zigzag's key mapped to its position, and each
-    position's class number.
-    """
-    moves, keys = zigzags.moves, zigzags.keys
-    index = {key: p for p, key in enumerate(keys)}
-    parent = list(range(len(keys)))
+    """The classes of the enumerated zigzags under contraction, sorted, and each grid index's class number."""
+    grid = zigzags.grid
+    parent = list(range(len(grid.keys)))
 
     def find(a):
         while parent[a] != a:
@@ -439,50 +514,41 @@ def _partition_into_classes(zigzags: Zigzags):
             a = parent[a]
         return a
 
-    merge = moves._merge
-    for key, p in index.items():
-        for tgt in moves.splices(merge, key):
-            q = index.get(tgt)
-            if q is None:
-                raise LocalizationInconsistency(f"contraction left the enumerated set: {moves.zigzag(tgt)!r}")
-            ra, rb = find(p), find(q)
+    for source, target, run in grid.edges(grid.moves._merge, "contraction left the enumerated set: "):
+        for a in range(run):
+            ra, rb = find(source + a), find(target + a)
             if ra != rb:
                 parent[rb] = ra
     groups: dict = {}
-    for p in range(len(keys)):
-        groups.setdefault(find(p), []).append(p)
+    for g in zigzags.indices:
+        groups.setdefault(find(g), []).append(g)
     # Zigzags come sorted by key, and a contraction drops a column, so it
     # lowers the key: a class's first member is its smallest irreducible one,
     # its canonical, and the groups come sorted by their canonicals.
-    classes, number = [], [0] * len(keys)
+    classes, number = [], parent  # each index's root is no longer needed once grouped
     for n, members in enumerate(groups.values()):
-        view = Zigzags(moves, tuple(keys[p] for p in members))
+        view = Zigzags(grid, members)
         classes.append(ZigzagClass(view[0], view))
-        for p in members:
-            number[p] = n
-    return classes, index, number
+        for g in members:
+            number[g] = n
+    return classes, number
 
 
 def _loc_hom(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4):
-    """The localized hom-poset from w to z, each zigzag key's position and each position's class number."""
+    """The localized hom-poset from w to z, its grid and each grid index's class number."""
     zigzags = enumerate_zigzags(cat, ms, w, z, max_len)
-    moves = zigzags.moves
-    classes, index, number = _partition_into_classes(zigzags)
+    grid = zigzags.grid
+    classes, number = _partition_into_classes(zigzags)
 
     # Single-slot steps generate the componentwise order of same-shape
-    # zigzags; every step stays in the enumerated product of the slots.
-    # Pairs are gathered as class numbers.
+    # zigzags; every step stays in its block.  Pairs are gathered as class
+    # numbers, a run of edges at a time.
     pairs = set()
-    splices, step, erase = moves.splices, moves._larger, moves._erase
-    for key, p in index.items():
-        below = number[p]
-        for tgt in splices(step, key) + splices(erase, key):
-            q = index.get(tgt)
-            if q is None:
-                raise LocalizationInconsistency(repr(moves.zigzag(tgt)))
-            pairs.add((below, number[q]))
+    for move in (grid.moves._larger, grid.moves._erase):
+        for source, target, run in grid.edges(move):
+            pairs.update(zip(number[source:source + run], number[target:target + run]))
 
-    return HomPoset(close_order_relation(classes, {(classes[a], classes[b]) for a, b in pairs})), index, number
+    return HomPoset(close_order_relation(classes, {(classes[a], classes[b]) for a, b in pairs})), grid, number
 
 
 def close_order_relation(elements, rel) -> Order:
@@ -506,9 +572,8 @@ def hom_poset_loc(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4) ->
 
 
 def zigzag_class_of(hom: HomPoset, z: Zigzag) -> ZigzagClass:
-    key = hom.elements[0].members.moves.find(z) if hom.elements else None  # the classes share one table
     for cls in hom.elements:
-        if key in cls.members.keys:
+        if z in cls.members:
             return cls
     raise KeyError(f"{z!r} is in no class of this hom-poset")
 
@@ -588,15 +653,15 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
     effective = None if ms.complete else max_len
     moves = _moves(cat)
     homs, identities = {}, {}
-    partitions = {}  # (m, m2) -> (classes, zigzag key -> position, class numbers)
+    partitions = {}  # (m, m2) -> (classes, grid, class numbers)
     for m in critical:
         for m2 in critical:
-            hp, index, number = _loc_hom(cat, ms, m, m2, effective)
+            hp, grid, number = _loc_hom(cat, ms, m, m2, effective)
             if not hp.is_empty():
                 homs[(m, m2)] = hp
-            partitions[(m, m2)] = hp.elements, index, number
+            partitions[(m, m2)] = hp.elements, grid, number
             if m == m2:
-                identities[m] = hp.elements[number[index[(moves._id(cat.identity(m)),)]]]
+                identities[m] = hp.elements[number[grid.index((moves._id(cat.identity(m)),))]]
 
     table = {}  # (c1, c2) -> class of the composite; failures are not stored
 
@@ -604,12 +669,13 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
         known = table.get((c1, c2))
         if known is not None:
             return known
-        k1, k2 = c1.members.keys[0], c2.members.keys[0]
-        classes, index, number = partitions[(c1.source, c2.target)]
-        p = index.get(moves.reduce(k1[:-1] + (moves._composites[k1[-1], k2[0]],) + k2[1:]))
-        if p is None:
+        m1, m2 = c1.members, c2.members
+        k1, k2 = m1.grid.keys[m1.indices[0]], m2.grid.keys[m2.indices[0]]
+        classes, grid, number = partitions[(c1.source, c2.target)]
+        g = grid.index(moves.reduce(k1[:-1] + (moves._composites[k1[-1], k2[0]],) + k2[1:]))
+        if g is None:
             raise LocalizationInconsistency("composite zigzag leaves the enumerated range; raise the length bound")
-        cls = table[(c1, c2)] = classes[number[p]]
+        cls = table[(c1, c2)] = classes[number[g]]
         return cls
 
     pcat = PCategory(critical, homs, compose, identities)

@@ -41,7 +41,7 @@ from morseflow.cosheaves import Cosheaf
 from morseflow.fixtures import get_fixture
 from morseflow.localization import (
     Zigzag,
-    _partition_into_classes,
+    ZigzagClass,
     enumerate_zigzags,
     zigzag_class_of,
 )
@@ -593,16 +593,57 @@ def steps_reference(cat, z):
                 yield Zigzag(z.rights[:i] + (g2,) + z.rights[i + 1:], z.lefts)
 
 
+def partition_reference(cat, zigzags):
+    """Reference partition, one zigzag at a time: each zigzag's position in a
+    dict, a union-find slot per position, and every reference contraction of
+    every zigzag looked up in that dict.  The classes are the groups in
+    zigzag order, each with its first member as canonical."""
+    zigzags = list(zigzags)
+    index = {zg: p for p, zg in enumerate(zigzags)}
+    parent = list(range(len(zigzags)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for zg, p in index.items():
+        for tgt in contractions_reference(cat, zg):
+            ra, rb = find(p), find(index[tgt])
+            if ra != rb:
+                parent[rb] = ra
+    groups = {}
+    for p, zg in enumerate(zigzags):
+        groups.setdefault(find(p), []).append(zg)
+    return [ZigzagClass(members[0], tuple(members)) for members in groups.values()]
+
+
+def weakly_indecomposable_reference(cat, f):
+    """Reference test: every composite through every object, compared with f;
+    only f's two identity factorizations are exempt."""
+    x, y = f.source, f.target
+    for z in cat.objects:
+        for g in cat.hom(x, z).elements:
+            for h in cat.hom(z, y).elements:
+                if (z == x and cat.is_identity(g) and h == f) or (z == y and g == f and cat.is_identity(h)):
+                    continue
+                if cat.leq(cat.compose(g, h), f):
+                    return False
+    return True
+
+
 def loc_order_reference(cat, ms, w, z, max_len):
-    """Reference localized order: every componentwise pair of same-shape
-    zigzags plus column erasures, closed by ``close_order_reference``.
+    """Reference localized order: the classes of ``partition_reference``, and
+    every componentwise pair of same-shape zigzags plus column erasures,
+    closed by ``close_order_reference``.
 
     The zigzags componentwise above z1 are the product of the up-sets of its
     forward morphisms, each read off its hom-poset's order.  Returns the
     classes, the closed relation and the pairs comparable both ways.
     """
-    zigzags = enumerate_zigzags(cat, ms, w, z, max_len)
-    classes = _partition_into_classes(zigzags)[0]
+    zigzags = list(enumerate_zigzags(cat, ms, w, z, max_len))
+    classes = partition_reference(cat, zigzags)
     member_to_class = {m: cls for cls in classes for m in cls.members}
     pairs = set()
     for z1 in zigzags:

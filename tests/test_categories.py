@@ -17,7 +17,7 @@ from morseflow import (
     is_cellular,
     poset_as_pcategory,
 )
-from morseflow.categories import _close_order, _walks, identity_morphism
+from morseflow.categories import _close_order, _walks, _weakly_indecomposable, identity_morphism
 from morseflow.localization import OrderViolation, close_order_relation
 
 from helpers import (
@@ -33,6 +33,7 @@ from helpers import (
     random_complex,
     simplicial_to_complex,
     subsequence,
+    weakly_indecomposable_reference,
 )
 from morseflow.fixtures import FIXTURES, sphere_complex
 
@@ -140,6 +141,34 @@ def test_atoms():
     with pytest.raises(NoAtom):
         atom(Fc, "t", "w")
     assert not is_cellular(Fc)
+
+
+def test_atoms_are_tested_on_the_minima_of_the_homs_they_factor_through():
+    # Through an object z other than x and y whose homs from x and to y have
+    # minima g0 and h0, only g0 o h0 is formed: composition is monotone, so it
+    # lies below every other composite through z.  On the 3-sphere ∂Δ⁴.
+    En = entrance_path_category(simplicial_to_complex(combinations(range(5), 4)))
+    composed = []
+    compose = En._compose
+    En._compose = lambda g, h: composed.append((g, h)) or compose(g, h)
+    pairs_of_many = 0
+    for x in En.objects:
+        for y in En.reachable(x):
+            f = En.hom(x, y).minimum()
+            del composed[:]
+            verdict = _weakly_indecomposable(En, f)
+            made = len(composed)
+            assert verdict == weakly_indecomposable_reference(En, f), (x, y)
+            if not verdict:
+                continue
+            expected = 0
+            for z in En.reachable(x):
+                hxz, hzy = En.hom(x, z), En.hom(z, y)
+                through_minima = z not in (x, y) and hxz.minimum() is not None and hzy.minimum() is not None
+                expected += 1 if through_minima else len(hxz) * len(hzy)
+                pairs_of_many += through_minima and len(hxz) * len(hzy) > 1
+            assert made == expected, (x, y)
+    assert pairs_of_many > 20
 
 
 def _two_incomparable_arrows_category():

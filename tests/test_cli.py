@@ -7,6 +7,8 @@ import pytest
 from morseflow import QQ, entrance_path_category, matching_to_morse_system
 from morseflow.cli import main
 from morseflow.fixtures import FIXTURES, get_fixture
+from morseflow import localization
+from morseflow.categories import Morphism
 from morseflow.localization import _MoveTable
 
 from helpers import RP2_FACETS, coned_complex, random_acyclic_matching, random_twisted_cosheaf, simplicial_to_complex
@@ -392,21 +394,31 @@ def test_out_of_range_bounds_exit_1(fixture_files, capsys):
     assert run(capsys, "homology", "nerve-en", files["complex"], "--max-nerve-dim", "1")[0] == 0
 
 
-def _phantom_splices(monkeypatch, patched_move):
-    """Make every ``patched_move`` splice of the move table also yield the identity
-    zigzag of an object other than the key's source, which no hom from that
-    source enumerates."""
-    splices = _MoveTable.splices
+def _drop_the_chainless_blocks(monkeypatch):
+    """Make every enumeration that holds a longer Σ-chain drop the block of the
+    empty chain from its grid's chain index, so a contraction onto a zigzag
+    with no backward arrow lands on no block."""
+    enumerate_zigzags = localization.enumerate_zigzags
 
-    def phantom(self, move, key):
-        out = splices(self, move, key)
-        if move.__func__ is patched_move:
-            source = self._morphisms[key[0]].source
-            other = next(x for x in sorted(self.cat.objects) if x != source)
-            out = out + [(self._id(self.cat.identity(other)),)]
-        return out
+    def dropping(*args):
+        zigzags = enumerate_zigzags(*args)
+        if len(zigzags.grid.blocks) > 1:
+            zigzags.grid.of_chain.pop((), None)
+        return zigzags
 
-    monkeypatch.setattr(_MoveTable, "splices", phantom)
+    monkeypatch.setattr(localization, "enumerate_zigzags", dropping)
+
+
+def _phantom_steps(monkeypatch):
+    """Make every single-slot step of the move table also reach a morphism with
+    the same endpoints that its hom-poset does not hold."""
+    larger = _MoveTable._larger
+
+    def phantom(self, g):
+        m = self._morphisms[g]
+        return larger(self, g) + [self._id(Morphism(m.source, m.target, m.label[:1] + ("phantom",) + m.label[1:]))]
+
+    monkeypatch.setattr(_MoveTable, "_larger", phantom)
 
 
 def _exit_2_with_one_error_line(capsys, argv, message):
@@ -419,16 +431,16 @@ def _exit_2_with_one_error_line(capsys, argv, message):
 
 def test_a_contraction_outside_the_enumerated_set_exits_2(fixture_files, capsys, monkeypatch):
     files = fixture_files["calc61"]
-    _phantom_splices(monkeypatch, _MoveTable._merge)
+    _drop_the_chainless_blocks(monkeypatch)
     flow = ("flow", files["complex"], files["matching"], "--from", "t", "--to", "w")
-    _exit_2_with_one_error_line(capsys, flow, "error: contraction left the enumerated set: Zigzag('b')\n")
+    _exit_2_with_one_error_line(capsys, flow, "error: contraction left the enumerated set: Zigzag('t > z > w')\n")
 
 
 def test_a_step_outside_the_enumerated_set_exits_2(fixture_files, capsys, monkeypatch):
     files = fixture_files["calc61"]
-    _phantom_splices(monkeypatch, _MoveTable._larger)
+    _phantom_steps(monkeypatch)
     flow = ("flow", files["complex"], files["matching"], "--from", "t", "--to", "w")
-    _exit_2_with_one_error_line(capsys, flow, "error: Zigzag('b')\n")  # the zigzag the step reached
+    _exit_2_with_one_error_line(capsys, flow, "error: Zigzag('t > phantom > w')\n")  # the zigzag the step reached
 
 
 def test_a_composite_outside_the_enumerated_range_exits_2(fixture_files, capsys, monkeypatch):

@@ -220,6 +220,42 @@ def _assert_matches_reference(cat, ms, w, z, max_len):
     assert hp.relation == closed
 
 
+def _grid_instances():
+    """(name, category, system, bounds, cell pairs): flow_instances() and the
+    cyclic 4-cycle system at bounds 6 and None with every cell pair, and
+    calc63 at L = 1..6 with its critical pairs and the non-critical (b, y)."""
+    instances = []
+    for name, En, ms, bound in flow_instances():
+        instances.append((name, En, ms, (bound,), [(w, z) for w in En.objects for z in En.objects]))
+    cx = cycle_graph_complex(4)
+    En = entrance_path_category(cx)
+    ms = matching_to_morse_system(cx, Matching(tuple((f"e{i}", f"v{(i + 1) % 4}") for i in range(4))), En)
+    instances.append(("4-cycle", En, ms, (6, None), [(w, z) for w in En.objects for z in En.objects]))
+    fx = get_fixture("calc63")
+    En = entrance_path_category(fx.complex)
+    ms = matching_to_morse_system(fx.complex, fx.matching, En)
+    pairs = [(w, z) for w in ms.critical for z in ms.critical] + [("b", "y")]
+    instances.append(("calc63", En, ms, (1, 2, 3, 4, 5, 6), pairs))
+    return instances
+
+
+def test_grid_classes_and_order_match_the_per_zigzag_partition():
+    # The grid's classes, their member order and the down-set masks of their
+    # order equal the per-zigzag union-find and the pairwise closure.
+    homs = 0
+    for name, En, ms, bounds, pairs in _grid_instances():
+        for bound in bounds:
+            for w, z in pairs:
+                hp = hom_poset_loc(En, ms, w, z, bound)
+                classes, closed, both = loc_order_reference(En, ms, w, z, bound)
+                assert not both
+                assert [tuple(c.members) for c in hp.elements] == [c.members for c in classes], (name, w, z, bound)
+                down = [sum(1 << i for i, b in enumerate(classes) if (b, a) in closed) for a in classes]
+                assert list(hp.relation.down) == down, (name, w, z, bound)
+                homs += len(classes) > 1
+    assert homs > 80
+
+
 def test_localized_order_matches_pairwise_reference_on_random_classical_instances():
     rng = random.Random(17)
     done = 0
@@ -636,6 +672,38 @@ def test_long_sigma_chains_need_no_recursion():
     assert zigzag_to_text(zigzags[1]).endswith("< e1 > v1 < e0 > v0")
 
 
+def test_a_long_sigma_chain_gets_slots_once_and_looks_up_no_target_block(monkeypatch):
+    # The path matching e_i > v_(i+1) on a 300-cycle: its one long chain is
+    # walked one arrow at a time, and only a chain whose last slot is filled
+    # is given slots, a tuple and a block.  No column has a contraction or an
+    # erasure, so the grid looks up no target block: the chain index is read
+    # by the two identity lookups alone.
+    n = 300
+    cx = cycle_graph_complex(n)
+    En = entrance_path_category(cx)
+    ms = matching_to_morse_system(cx, Matching(tuple((f"e{i}", f"v{i + 1}") for i in range(n - 1))), En)
+    blocks, lookups = [], []
+    add, init = localization._Grid.add, localization._Grid.__init__
+
+    class CountingChains(dict):
+        def get(self, chain, default=None):
+            lookups.append(chain)
+            return super().get(chain, default)
+
+    def counting_init(self, moves):
+        init(self, moves)
+        self.of_chain = CountingChains()
+
+    monkeypatch.setattr(localization._Grid, "__init__", counting_init)
+    monkeypatch.setattr(localization._Grid, "add", lambda self, chain, slots: blocks.append((chain, slots)) or add(self, chain, slots))
+    flow = flow_category(En, ms, None)
+    assert flow.objects == (f"e{n - 1}", "v0")
+    # the empty chains of hom(e299, e299), hom(e299, v0) and hom(v0, v0), and the chain of all n - 1 arrows
+    assert sorted(len(chain) for chain, _ in blocks) == [0, 0, 0, n - 1]
+    assert all(len(slots) == len(chain) + 1 for chain, slots in blocks)
+    assert lookups == [(), ()]
+
+
 def _move_table_instances():
     """flow_instances() plus calc63 at bound 1, every instance with every cell pair."""
     instances = flow_instances()
@@ -646,21 +714,33 @@ def _move_table_instances():
 
 
 def test_move_table_matches_the_per_zigzag_references():
-    # Every cell pair, so calc63's non-critical hom(b, y) is included.
+    # Every cell pair, so calc63's non-critical hom(b, y) is included.  The
+    # grid's edges of each move, decoded to zigzags, are each zigzag's moves
+    # in the references' order, once each.
     zigzags = 0
     for name, En, ms, bound in _move_table_instances():
-        moves = _MoveTable(En)
         for w in En.objects:
             for z in En.objects:
-                for zg in enumerate_zigzags(En, ms, w, z, bound):
+                enumerated = enumerate_zigzags(En, ms, w, z, bound)
+                grid = enumerated.grid
+                moves = grid.moves
+                edges = {}
+                for move in (moves._merge, moves._erase, moves._larger):
+                    out = edges[move] = {}
+                    for source, target, run in grid.edges(move):
+                        for s in range(run):
+                            out.setdefault(source + s, []).append(target + s)
+                for g, zg in zip(enumerated.indices, enumerated):
                     key = moves.key(zg)
+                    assert grid.keys[g] == key and grid.index(key) == g
                     assert moves.zigzag(key) == zg
                     for move, reference in (
                         (moves._merge, contractions_reference(En, zg)),
                         (moves._erase, erasures_reference(En, zg)),
                         (moves._larger, steps_reference(En, zg)),
                     ):
-                        assert [moves.zigzag(k) for k in moves.splices(move, key)] == list(reference), (name, zg)
+                        reached = [moves.zigzag(grid.keys[t]) for t in dict.fromkeys(edges[move].get(g, ()))]
+                        assert reached == list(reference), (name, zg)
                     assert moves.zigzag(moves.reduce(key)) == reduce_reference(En, zg), (name, zg)
                     zigzags += 1
     assert zigzags > 5000
@@ -695,7 +775,11 @@ def test_splittings_run_at_most_twice_per_distinct_column(monkeypatch):
                     for c2 in flow.hom(b, c).elements:
                         flow.category.compose(c1, c2)
     columns = set(visits)
-    assert len(visits) > 10 * len(columns)  # columns repeat across zigzags
+    # columns repeat across zigzags, and the grid looks each up once per block, not once per zigzag
+    occurrences = sum(len(m.lefts) for a in flow.objects for b in flow.objects
+                      for cls in flow.hom(a, b).elements for m in cls.members)
+    assert occurrences > 10 * len(columns)
+    assert len(visits) < occurrences
     assert 0 < len(calls) <= 2 * len(columns)
 
 
@@ -736,7 +820,7 @@ def test_zigzags_answer_membership_by_key_and_intern_nothing():
     elsewhere = hom_poset_loc(En, ms, "t", "w", 2).elements[0].canonical
     hp = hom_poset_loc(En, ms, "b", "y", 2)
     (cls,) = hp.elements
-    moves = cls.members.moves
+    moves = cls.members.grid.moves
     known = len(moves._morphisms)
     assert all(m in cls.members for m in cls.members) and elsewhere not in cls.members
     stranger = Zigzag((Morphism("q", "q", ("q",)),), ())
