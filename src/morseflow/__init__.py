@@ -63,7 +63,6 @@ from .homology import (
     NotAComplex,
     homology,
     invariant_factors,
-    smith_normal_form,
 )
 from .rings import Mat, NotInvertible, PrimeField, QQ, Ring, ZZ, ring_from_name
 from .cosheaves import (

@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex")
     p.add_argument("matching", nargs="?", help="matching file (or cosheaf file for mode 'cosheaf')")
     p.add_argument("cosheaf", nargs="?", help="cosheaf file for mode 'morse'")
-    p.add_argument("--coefficients", default="Z")
+    p.add_argument("--coefficients", default="Z",
+                   help="Z, Q or Fp:<p>; ignored by 'cosheaf' and by 'morse' with a cosheaf, which use the cosheaf's ring")
     p.add_argument("--max-nerve-dim", type=int, default=3)
     p.add_argument("--max-zigzag-len", type=int, default=4)
     p.add_argument("--category", choices=("entrance-path", "face-poset"), default="entrance-path")

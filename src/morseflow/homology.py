@@ -1,158 +1,20 @@
-"""Chain complexes over exact rings, Smith normal form, Betti numbers and torsion."""
+"""Chain complexes over exact rings, invariant factors, Betti numbers and torsion."""
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
 
-from .rings import ZZ, Mat, Ring, _sparse_column, eliminate_units, rank_over_field
+from .rings import ZZ, Mat, Ring, _sparse_column, eliminate
 
 
 class NotAComplex(Exception):
     """Raised when consecutive boundary maps fail to compose to zero."""
 
 
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-
-def _gcdext(a: int, b: int):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def smith_normal_form(m: Mat):
-    """Diagonalize an integer matrix: returns (U, D, V) with U*M*V = D.
-
-    U and V are unimodular and the diagonal of D is a divisibility chain of
-    non-negative integers.  Each pivot is an entry of smallest absolute
-    value, which limits entry growth.
-    """
-    a = [[int(x) for x in row] for row in m.data]
-    nr, nc = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_op(i, j, s, t, s2, t2):
-        # rows i, j <- (s*rowi + t*rowj, s2*rowi + t2*rowj)
-        for mat in (a, u):
-            ri, rj = mat[i], mat[j]
-            mat[i] = [s * x + t * y for x, y in zip(ri, rj)]
-            mat[j] = [s2 * x + t2 * y for x, y in zip(ri, rj)]
-
-    def col_op(i, j, s, t, s2, t2):
-        for mat in (a, v):
-            for row in mat:
-                x, y = row[i], row[j]
-                row[i] = s * x + t * y
-                row[j] = s2 * x + t2 * y
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x != 0:
-                    if best is None or abs(x) < abs(best[2]):
-                        best = (i, j, x)
-        return (best[0], best[1]) if best else None
-
-    t = 0
-    while t < min(nr, nc):
-        loc = find_pivot(t)
-        if loc is None:
-            break
-        pi, pj = loc
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for mat in (a, v):
-                for row in mat:
-                    row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear column t
-            for i in range(t + 1, nr):
-                if a[i][t] == 0:
-                    continue
-                p, x = a[t][t], a[i][t]
-                if x % p == 0:
-                    q = x // p
-                    a[i] = [y - q * z for y, z in zip(a[i], a[t])]
-                    u[i] = [y - q * z for y, z in zip(u[i], u[t])]
-                else:
-                    g, s, tt = _gcdext(p, x)
-                    row_op(t, i, s, tt, -(x // g), p // g)
-            # clear row t
-            for j in range(t + 1, nc):
-                if a[t][j] == 0:
-                    continue
-                p, x = a[t][t], a[t][j]
-                if x % p == 0:
-                    q = x // p
-                    for mat in (a, v):
-                        for row in mat:
-                            row[j] -= q * row[t]
-                else:
-                    g, s, tt = _gcdext(p, x)
-                    col_op(t, j, s, tt, -(x // g), p // g)
-            if any(a[i][t] != 0 for i in range(t + 1, nr)):
-                continue
-            if any(a[t][j] != 0 for j in range(t + 1, nc)):
-                continue
-            # enforce divisibility: pivot must divide the rest of the block
-            bad = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    return Mat.from_rows(u, nr), Mat.from_rows(a, nc), Mat.from_rows(v, nc)
-
-
 def invariant_factors(m) -> list[int]:
-    """Nonzero diagonal entries of the Smith form, in divisibility order.
-
-    Unit pivots are eliminated sparsely first; incidence-style matrices
-    reduce almost entirely this way and only a small core without unit
-    entries ever reaches the dense routine.
-    """
-    units, core = eliminate_units(m, ZZ)
-    return [1] * units + _core_factors(core, ZZ)
-
-
-def _core_factors(core: Mat, ring: Ring) -> list[int]:
-    """The nonzero invariant factors over ``ring`` of a core left by ``eliminate_units``.
-
-    Over Z the core's Smith form gives them; over a field they are all 1,
-    as many as the rank of the core's entries mapped into the field.
-    """
-    if not (core.rows and core.cols):
-        return []
-    if ring.is_field():
-        return [1] * rank_over_field(core, ring)
-    _, d, _ = smith_normal_form(core)
-    return sorted(int(d[i, i]) for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
+    """Nonzero diagonal entries of the Smith form over Z, in divisibility order."""
+    return eliminate(m, ZZ)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +37,8 @@ class ChainComplex:
     ranks: tuple[int, ...]
     boundaries: dict  # degree n >= 1 -> Mat of shape ranks[n-1] x ranks[n]
     coefficients: Ring = field(init=False)
-    # degree n -> eliminate_units(d_n, ring), shared by every read of the complex
-    _eliminated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # degree n -> eliminate(d_n, ring), shared by every read of the complex
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", self.ring)
@@ -278,25 +140,23 @@ class HomologySummary:
 def homology(cc: ChainComplex) -> HomologySummary:
     """Betti numbers (and torsion over Z) of an exact chain complex over its coefficient ring.
 
-    One loop over the boundaries: ``eliminate_units`` takes each boundary's
-    unit pivots over the complex's own ring, and the core left over is
-    finished over ``cc.coefficients``, by a Smith form over Z or by a rank
-    over Q or F_p.  Unit pivots over Z are unimodular and commute with
-    Z -> Q and Z -> F_p, so one complex over Z gives the homology over every
-    ring (the universal coefficient theorem); over a field every nonzero
-    entry is a unit and the core is empty.  The elimination does not depend
-    on the coefficient ring, so it runs once per complex and every read
-    shares it.
+    ``eliminate`` gives each boundary's nonzero invariant factors over the
+    complex's own ring, once per complex, shared by every read.  Over that
+    ring they are used as they are.  A complex over Z read over Q or F_p
+    keeps one factor 1 for each factor that is a unit there: every step of
+    the elimination over Z is unimodular, so this is the universal
+    coefficient theorem.
     """
     ring = cc.coefficients
     top = cc.top
-    # The nonzero invariant factors of each boundary; over a field they are all units.
     factors = {}
     for n in range(1, top + 1):
-        if n not in cc._eliminated:
-            cc._eliminated[n] = eliminate_units(cc.boundary(n), cc.ring)
-        units, core = cc._eliminated[n]
-        factors[n] = [1] * units + _core_factors(core, ring)
+        if n not in cc._factors:
+            cc._factors[n] = eliminate(cc.boundary(n), cc.ring)
+        factors[n] = cc._factors[n]
+        if ring.name != cc.ring.name:
+            # 1 is a unit in every ring: only the other factors need the ring's test
+            factors[n] = [1] * sum(f == 1 or ring.is_unit(f) for f in factors[n])
     groups = []
     for n in range(top + 1):
         f_n, f_next = factors.get(n, []), factors.get(n + 1, [])

@@ -310,9 +310,9 @@ def normalized_chain_complex(skel: SimplicialSetSkeleton, ring: Ring) -> ChainCo
 def nerve_homology(skel: SimplicialSetSkeleton, ring: Ring) -> HomologySummary:
     """Homology of a nerve skeleton through dimension maxdim, in degrees below maxdim.
 
-    The skeleton's one complex over Z is read over ``ring``: its unit pivots
-    are taken in ints and only the core left over meets ``ring``.  The top
-    degree is dropped: H_n needs the simplices through n + 1.
+    The skeleton's one complex over Z is read over ``ring``: its invariant
+    factors are taken in ints, and ``ring`` only decides which are units.
+    The top degree is dropped: H_n needs the simplices through n + 1.
     """
     summary = homology(normalized_chain_complex(skel, ring))
     return HomologySummary(summary.ring_name, summary.groups[:skel.maxdim])

@@ -7,6 +7,7 @@ or prime-field residues; there is no floating point anywhere in the package.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -325,21 +326,19 @@ def _sparse_column(acc: dict, ring: Ring) -> tuple:
     return tuple(column)
 
 
-def eliminate_units(m: Mat, ring: Ring):
-    """Eliminate on unit pivots only; return (number of pivots, leftover core).
+def eliminate(m: Mat, ring: Ring) -> list[int]:
+    """The nonzero invariant factors of ``m`` over ``ring``, in divisibility order.
 
-    Each step takes, among the columns holding a unit, one with the fewest
-    nonzeros, and within it the unit whose row has the fewest nonzeros
-    (a Markowitz-style choice that limits fill-in).  The pivot column is
-    cleared by row operations and the pivot row and column are dropped,
-    which leaves the rank and, over Z, the Smith form unchanged.  Over a
-    field every nonzero is a unit, so the core comes back empty; over Z the
-    core is a ``Mat`` on the surviving rows and columns with no unit
-    entry left.  The steps over Z are unimodular, so they commute with
-    Z -> Q and Z -> F_p: over either field the rank of ``m`` is the number
-    of pivots plus the rank of the core's entries mapped into the field.
-    Each entry is normalized in ``ring`` as it is loaded, so any matrix of
-    raw integers eliminates over any ring.
+    Unit pivots come first.  Each step takes, among the columns holding a
+    unit, one with the fewest nonzeros, and within it the unit whose row has
+    the fewest nonzeros (a Markowitz-style choice that limits fill-in).  The
+    pivot column is cleared by row operations and the pivot row and column
+    are dropped, which leaves a factor 1.  Over a field every nonzero is a
+    unit, so the factors are 1s, as many as the rank.  Over Z the rows left
+    have no unit entry, and ``_non_unit_factors`` diagonalizes them.  Every
+    step over Z is unimodular, so the factors are the Smith form's.  Each
+    entry is normalized in ``ring`` as it is loaded, so any matrix of raw
+    integers eliminates over any ring.
     """
     rows: dict = {}  # row -> {col: coeff}
     cols: dict = {}  # col -> set of rows
@@ -386,19 +385,56 @@ def eliminate_units(m: Mat, ring: Ring):
             else:
                 del cols[j]
         pivots += 1
-    live_rows = sorted(rows)
-    live_cols = sorted(cols)
-    where = {j: k for k, j in enumerate(live_cols)}
-    columns = [[] for _ in live_cols]
-    for k, i in enumerate(live_rows):
-        for j, x in rows[i].items():
-            columns[where[j]].append((k, x))
-    core = Mat(len(live_rows), len(live_cols), tuple(tuple(col) for col in columns))
-    return pivots, core
+    return [1] * pivots + (_non_unit_factors(rows, cols) if rows else [])
+
+
+def _non_unit_factors(rows: dict, cols: dict) -> list[int]:
+    """The invariant factors of the rows the unit loop leaves over Z, in divisibility order.
+
+    ``rows`` (row -> {col: coeff}) and ``cols`` (col -> set of rows) are
+    the loop's maps, changed in place.  The pivot p is an entry of least
+    absolute value.  Row steps reduce the rest of its column modulo p, then
+    column steps the rest of its row.  When every remainder is 0, |p| is
+    recorded and its row and column go; otherwise a nonzero remainder,
+    smaller than |p|, is the next pivot.  gcd/lcm swaps then put the
+    recorded diagonal in divisibility order.
+    """
+
+    def add(i, j, x):  # entry (i, j) += x
+        nx = rows[i].get(j, 0) + x
+        if nx:
+            rows[i][j] = nx
+            cols[j].add(i)
+        else:
+            del rows[i][j]
+            cols[j].discard(i)
+
+    diagonal = []
+    while any(rows.values()):
+        _, r, c = min((abs(x), i, j) for i, row in rows.items() for j, x in row.items())
+        prow = rows[r]
+        p = prow[c]
+        for i in cols[c] - {r}:
+            q = rows[i][c] // p
+            for j, x in prow.items():
+                add(i, j, -q * x)
+        for j in prow.keys() - {c}:
+            q = prow[j] // p
+            for i in cols[c]:
+                add(i, j, -q * rows[i][c])
+        if cols[c] == {r} and prow.keys() == {c}:
+            diagonal.append(abs(p))
+            del rows[r], cols[c]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            g = math.gcd(a, b)
+            diagonal[i], diagonal[j] = g, a // g * b
+    return diagonal
 
 
 def rank_over_field(m: Mat, ring: Ring) -> int:
     """Rank of a matrix by exact sparse elimination over a field."""
     if not ring.is_field():
         raise ValueError("rank_over_field requires a field")
-    return eliminate_units(m, ring)[0]
+    return len(eliminate(m, ring))

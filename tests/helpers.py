@@ -45,7 +45,7 @@ from morseflow.localization import (
     enumerate_zigzags,
     zigzag_class_of,
 )
-from morseflow.homology import HomologySummary, invariant_factors
+from morseflow.homology import HomologySummary
 from morseflow.matchings import (
     ACYCLIC,
     CERTIFIED,
@@ -251,6 +251,97 @@ def minors_gcd_invariant_factors(m: Mat) -> list[int]:
         out.append(g // d_prev)
         d_prev = g
     return out
+
+
+def _gcdext(a: int, b: int):
+    """Extended gcd: returns (g, s, t) with s*a + t*b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def smith_normal_form_reference(m: Mat) -> list[int]:
+    """Nonzero Smith form diagonal of an integer matrix, in divisibility order.
+
+    An independent reference for ``rings.eliminate``, with its own
+    algorithm.  The pivot is an entry of least absolute value in the first
+    row left, in the shortest column.  Its column, then its row, is cleared: an entry that the pivot
+    divides by subtracting a multiple of the pivot line, any other by an
+    extended-gcd combination of the two lines, which leaves their gcd as the
+    pivot.  This repeats until both are clear.  Then a row with an entry
+    that the pivot does not divide is added to the pivot row, and the
+    clearing starts again.  Entries are kept by row, with the rows of each
+    column, because a nerve's boundary is too large to hold densely.
+    """
+    rows: dict = {}  # row -> {col: entry}
+    cols: dict = {}  # col -> set of rows
+
+    def put(i, j, x):
+        if x:
+            rows.setdefault(i, {})[j] = x
+            cols.setdefault(j, set()).add(i)
+        elif j in rows.get(i, ()):
+            del rows[i][j]
+            cols[j].discard(i)
+            if not rows[i]:
+                del rows[i]
+            if not cols[j]:
+                del cols[j]
+
+    def row_op(i, j, s, t, s2, t2):  # rows i, j <- (s*row i + t*row j, s2*row i + t2*row j)
+        ri, rj = dict(rows.get(i, {})), dict(rows.get(j, {}))
+        for k in ri.keys() | rj.keys():
+            x, y = ri.get(k, 0), rj.get(k, 0)
+            put(i, k, s * x + t * y)
+            put(j, k, s2 * x + t2 * y)
+
+    def col_op(i, j, s, t, s2, t2):  # the same for columns i, j
+        ci, cj = set(cols.get(i, ())), set(cols.get(j, ()))
+        for k in ci | cj:
+            x, y = rows[k].get(i, 0), rows[k].get(j, 0)
+            put(k, i, s * x + t * y)
+            put(k, j, s2 * x + t2 * y)
+
+    for j, col in enumerate(m.columns):
+        for i, x in col:
+            put(i, j, int(x))
+    diagonal = []
+    while rows:
+        r = next(iter(rows))
+        c = min(rows[r], key=lambda j: (abs(rows[r][j]), len(cols[j]), j))  # least fill-in
+        while True:
+            for i in sorted(cols[c] - {r}):  # clear column c
+                p, x = rows[r][c], rows[i][c]
+                if x % p == 0:
+                    for k, y in list(rows[r].items()):
+                        put(i, k, rows.get(i, {}).get(k, 0) - x // p * y)
+                else:
+                    g, s, t = _gcdext(p, x)
+                    row_op(r, i, s, t, -(x // g), p // g)
+            for j in sorted(rows[r].keys() - {c}):  # clear row r
+                p, x = rows[r][c], rows[r][j]
+                if x % p == 0:
+                    for k in list(cols[c]):
+                        put(k, j, rows[k].get(j, 0) - x // p * rows[k][c])
+                else:
+                    g, s, t = _gcdext(p, x)
+                    col_op(c, j, s, t, -(x // g), p // g)
+            if cols[c] != {r} or rows[r].keys() != {c}:
+                continue
+            p = rows[r][c]
+            bad = None if abs(p) == 1 else next((i for i, row in rows.items() if any(x % p for x in row.values())), None)
+            if bad is None:
+                break
+            row_op(r, bad, 1, 1, 0, 1)
+        diagonal.append(abs(rows[r][c]))
+        del rows[r], cols[c]
+    return diagonal
 
 
 def random_int_matrix(rng, rows, cols, lo=-4, hi=4) -> Mat:
@@ -948,7 +1039,7 @@ def homology_reference(cc, ring):
     """Ring-direct homology of a complex over Z: the complex is built again over
     ``ring``, with its entries normalized there and d o d = 0 checked there, and
     every boundary is eliminated over ``ring`` (a rank over a field, the
-    invariant factors over Z)."""
+    dense Smith form over Z)."""
     boundaries = {}
     for n, d in cc.boundaries.items():
         columns = [[(i, ring.normalize(x)) for i, x in col] for col in d.columns]
@@ -957,7 +1048,7 @@ def homology_reference(cc, ring):
     if ring.is_field():
         factors = {n: [1] * rank_over_field(direct.boundary(n), ring) for n in range(1, direct.top + 1)}
     else:
-        factors = {n: invariant_factors(direct.boundary(n)) for n in range(1, direct.top + 1)}
+        factors = {n: smith_normal_form_reference(direct.boundary(n)) for n in range(1, direct.top + 1)}
     groups = []
     for n in range(direct.top + 1):
         f_n, f_next = factors.get(n, []), factors.get(n + 1, [])

@@ -19,11 +19,10 @@ from morseflow import (
     invariant_factors,
     matching_to_morse_system,
     normalized_chain_complex,
-    smith_normal_form,
 )
 from morseflow.cosheaves import constant_cosheaf, morse_chain_complex
 from morseflow.fixtures import FIXTURES
-from morseflow.rings import eliminate_units, mat_inverse, NotInvertible, rank_over_field, ring_from_name
+from morseflow.rings import _non_unit_factors, eliminate, mat_inverse, NotInvertible, rank_over_field, ring_from_name
 
 from helpers import (
     KLEIN_FACETS,
@@ -40,43 +39,47 @@ from helpers import (
     random_int_matrix,
     random_integer_complex,
     simplicial_to_complex,
+    smith_normal_form_reference,
 )
 
 
 def test_snf_single_entry():
-    _, d, _ = smith_normal_form(Mat.from_rows([[2]]))
-    assert d.data == ((2,),)
+    assert invariant_factors(Mat.from_rows([[2]])) == minors_gcd_invariant_factors(Mat.from_rows([[2]])) == [2]
 
 
 def test_snf_zero_matrix():
-    u, d, v = smith_normal_form(Mat.zeros(3, 2))
-    assert all(x == 0 for row in d.data for x in row)
-    assert u.rows == 3 and v.rows == 2
-
-
-def test_snf_product_identity_and_divisibility():
-    rng = random.Random(7)
-    for _ in range(30):
-        m = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        u, d, v = smith_normal_form(m)
-        assert u.mul(m, ZZ).mul(v, ZZ).data == d.data
-        diag = [d[i, i] for i in range(min(d.rows, d.cols))]
-        nz = [x for x in diag if x]
-        assert diag[: len(nz)] == nz  # zeros only at the end
-        for a, b in zip(nz, nz[1:]):
-            assert b % a == 0
-        assert abs(det_int(u.data)) == 1
-        assert abs(det_int(v.data)) == 1
+    assert invariant_factors(Mat.zeros(3, 2)) == minors_gcd_invariant_factors(Mat.zeros(3, 2)) == []
 
 
 def test_snf_matches_minors_oracle():
     rng = random.Random(11)
     for _ in range(40):
         m = random_int_matrix(rng, 5, 5)
-        _, d, _ = smith_normal_form(m)
-        got = [d[i, i] for i in range(5) if d[i, i] != 0]
-        assert got == minors_gcd_invariant_factors(m)
-        assert invariant_factors(m) == got
+        assert invariant_factors(m) == minors_gcd_invariant_factors(m)
+
+
+def test_non_unit_phase_takes_remainders_and_orders_by_divisibility():
+    # a remainder 1 is left by the column step, and diagonals need gcd/lcm swaps
+    assert invariant_factors(Mat.from_rows([[2, 3]])) == [1]
+    assert invariant_factors(Mat.from_rows([[2, 0], [0, 3]])) == [1, 6]
+    assert invariant_factors(Mat.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 10]])) == [2, 2, 60]
+
+
+def test_a_z_complex_read_over_fields_counts_the_units_there():
+    # boundary diag(2, 3): over F_p a factor divisible by p is no unit
+    cc = ChainComplex(ZZ, (2, 2), {1: Mat.from_rows([[2, 0], [0, 3]])})
+    ranks = {}
+    for ring in (QQ, PrimeField(2), PrimeField(3), PrimeField(5)):
+        ranks[ring.name] = 2 - homology(cc.over(ring)).betti()[1]
+    assert ranks == {"Q": 2, "Fp:2": 1, "Fp:3": 1, "Fp:5": 2}
+    assert homology(cc).groups == ((0, (6,)), (0, ()))
+
+
+def test_invariant_factors_match_the_minors_oracle_on_random_matrices():
+    rng = random.Random(23)
+    for _ in range(3000):
+        m = random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), *rng.choice(((-2, 2), (-4, 4), (-9, 9))))
+        assert invariant_factors(m) == minors_gcd_invariant_factors(m), m
 
 
 def _simplicial_chain_complex(facets, ring):
@@ -185,25 +188,19 @@ def test_sparse_field_rank_matches_dense_reference():
             want = dense_rank_over_field(m, ring)
             assert rank_over_field(m, ring) == want
             assert rank_over_field(normalized(m, ring), ring) == want
-            pivots, core = eliminate_units(m, ring)
-            assert (pivots, core.rows, core.cols) == (want, 0, 0)
+            assert eliminate(m, ring) == [1] * want
 
 
 def test_sparse_invariant_factors_match_smith_diagonal():
     rng = random.Random(19)
     for m in _shapes(rng, 120):
-        _, d, _ = smith_normal_form(m)
-        diag = [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i] != 0]
+        diag = smith_normal_form_reference(m)
         assert invariant_factors(m) == diag
         assert invariant_factors(normalized(m, ZZ)) == diag
 
 
 def test_unit_elimination_leaves_the_non_unit_core_over_z():
     m = Mat.from_rows([[2, 0, 1], [0, 4, 0], [6, 0, 0]])
-    pivots, core = eliminate_units(m, ZZ)
-    assert pivots == 1
-    assert (core.rows, core.cols) == (2, 2)
-    assert not any(abs(x) == 1 for row in core.data for x in row)
     assert invariant_factors(m) == [1, 2, 12]  # |det| = 24
 
 
@@ -316,10 +313,10 @@ def test_flow_nerve_route_agrees_with_cellular_on_the_3_sphere():
     assert _groups(homology(normalized_chain_complex(skel, QQ)), 2) == _groups(cellular, 2)
 
 
-def test_a_z_complex_read_over_each_ring_matches_the_ring_direct_path():
-    # One complex over Z, read over Z, Q, F_2 and F_3 through its unit pivots
-    # and the core finished over the ring, against the same complex built and
-    # eliminated over each ring (the universal coefficient theorem).
+def test_a_z_complex_read_over_each_ring_matches_the_ring_direct_path(monkeypatch):
+    # One complex over Z, read over Z, Q, F_2 and F_3 through its invariant
+    # factors over Z, against the same complex built and eliminated over each
+    # ring (the universal coefficient theorem).
     rings = (ZZ, QQ, PrimeField(2), PrimeField(3))
     cases = []
     for name, fx in sorted(FIXTURES.items()):
@@ -342,17 +339,21 @@ def test_a_z_complex_read_over_each_ring_matches_the_ring_direct_path():
         for ring in rings:
             assert homology(cc.over(ring)).groups == expected[ring.name], (k, ring)
         cases.append((f"random {k}", cc))
+    diagonalized = []
+    monkeypatch.setattr("morseflow.rings._non_unit_factors",
+                        lambda *core: diagonalized.append(core) or _non_unit_factors(*core))
     with_core = set()
     for name, cc in cases:
+        diagonalized.clear()
         for n in range(1, cc.top + 1):
-            core = eliminate_units(cc.boundary(n), ZZ)[1]
-            if core.rows and core.cols:
-                with_core.add(name)
+            eliminate(cc.boundary(n), ZZ)
+        if diagonalized:
+            with_core.add(name)
         for ring in rings:
             got = homology(cc.over(ring))
             assert got.ring_name == ring.name
             assert got.groups == homology_reference(cc, ring).groups, (name, ring)
-    # torsion leaves a core with no unit entry, and the fields finish it
+    # torsion leaves rows with no unit entry, and the non-unit phase diagonalizes them
     assert {"rp2 cellular", "klein cellular", "rp2 minimal", "klein minimal"} <= with_core
     assert len(with_core) >= 40
 
