@@ -12,25 +12,19 @@ from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 
 class NoAtom(Exception):
     """A nonempty hom-poset has no atom (the category is not cellular)."""
 
 
-@dataclass(frozen=True, order=True)
-class Morphism:
+class Morphism(NamedTuple):
+    """A morphism token, hashed, compared and ordered as its field tuple, in C."""
+
     source: str
     target: str
     label: tuple
-
-    def __post_init__(self):
-        # Morphisms key every column, class and order lookup: hash the
-        # fields once.  Equality and ordering stay field-wise.
-        object.__setattr__(self, "_hash", hash((self.source, self.target, self.label)))
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"<{' > '.join(map(str, self.label))}>" if self.label else f"<{self.source}->{self.target}>"

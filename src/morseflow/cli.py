@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 validation or input failure, 2 computation-level
 inconsistency (order violation, a localization move or composite outside
 the enumerated zigzags, boundary square nonzero, singular matched
-extension).
+extension) or a computation out of memory.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .categories import entrance_path_category, face_poset_category
@@ -225,6 +226,7 @@ def cmd_fixture(args) -> int:
     return 0
 
 
+@cache  # built by the first main call, not at import, and reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="morseflow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,8 +288,8 @@ def main(argv=None) -> int:
     try:
         _check_bounds(vars(args))
         return args.func(args)
-    except (OrderViolation, LocalizationInconsistency, NotAComplex, NotInvertible) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OrderViolation, LocalizationInconsistency, NotAComplex, NotInvertible, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (ValueError, BadPair, SignInconsistency, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,8 @@ from .categories import (
     full_subcategory,
 )
 from .complexes import Complex, ValidationReport, _read_json
+from .nerves import geometric_nerve, greedy_collapses_to_point, nerve_homology, order_complex
+from .rings import QQ
 
 CERTIFIED = "CERTIFIED"
 ACYCLIC = "ACYCLIC"
@@ -346,38 +348,62 @@ def check_mildness(cat: PCategory, ms: MorseSystem) -> MildnessReport:
     """Grade each system arrow by the shape of its restriction category.
 
     CERTIFIED: a homotopy-extremal object exists, or the order complex of the
-    reachability poset collapses greedily to a point.  ACYCLIC: all reduced
-    nerve homology vanishes (contractibility uncertified).  FAIL otherwise.
+    reachability poset collapses to a point: certified by beat points
+    (``_dismantles``), else by a greedy collapse.  ACYCLIC: all reduced nerve
+    homology vanishes (contractibility uncertified).  FAIL otherwise.
     """
-    from .nerves import geometric_nerve, greedy_collapses_to_point, nerve_homology, order_complex
-    from .rings import QQ
-
     entries = []
     for f in ms.sigma:
         sub = restriction_category(cat, ms, f)
-        finite = True  # finite by construction; recorded for the report
         loopfree = not any(b != a and not sub.hom(b, a).is_empty() for a in sub.objects for b in sub.reachable(a))
-        if not loopfree:
-            entries.append(MildnessEntry(f, finite, loopfree, FAIL, "restriction category has a loop"))
-            continue
-        if not sub.objects:
-            entries.append(MildnessEntry(f, finite, loopfree, FAIL, "restriction category is empty"))
-            continue
-        extremal = find_homotopy_extremal(sub)
-        if extremal is not None:
-            entries.append(
-                MildnessEntry(f, finite, loopfree, CERTIFIED, f"homotopy-{extremal[1]} object {extremal[0]}")
-            )
-            continue
-        # reachability poset of the restriction category
-        objs = list(sub.objects)
-        oc = order_complex(objs, lambda a, b: a == b or not sub.hom(a, b).is_empty())
-        if greedy_collapses_to_point(oc):
-            entries.append(MildnessEntry(f, finite, loopfree, CERTIFIED, "order complex collapses to a point"))
-            continue
-        betti = nerve_homology(geometric_nerve(sub, MILDNESS_NERVE_DIM), QQ).betti()
-        if betti and betti[0] == 1 and all(b == 0 for b in betti[1:]):
-            entries.append(MildnessEntry(f, finite, loopfree, ACYCLIC, f"reduced homology vanishes to degree {len(betti) - 1}"))
-        else:
-            entries.append(MildnessEntry(f, finite, loopfree, FAIL, f"nerve Betti numbers {betti}"))
+        entries.append(MildnessEntry(f, True, loopfree, *_grade(sub, loopfree)))  # finite by construction
     return MildnessReport(entries)
+
+
+def _grade(sub: PCategory, loopfree: bool):
+    """The verdict and detail of one restriction category."""
+    if not loopfree:
+        return FAIL, "restriction category has a loop"
+    if not sub.objects:
+        return FAIL, "restriction category is empty"
+    if (extremal := find_homotopy_extremal(sub)) is not None:
+        return CERTIFIED, f"homotopy-{extremal[1]} object {extremal[0]}"
+    if _dismantles(sub.objects, sub.reachable) or greedy_collapses_to_point(
+        order_complex(sub.objects, lambda a, b: a == b or not sub.hom(a, b).is_empty())
+    ):
+        return CERTIFIED, "order complex collapses to a point"
+    betti = nerve_homology(geometric_nerve(sub, MILDNESS_NERVE_DIM), QQ).betti()
+    if betti and betti[0] == 1 and all(b == 0 for b in betti[1:]):
+        return ACYCLIC, f"reduced homology vanishes to degree {len(betti) - 1}"
+    return FAIL, f"nerve Betti numbers {betti}"
+
+
+def _dismantles(objects, reachable) -> bool:
+    """Whether the poset on ``objects`` (a <= b for b in ``reachable(a)``, a
+    among them) dismantles to one point by removing beat points x: the
+    elements strictly below x have a maximum y, or those above a minimum y.
+
+    Every maximal chain through x passes y, so the link of x in the order
+    complex is a cone: removing x is a strong collapse (Barmak and Minian,
+    DCG 2012), and a poset that dismantles has a collapsible order complex.
+    The removal order does not change the core (Stong, Trans. AMS 1966).
+    Positions follow a linear extension, by shrinking up-sets: y is the top
+    bit of the lower mask or the bottom bit of the upper one.
+    """
+    order = sorted(objects, key=lambda a: -len(reachable(a)))
+    position = {a: i for i, a in enumerate(order)}
+    up = [sum(1 << position[b] for b in reachable(a)) for a in order]
+    down = [0] * len(up)
+    for i, mask in enumerate(up):
+        for j in _bits(mask):
+            down[j] |= 1 << i
+    alive, before = (1 << len(up)) - 1, 0
+    while alive != before:  # passes until one removes nothing
+        before = alive
+        for x in _bits(before):
+            below, above = down[x] & alive & ~(1 << x), up[x] & alive & ~(1 << x)
+            has_maximum = below and not below & ~down[below.bit_length() - 1]
+            has_minimum = above and not above & ~up[(above & -above).bit_length() - 1]
+            if has_maximum or has_minimum:
+                alive &= ~(1 << x)
+    return not alive & (alive - 1)

@@ -21,6 +21,7 @@ from morseflow import (
     check_acyclic,
     entrance_path_category,
     matching_to_morse_system,
+    restriction_category,
     validate_complex,
 )
 from morseflow.categories import (
@@ -962,6 +963,23 @@ def check_mildness_reference(cat, ms) -> MildnessReport:
                 graded = FAIL, f"nerve Betti numbers {betti}"
         entries.append(MildnessEntry(f, True, loopfree, *graded))
     return MildnessReport(entries)
+
+
+def graded_restrictions(cat, ms) -> list:
+    """The restriction categories that check_mildness grades by their
+    reachability poset: nonempty, loop-free, with no homotopy-extremal object."""
+    out = []
+    for f in ms.sigma:
+        sub = restriction_category(cat, ms, f)
+        loops = any(b != a and not sub.hom(b, a).is_empty() for a in sub.objects for b in sub.reachable(a))
+        if sub.objects and not loops and find_homotopy_extremal(sub) is None:
+            out.append(sub)
+    return out
+
+
+def reachability_order_complex(sub):
+    """The order complex of a category's reachability poset, a <= b when hom(a, b) is nonempty."""
+    return order_complex(sub.objects, lambda a, b: a == b or not sub.hom(a, b).is_empty())
 
 
 def flow_instances():

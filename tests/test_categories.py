@@ -64,6 +64,23 @@ def test_entrance_path_composition_is_concatenation():
     assert En.compose(tx, xw) == Morphism("t", "w", ("t", "x", "w"))
 
 
+def test_morphisms_hash_compare_and_print_by_their_fields():
+    # Equality, hash and order are those of the (source, target, label)
+    # tuple, so hom elements keep their label order; repr shows the label.
+    f = Morphism("t", "w", ("t", "x", "w"))
+    assert f == Morphism("t", "w", ("t", "x", "w")) and hash(f) == hash(("t", "w", ("t", "x", "w")))
+    assert f != Morphism("t", "w", ("t", "w")) and f != Morphism("t", "x", ("t", "x", "w"))
+    assert (f.source, f.target, f.label) == ("t", "w", ("t", "x", "w"))
+    assert repr(f) == str(f) == f"{f}" == "<t > x > w>" and repr(Morphism("a", "b", ())) == "<a->b>"
+    for cx in (sphere_complex(), simplicial_to_complex(RP2_FACETS)):
+        En = entrance_path_category(cx)
+        for a in En.objects:
+            for b in En.reachable(a):
+                els = list(En.hom(a, b).elements)
+                assert els == sorted(els) == sorted(els, key=lambda g: (g.source, g.target, g.label))
+                assert {g: i for i, g in enumerate(els)} == {(g.source, g.target, g.label): i for i, g in enumerate(els)}
+
+
 def test_path_counts_match_chain_counter():
     rng = random.Random(17)
     for _ in range(10):

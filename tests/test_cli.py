@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from morseflow import QQ, entrance_path_category, matching_to_morse_system
+from morseflow import cli
 from morseflow.cli import main
 from morseflow.fixtures import FIXTURES, get_fixture
 from morseflow import localization
@@ -379,6 +380,19 @@ def test_missing_atom_is_bad_input(fixture_files, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: hom(b, y) has no atom\n"
+
+
+def test_out_of_memory_is_one_error_line_and_exit_2(fixture_files, capsys, monkeypatch):
+    def exhausted(complex_):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "entrance_path_category", exhausted)
+    files = fixture_files["calc63"]
+    for argv in (["validate", files["complex"], files["matching"]], ["homology", "nerve-en", files["complex"]]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "error: out of memory\n")
+        assert captured.out == ""
 
 
 def test_out_of_range_bounds_exit_1(fixture_files, capsys):

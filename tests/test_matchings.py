@@ -22,7 +22,8 @@ from morseflow import (
 )
 from morseflow import categories
 from morseflow.categories import HomPoset, Morphism, NoAtom, PCategory, atom, identity_morphism
-from morseflow.matchings import CERTIFIED, FAIL, _find_cycle
+from morseflow.matchings import CERTIFIED, FAIL, _dismantles, _find_cycle
+from morseflow.nerves import greedy_collapses_to_point
 
 from helpers import (
     RP2_FACETS,
@@ -31,9 +32,11 @@ from helpers import (
     close_order_reference,
     cycle_graph_complex,
     flow_instances,
+    graded_restrictions,
     morse_system_reference,
     random_acyclic_matching,
     random_complex,
+    reachability_order_complex,
     restriction_objects_reference,
     simplicial_to_complex,
     validate_morse_system_reference,
@@ -245,6 +248,65 @@ def test_mildness_fails_an_arrow_whose_restriction_is_empty():
     assert restriction_category(cat, ms, ms.sigma[0]).objects == ()
     (entry,) = check_mildness(cat, ms).entries
     assert (entry.verdict, entry.detail) == (FAIL, "restriction category is empty")
+
+
+def test_beat_points_dismantle_a_path_but_not_a_circle():
+    # The boundary of a square with one edge removed is a path: an end vertex
+    # is a beat point (one edge above it), then its edge (one vertex below),
+    # and so on to one point.  The boundary of a triangle is a circle: each
+    # edge has two vertices below it and each vertex two edges above it, so
+    # no element is a beat point.  Two points and the four-element crown, a
+    # circle again, do not dismantle; a chain and a cone do.
+    square = Complex(
+        [Cell(v, 0) for v in "abcd"] + [Cell(e, 1) for e in ("ab", "bc", "cd")],
+        [("ab", "a"), ("ab", "b"), ("bc", "b"), ("bc", "c"), ("cd", "c"), ("cd", "d")],
+    )
+    for cx, expected in ((square, True), (triangle_boundary(), False)):
+        cat = face_poset_category(cx)
+        assert _dismantles(cat.objects, cat.reachable) is expected
+        assert greedy_collapses_to_point(reachability_order_complex(cat)) is expected
+    posets = [
+        ([0], lambda a, b: a == b, True),
+        ([0, 1], lambda a, b: a == b, False),
+        ([0, 1, 2], lambda a, b: a <= b, True),
+        ("abcd", lambda a, b: a == b or (a in "ab" and b in "cd"), False),
+        ("abcde", lambda a, b: a == b or (a in "ab" and b in "cd") or b == "e", True),
+    ]
+    for elements, leq, expected in posets:
+        cat = poset_as_pcategory(elements, leq)
+        assert _dismantles(cat.objects, cat.reachable) is expected, elements
+
+
+def test_beat_points_agree_with_the_greedy_collapse():
+    # Every restriction poset that check_mildness grades past the extremal
+    # test, on the bundled fixtures, the boundary simplices of dimension 3 to
+    # 5 at seeds 5 and 7, RP2 at five seeds and 200 random complexes: it
+    # dismantles by beat points exactly when its order complex collapses
+    # greedily, and check_mildness agrees with the greedy reference.
+    systems = []
+    for fx in FIXTURES.values():
+        if fx.matching is not None:
+            cat = face_poset_category(fx.complex) if fx.category == "face-poset" else entrance_path_category(fx.complex)
+            systems.append((cat, matching_to_morse_system(fx.complex, fx.matching, cat)))
+    cases = [(simplicial_to_complex(combinations(range(k + 1), k)), s) for k in (3, 4, 5) for s in (5, 7)]
+    cases += [(simplicial_to_complex(RP2_FACETS), s) for s in (1, 2, 5, 7, 10)]
+    cases = [(cx, random_acyclic_matching(random.Random(s), cx)) for cx, s in cases]
+    rng = random.Random(53)
+    for _ in range(200):
+        cx = random_complex(rng)
+        cases.append((cx, random_acyclic_matching(rng, cx)))
+    for cx, m in cases:
+        En = entrance_path_category(cx)
+        systems.append((En, matching_to_morse_system(cx, m, En)))
+    verdicts = Counter()
+    for cat, ms in systems:
+        for sub in graded_restrictions(cat, ms):
+            beat = _dismantles(sub.objects, sub.reachable)
+            assert beat == greedy_collapses_to_point(reachability_order_complex(sub))
+            verdicts[beat] += 1
+        if len(cat.objects) <= 30:
+            assert check_mildness(cat, ms).as_dict() == check_mildness_reference(cat, ms).as_dict()
+    assert verdicts[True] >= 150, verdicts  # 153 at these seeds, and every one dismantles
 
 
 def test_random_classical_systems_pass_axioms():

@@ -37,10 +37,12 @@ from helpers import (
     cycle_graph_complex,
     flow_instances,
     geometric_nerve_reference,
+    graded_restrictions,
     greedy_collapses_reference,
     normalized_chain_complex_reference,
     random_acyclic_matching,
     random_complex,
+    reachability_order_complex,
     simplicial_to_complex,
 )
 from morseflow.fixtures import fig2_complex, sphere_complex
@@ -178,18 +180,18 @@ def test_greedy_collapse():
     assert not greedy_collapses_to_point(two_points)
 
 
-def test_greedy_collapses_match_the_rebuilding_reference(monkeypatch):
-    # Every order complex check_mildness builds for the bundled fixtures and
-    # flow_instances(), then barycentric subdivisions and random posets.
+def test_greedy_collapses_match_the_rebuilding_reference():
+    # The order complex of every restriction poset past the extremal test for
+    # the bundled fixtures and flow_instances(), then barycentric
+    # subdivisions and random posets.
     skels = []
-    collapses = nerves.greedy_collapses_to_point
-    monkeypatch.setattr(nerves, "greedy_collapses_to_point", lambda skel: skels.append(skel) or collapses(skel))
     for fx in FIXTURES.values():
         if fx.matching is not None:
             cat = face_poset_category(fx.complex) if fx.category == "face-poset" else entrance_path_category(fx.complex)
-            check_mildness(cat, matching_to_morse_system(fx.complex, fx.matching, cat))
+            ms = matching_to_morse_system(fx.complex, fx.matching, cat)
+            skels += map(reachability_order_complex, graded_restrictions(cat, ms))
     for _, En, ms, _ in flow_instances():
-        check_mildness(En, ms)
+        skels += map(reachability_order_complex, graded_restrictions(En, ms))
     assert len(skels) >= 2
     rng = random.Random(31)
     spaces = [simplicial_to_complex(f) for f in (SPHERE2_FACETS, TORUS_FACETS, RP2_FACETS, [(1, 2, 3, 4)])]
