@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import cached_property
+from itertools import chain, groupby
+from typing import NamedTuple
 
 from .homology import ChainComplex
 from .rings import ZZ, Ring
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
-_DIM_ID = attrgetter("dim", "id")
+_ID_CHARS = re.compile(r"[A-Za-z0-9_]*")  # an id is a nonempty run of these
 
 
 def _read_json(text: str):
@@ -32,8 +33,7 @@ class SignInconsistency(Exception):
     """The diamond parity constraints admit no solution (non-regular input)."""
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     id: str
     dim: int
 
@@ -71,44 +71,46 @@ class ValidationReport:
 class Complex:
     """Graded face poset of a finite regular CW complex.
 
-    Built in one pass over the cells and one over the covers: the cells are
+    ``cells`` are ``Cell``s or ``(id, dim)`` pairs.  Loading checks whole
+    collections: duplicate ids by size, the ids by one character-set match
+    on their concatenation, dimensions by their minimum and covers by set
+    containment.  Only when one of these fails are the cells, then the
+    covers, scanned one at a time to name the first bad entry.  The ids are
     indexed by dimension once, and that index serves ``ids``,
-    ``cells_of_dim`` and ``top_dim``.  The strict faces of a cell are walked
-    on first read and kept.
+    ``cells_of_dim``, ``top_dim`` and ``cells``, built on first read.  The
+    strict faces of a cell are walked on first read and kept.
     """
 
     def __init__(self, cells, covers):
-        cells = tuple(cells)
-        dim_of = {}
-        for c in cells:
-            if not _ID_RE.match(c.id):
-                raise ValueError(f"bad cell id {c.id!r}")
-            if c.id in dim_of:
-                raise ValueError(f"duplicate cell id {c.id!r}")
-            if c.dim < 0:
-                raise ValueError(f"cell {c.id!r} has negative dimension")
-            dim_of[c.id] = c.dim
+        cells, covers = list(cells), list(covers)  # each is read more than once
+        dim_of = dict(cells)
+        ids_ok = "" not in dim_of and _ID_CHARS.fullmatch("".join(dim_of))
+        if not ids_ok or len(dim_of) != len(cells) or (cells and min(dim_of.values()) < 0):
+            _check_cells(cells)
         self.dim_of = dim_of
-        self.cells = tuple(sorted(cells, key=_DIM_ID))
-        self._by_dim = {}  # dim -> its ids, sorted
-        for c in self.cells:
-            self._by_dim.setdefault(c.dim, []).append(c.id)
-        self._ids = [c.id for c in self.cells]
-        self.top_dim = self.cells[-1].dim if cells else -1
+        self._ids = sorted(sorted(dim_of), key=dim_of.__getitem__)  # by dimension, then id
+        self._by_dim = {d: list(ids) for d, ids in groupby(self._ids, dim_of.__getitem__)}
+        self.top_dim = dim_of[self._ids[-1]] if cells else -1
+        try:
+            pairs = set(map(tuple, covers))
+            known = dim_of.keys() >= set(chain.from_iterable(pairs))
+        except TypeError:
+            known = False
+        if not known:
+            pairs = _check_covers(covers, dim_of)
         cover_faces = {cid: [] for cid in self._ids}
-        pairs = set()
-        for u, l in covers:
-            u, l = str(u), str(l)
-            if u not in dim_of or l not in dim_of:
-                raise ValueError(f"cover ({u!r}, {l!r}) references unknown cell")
-            if (u, l) not in pairs:
-                pairs.add((u, l))
-                cover_faces[u].append(l)
+        for u, l in pairs:
+            cover_faces[u].append(l)
         for faces in cover_faces.values():
             faces.sort()
         self.covers = frozenset(pairs)
         self.cover_faces = cover_faces
         self._faces = {}  # cid -> (sorted strict faces, their set), walked on first read
+
+    @cached_property
+    def cells(self) -> tuple:
+        dim_of = self.dim_of
+        return tuple(Cell(cid, dim_of[cid]) for cid in self._ids)
 
     def _walk(self, cid):
         """The strict faces of a cell, sorted and as a set; the one closure walk."""
@@ -171,25 +173,18 @@ class Complex:
         for name, value in (("cells", raw_cells), ("covers", raw_covers)):
             if not isinstance(value, list):
                 raise ValueError(f"{name}: expected a list")
-        cells = []
-        for k, rc in enumerate(raw_cells):
-            try:
-                cid, dim = rc["id"], rc["dim"]
-                if type(cid) is not str or type(dim) is not int:  # else nothing to check or convert
-                    if isinstance(dim, (bool, float)):
-                        raise TypeError(f"dim {dim!r} is not an int")
-                    if isinstance(cid, bool) or not isinstance(cid, (str, int)):
-                        raise TypeError(f"id {cid!r} is neither a str nor an int")
-                    cid, dim = str(cid), int(dim)
-                cells.append(Cell(cid, dim))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"cells[{k}]: expected {{'id': str, 'dim': int}} ({exc})") from exc
-        covers = []
-        for k, rc in enumerate(raw_covers):
-            if not isinstance(rc, (list, tuple)) or len(rc) != 2:
-                raise ValueError(f"covers[{k}]: expected [upper, lower]")
-            covers.append(rc)  # the constructor converts each id to str
-        return Complex(cells, covers)
+        try:
+            ids = [rc["id"] for rc in raw_cells]
+            dims = [rc["dim"] for rc in raw_cells]
+            typed = set(map(type, ids)) <= {str} and set(map(type, dims)) <= {int}
+        except (KeyError, TypeError):
+            typed = False
+        cells = list(zip(ids, dims)) if typed else _read_cells(raw_cells)
+        if not (set(map(type, raw_covers)) <= {list} and set(map(len, raw_covers)) <= {2}):
+            for k, rc in enumerate(raw_covers):
+                if not isinstance(rc, (list, tuple)) or len(rc) != 2:
+                    raise ValueError(f"covers[{k}]: expected [upper, lower]")
+        return Complex(cells, raw_covers)  # the constructor converts each id to str
 
     def to_json(self) -> str:
         doc = {
@@ -197,6 +192,46 @@ class Complex:
             "covers": [[u, l] for u, l in sorted(self.covers)],
         }
         return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _check_cells(cells):
+    """Raise for the first cell with a bad id, a repeated id or a negative dimension."""
+    seen = set()
+    for cid, dim in cells:
+        if not _ID_CHARS.fullmatch(cid) or not cid:
+            raise ValueError(f"bad cell id {cid!r}")
+        if cid in seen:
+            raise ValueError(f"duplicate cell id {cid!r}")
+        if dim < 0:
+            raise ValueError(f"cell {cid!r} has negative dimension")
+        seen.add(cid)
+
+
+def _check_covers(covers, dim_of) -> set:
+    """The covers as a set of str id pairs; raise for the first that names an unknown cell."""
+    pairs = set()
+    for u, l in covers:
+        u, l = str(u), str(l)
+        if u not in dim_of or l not in dim_of:
+            raise ValueError(f"cover ({u!r}, {l!r}) references unknown cell")
+        pairs.add((u, l))
+    return pairs
+
+
+def _read_cells(raw_cells) -> list:
+    """The ``(id, dim)`` pairs of the cell entries; raise for the first malformed one."""
+    cells = []
+    for k, rc in enumerate(raw_cells):
+        try:
+            cid, dim = rc["id"], rc["dim"]
+            if isinstance(dim, (bool, float)):
+                raise TypeError(f"dim {dim!r} is not an int")
+            if isinstance(cid, bool) or not isinstance(cid, (str, int)):
+                raise TypeError(f"id {cid!r} is neither a str nor an int")
+            cells.append((str(cid), int(dim)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"cells[{k}]: expected {{'id': str, 'dim': int}} ({exc})") from exc
+    return cells
 
 
 @dataclass(frozen=True)
@@ -223,9 +258,9 @@ def validate_complex(c: Complex) -> ValidationReport:
         faces = c.cover_faces[e]
         if len(faces) != 2:
             report.add("edge_faces", f"edge {e} has {len(faces)} vertex faces, expected 2", (e,))
-    for cell in c.cells:
-        if cell.dim >= 1 and not c.cover_faces[cell.id]:
-            report.add("no_faces", f"cell {cell.id} of dim {cell.dim} has no faces", (cell.id,))
+    for cid in c._ids:
+        if dim_of[cid] >= 1 and not c.cover_faces[cid]:
+            report.add("no_faces", f"cell {cid} of dim {dim_of[cid]} has no faces", (cid,))
     for d in range(2, c.top_dim + 1):
         for x in c.cells_of_dim(d):
             for z, between in c.diamonds(x):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .categories import (
     NoAtom,
@@ -50,9 +51,9 @@ class Matching:
         doc = _read_json(text)
         try:
             kind, raw = doc["kind"], doc["pairs"]
-            if not isinstance(raw, list) or not all(
-                isinstance(p, list) and len(p) == 2 and all(type(c) in (str, int) for c in p) for p in raw
-            ):
+            shaped = isinstance(raw, list) and set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
+            types = set(map(type, chain.from_iterable(raw))) if shaped else set()
+            if not shaped or not types <= {str, int}:
                 raise TypeError("pairs must be a list of [upper, lower] ids, each a str or an int")
             pairs = tuple((str(u), str(l)) for u, l in raw)
         except (KeyError, TypeError, ValueError) as exc:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,7 +110,7 @@ class RationalField(Ring):
         return x if type(x) is Fraction else Fraction(x)  # a Fraction is immutable: no copy
 
     def is_unit(self, a):
-        return Fraction(a) != 0
+        return a != 0  # exact for int and Fraction
 
     def inv(self, a):
         a = self.normalize(a)
@@ -287,10 +288,16 @@ class Mat:
         """Product touching only nonzeros: each column of ``other`` combines columns of self.
 
         The products of an entry are added up raw and the sum is normalized
-        once, so over Z the whole product is plain ``int`` arithmetic.
+        once, so over Z the whole product is plain ``int`` arithmetic.  Over
+        Q it is too: each column of self is held as integer numerators over
+        the lcm of its denominators, the terms of an output column are summed
+        over the lcm of the denominators they carry, and each output entry
+        becomes one ``Fraction``.
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        if isinstance(ring, RationalField):
+            return self._mul_over_q(other)
         out = []
         for col in other.columns:
             acc: dict = {}
@@ -298,6 +305,24 @@ class Mat:
                 for i, a in self.columns[k]:
                     acc[i] = acc.get(i, 0) + a * b
             out.append(_sparse_column(acc, ring))
+        return Mat(self.rows, other.cols, tuple(out))
+
+    def _mul_over_q(self, other: "Mat") -> "Mat":
+        scaled = [_integral(col) for col in self.columns]
+        out = []
+        for col in other.columns:
+            den, terms = 1, []
+            for k, b in col:
+                dk, nums = scaled[k]
+                dk *= b.denominator
+                den = math.lcm(den, dk)
+                terms.append((nums, b.numerator, dk))
+            acc: dict = {}
+            for nums, nb, dk in terms:
+                f = nb * (den // dk)
+                for i, a in nums:
+                    acc[i] = acc.get(i, 0) + a * f
+            out.append(tuple((i, Fraction(acc[i], den)) for i in sorted(acc) if acc[i]))
         return Mat(self.rows, other.cols, tuple(out))
 
     def add(self, other: "Mat", ring: Ring) -> "Mat":
@@ -326,6 +351,12 @@ def _sparse_column(acc: dict, ring: Ring) -> tuple:
     return tuple(column)
 
 
+def _integral(column) -> tuple:
+    """``(d, pairs)``: d is the lcm of the column's denominators, pairs its ``(row, d * coeff)``, all ints."""
+    den = math.lcm(*[x.denominator for _, x in column])
+    return den, [(i, x.numerator * (den // x.denominator)) for i, x in column]
+
+
 def eliminate(m: Mat, ring: Ring) -> list[int]:
     """The nonzero invariant factors of ``m`` over ``ring``, in divisibility order.
 
@@ -339,15 +370,33 @@ def eliminate(m: Mat, ring: Ring) -> list[int]:
     step over Z is unimodular, so the factors are the Smith form's.  Each
     entry is normalized in ``ring`` as it is loaded, so any matrix of raw
     integers eliminates over any ring.
+
+    Over Q no ``Fraction`` is built.  Each column is scaled to integers as
+    it is loaded, and a row step is fraction-free: with pivot a and entry f
+    of row i in the pivot column, g = gcd(a, f) signed as a, row i becomes
+    (a/g) * row_i - (f/g) * row_r and is then divided by the gcd of its
+    entries.  Both scale a column or a row by a nonzero rational, which
+    keeps the rank and which entries are zero, so the pivots are those of
+    the elimination in Q's own arithmetic.
     """
+    integral = isinstance(ring, RationalField)  # Q: integer columns and fraction-free row steps
     rows: dict = {}  # row -> {col: coeff}
     cols: dict = {}  # col -> set of rows
-    for j, col in enumerate(m.columns):
-        for i, x in col:
-            x = ring.normalize(x)
-            if x:
-                rows.setdefault(i, {})[j] = x
-                cols.setdefault(j, set()).add(i)
+    if integral:  # each column scaled to ints, which need no normalizing
+        sub = operator.sub
+        for j, col in enumerate(m.columns):
+            for i, x in _integral(col)[1]:
+                if x:
+                    rows.setdefault(i, {})[j] = x
+                    cols.setdefault(j, set()).add(i)
+    else:
+        normalize, sub = ring.normalize, ring.sub
+        for j, col in enumerate(m.columns):
+            for i, x in col:
+                x = normalize(x)
+                if x:
+                    rows.setdefault(i, {})[j] = x
+                    cols.setdefault(j, set()).add(i)
     heap = [(len(s), j) for j, s in cols.items()]
     heapq.heapify(heap)
     pivots = 0
@@ -361,16 +410,25 @@ def eliminate(m: Mat, ring: Ring) -> list[int]:
             continue  # pushed again if a later step changes this column
         r = min(units, key=lambda i: (len(rows[i]), i))
         prow = rows.pop(r)
-        inv = ring.inv(prow.pop(c))
+        a = prow.pop(c)
+        inv = None if integral else ring.inv(a)
         del cols[c]
         live.discard(r)
         for j in prow:
             cols[j].discard(r)
         for i in live:
             row = rows[i]
-            f = ring.mul(row.pop(c), inv)
+            f = row.pop(c)
+            if integral:
+                g = math.gcd(a, f) if a > 0 else -math.gcd(a, f)
+                lead, f = a // g, f // g
+                if lead != 1:
+                    for j in row:
+                        row[j] *= lead
+            else:
+                f = ring.mul(f, inv)
             for j, x in prow.items():
-                nx = ring.sub(row.get(j, 0), f * x)
+                nx = sub(row.get(j, 0), f * x)
                 if nx:
                     row[j] = nx
                     cols[j].add(i)
@@ -379,6 +437,11 @@ def eliminate(m: Mat, ring: Ring) -> list[int]:
                     cols[j].discard(i)
             if not row:
                 del rows[i]
+            elif integral:
+                g = math.gcd(*row.values())
+                if g != 1:
+                    for j in row:
+                        row[j] //= g
         for j in prow:
             if cols[j]:
                 heapq.heappush(heap, (len(cols[j]), j))

@@ -615,6 +615,10 @@ def test_cosheaf_entries_outside_the_ring_are_bad_input(fixture_files, tmp_path,
     [["x", None]],
     [["x", 1.5]],
     [("x", "y"), {"b": "z"}],
+    [["x", "y"], [False, "b"]],
+    [["x", 1], ["b", True]],
+    [["x", "y"], ["b"]],
+    [["x", "y"], "bz"],
 ])
 def test_malformed_matching_files_are_bad_input(fixture_files, tmp_path, capsys, pairs):
     sphere = fixture_files["sphere"]["complex"]

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -115,6 +116,28 @@ _CELLS = '"cells": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}]'
      "cells[0]: expected {'id': str, 'dim': int} (id 1.5 is neither a str nor an int)"),
     ('{"cells": [{"id": ["v"], "dim": 0}], "covers": []}',
      "cells[0]: expected {'id': str, 'dim': int} (id ['v'] is neither a str nor an int)"),
+    # an id is the whole string: a trailing newline is not ignored
+    ('{"cells": [{"id": "w", "dim": 0}, {"id": "v\\n", "dim": 0}], "covers": []}', "bad cell id 'v\\n'"),
+    ('{"cells": [{"id": "", "dim": 0}], "covers": []}', "bad cell id ''"),
+    ('{"cells": [{"id": "v\\u00e9", "dim": 0}], "covers": []}', "bad cell id 'v\u00e9'"),
+    # the first faulty entry is named, with its first fault, whichever collection test failed
+    ('{"cells": [{"id": "a", "dim": 0}, {"id": "a", "dim": 0}, {"id": "b-c", "dim": 0}], "covers": []}',
+     "duplicate cell id 'a'"),
+    ('{"cells": [{"id": "a", "dim": -1}, {"id": "a", "dim": 0}], "covers": []}', "cell 'a' has negative dimension"),
+    ('{"cells": [{"id": "b", "dim": 0}, {"id": "b", "dim": -1}], "covers": []}', "duplicate cell id 'b'"),
+    ('{"cells": [{"id": "c", "dim": 0}, {"id": "a b", "dim": -1}], "covers": []}', "bad cell id 'a b'"),
+    ('{"cells": [{"id": 5, "dim": 0}, {"id": 5, "dim": 0}], "covers": []}', "duplicate cell id '5'"),
+    ("{" + _CELLS + ', "covers": [["e", "v"], ["e", "x"], ["y", "v"]]}', "cover ('e', 'x') references unknown cell"),
+    ('{"cells": [{"id": 5, "dim": 0}, {"id": "v", "dim": 0.5}], "covers": []}',
+     "cells[1]: expected {'id': str, 'dim': int} (dim 0.5 is not an int)"),
+    ('{"cells": [{"id": "v", "dim": 0.5}, {"id": 5, "dim": 0}], "covers": []}',
+     "cells[0]: expected {'id': str, 'dim': int} (dim 0.5 is not an int)"),
+    ('{"cells": [{"id": 5, "dim": 0}, {"id": "v"}], "covers": []}', "cells[1]: expected {'id': str, 'dim': int} ('dim')"),
+    ('{"cells": [{"id": "v", "dim": 0.5}], "covers": ["x"]}',
+     "cells[0]: expected {'id': str, 'dim': int} (dim 0.5 is not an int)"),
+    ('{"cells": [{"id": "a-b", "dim": 0}], "covers": ["x"]}', "covers[0]: expected [upper, lower]"),
+    ("{" + _CELLS + ', "covers": [["e", "x"], ["e"]]}', "covers[1]: expected [upper, lower]"),
+    ("{" + _CELLS + ', "covers": [["e", ["v"]]]}', "cover ('e', \"['v']\") references unknown cell"),
 ])
 def test_complex_input_errors_keep_their_text(text, message):
     with pytest.raises(ValueError) as exc:
@@ -128,6 +151,14 @@ def test_constructor_errors_keep_their_text():
         (([Cell("a", 0), Cell("a", 0)], []), "duplicate cell id 'a'"),
         (([Cell("a", -2)], []), "cell 'a' has negative dimension"),
         (([Cell("a", 0)], [["a", "z"]]), "cover ('a', 'z') references unknown cell"),
+        (([Cell("v\n", 0)], []), "bad cell id 'v\\n'"),
+        (([Cell("", 0)], []), "bad cell id ''"),
+        (([Cell("a", 0), Cell("a", 0), Cell("a b", 0)], []), "duplicate cell id 'a'"),
+        (([Cell("a", -1), Cell("a", 0)], []), "cell 'a' has negative dimension"),
+        (([Cell("a", 0)], [["a", "z"], ["y", "a"]]), "cover ('a', 'z') references unknown cell"),
+        (([("a", 0), ("a b", 1)], []), "bad cell id 'a b'"),
+        # covers given as a one-shot iterator are read in full by the entry scan
+        (([("12", 0), ("e", 1)], (c for c in [("e", 12), ("e", "z")])), "cover ('e', 'z') references unknown cell"),
     ]
     for args, message in cases:
         with pytest.raises(ValueError) as exc:
@@ -136,6 +167,50 @@ def test_constructor_errors_keep_their_text():
     # ids are stringified: an int id in a cover names the cell of that id
     cx = Complex.from_json('{"cells": [{"id": 12, "dim": 0}, {"id": "e", "dim": 1}], "covers": [["e", 12]]}')
     assert cx.covers == {("e", "12")} and cx.cover_faces == {"12": [], "e": ["12"]}
+    gen = Complex([("12", 0), ("e", 1)], (c for c in [("e", 12)]))
+    assert gen.covers == cx.covers and gen.cover_faces == cx.cover_faces
+    # cells may be given as (id, dim) pairs; they are read back as Cells, by dimension and id
+    pairs = Complex([("v", 0), ("e", 1), ("u", 0)], [("e", "v"), ("e", "u")])
+    assert pairs.cells == (Cell("u", 0), Cell("v", 0), Cell("e", 1))
+    assert [repr(c) for c in pairs.cells] == ["Cell(id='u', dim=0)", "Cell(id='v', dim=0)", "Cell(id='e', dim=1)"]
+    assert pairs.cover_faces == Complex(pairs.cells, pairs.covers).cover_faces == {"u": [], "v": [], "e": ["u", "v"]}
+
+
+def _first_fault_reference(cells, covers):
+    """The error text of the first faulty cell or cover, scanned one entry at a time, or None."""
+    seen = set()
+    for cid, dim in cells:
+        if not re.fullmatch(r"[A-Za-z0-9_]+", cid):
+            return f"bad cell id {cid!r}"
+        if cid in seen:
+            return f"duplicate cell id {cid!r}"
+        if dim < 0:
+            return f"cell {cid!r} has negative dimension"
+        seen.add(cid)
+    for u, l in covers:
+        if str(u) not in seen or str(l) not in seen:
+            return f"cover ({str(u)!r}, {str(l)!r}) references unknown cell"
+    return None
+
+
+def test_collection_checks_name_the_first_fault_of_the_entry_scan():
+    rng = random.Random(41)
+    pool = ["a", "b", "c_1", "D9", "a b", "v\n", "", "\u00e9", "x-y", "7"]
+    outcomes = set()
+    for _ in range(400):
+        cells = [(rng.choice(pool[:4] * 6 + pool[4:]), rng.choice((0, 0, 1, 1, 2, -1))) for _ in range(rng.randint(0, 6))]
+        ends = [c for c, _ in cells] + ["zz", 7]
+        covers = [[rng.choice(ends), rng.choice(ends)] for _ in range(rng.randint(0, 4))]
+        want = _first_fault_reference(cells, covers)
+        if want is None:
+            cx = Complex(cells, covers)
+            assert cx.covers == {(str(u), str(l)) for u, l in covers}
+        else:
+            with pytest.raises(ValueError) as exc:
+                Complex(cells, covers)
+            assert str(exc.value) == want
+        outcomes.add(want.split(" ")[0] if want else None)
+    assert outcomes == {None, "bad", "duplicate", "cell", "cover"}
 
 
 def test_single_edge_sign_convention():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -181,6 +182,19 @@ def _shapes(rng, count):
         yield random_int_matrix(rng, rows, cols, lo, hi)
 
 
+def _fraction_rows(rng, rows, cols):
+    """Random entries n/d with d in 1..7; some rows are rational combinations of earlier ones."""
+    out = []
+    for _ in range(rows):
+        if len(out) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(out, 2)
+            p, q = Fraction(rng.randint(-3, 3), rng.randint(1, 7)), Fraction(rng.randint(-3, 3), rng.randint(1, 7))
+            out.append([p * x + q * y for x, y in zip(a, b)])
+        else:
+            out.append([Fraction(rng.randint(-3, 3), rng.randint(1, 7)) if rng.random() < 0.6 else 0 for _ in range(cols)])
+    return out
+
+
 def test_sparse_field_rank_matches_dense_reference():
     rng = random.Random(17)
     for m in _shapes(rng, 120):
@@ -189,6 +203,18 @@ def test_sparse_field_rank_matches_dense_reference():
             assert rank_over_field(m, ring) == want
             assert rank_over_field(normalized(m, ring), ring) == want
             assert eliminate(m, ring) == [1] * want
+    # rational entries: columns with different denominators, dependent rows, empty shapes
+    deficient = 0
+    for rows, cols in [(0, 0), (0, 4), (4, 0)] + [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(150)]:
+        m = Mat.from_rows(_fraction_rows(rng, rows, cols), cols)
+        want = dense_rank_over_field(m, QQ)
+        assert rank_over_field(m, QQ) == want
+        assert eliminate(m, QQ) == [1] * want
+        deficient += want < min(rows, cols)
+    assert deficient >= 20
+    dependent = Mat.from_rows([[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 5), 0, Fraction(2, 7)],
+                               [Fraction(7, 10), Fraction(1, 3), Fraction(2, 7)]])  # row 3 = row 1 + row 2
+    assert dense_rank_over_field(dependent, QQ) == rank_over_field(dependent, QQ) == 2
 
 
 def test_sparse_invariant_factors_match_smith_diagonal():
@@ -225,6 +251,8 @@ def test_mat_matches_nested_list_arithmetic():
     shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)] + [tuple(rng.randint(1, 4) for _ in range(3)) for _ in range(40)]
     for ring in (ZZ, QQ, PrimeField(2), PrimeField(3)):
         def draw(rows, cols):
+            if ring is QQ:  # denominators 1..7, different within a column
+                return [[Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(cols)] for _ in range(rows)]
             return [[ring.normalize(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
 
         for r, k, c in shapes:
@@ -243,6 +271,16 @@ def test_mat_matches_nested_list_arithmetic():
             assert Mat.identity(r, ring.one).mul(ma, ring) == ma == ma.mul(Mat.identity(k, ring.one), ring)
             assert Mat.zeros(r, c).data == _dense(r, c, lambda i, j: 0)
             assert ma.mul(Mat.zeros(k, c), ring) == Mat.zeros(r, c)
+    # over Q, sums that cancel to zero are dropped: each row of a is a multiple of (u, v, w),
+    # and the first column of b, (v, -u, 0), is in its kernel
+    for _ in range(30):
+        u, v, w, x, y, z = (Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in range(6))
+        a = [[c * u, c * v, c * w] for c in (Fraction(1), Fraction(-2, 3), Fraction(5, 2))]
+        b = [[v, x], [-u, y], [0, z]]
+        got = Mat.from_rows(a, 3).mul(Mat.from_rows(b, 2), QQ)
+        assert got.columns[0] == ()
+        assert got == Mat.from_rows(_dense(3, 2, lambda i, j: sum((a[i][t] * b[t][j] for t in range(3)), Fraction(0))), 2)
+        assert all(type(e) is Fraction for col in got.columns for _, e in col)
     with pytest.raises(ValueError, match="matrix data does not match shape"):
         Mat.from_rows([[1, 2], [3]])  # ragged rows
     with pytest.raises(ValueError, match="matrix data does not match shape"):

@@ -50,6 +50,13 @@ def triangle_boundary():
     return Complex(cells, covers)
 
 
+def test_matching_ids_are_read_as_strings():
+    m = Matching.from_json('{"kind": "classical", "pairs": [["e", 12], ["f", "v"]]}')
+    assert m.pairs == (("e", "12"), ("f", "v"))
+    m = Matching.from_json('{"kind": "generalized", "pairs": [["t", "w"]]}')
+    assert m.pairs == (("t", "w"),) and m.kind == "generalized"
+    assert Matching.from_json('{"kind": "classical", "pairs": []}').pairs == ()
+
 def test_fig2_matching_is_acyclic_with_expected_critical():
     cx = fig2_complex()
     m = Matching((("wx", "x"), ("wy", "y"), ("xz", "z"), ("wxy", "xy")), "classical")
