@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .complexes import Complex, ValidationReport, _read_json
 from .homology import ChainComplex
 from .localization import Zigzag
 from .matchings import Matching, check_pairs
-from .rings import ZZ, Mat, NotInvertible, Ring, mat_inverse, ring_from_name
+from .rings import ZZ, BadScalar, Mat, NotInvertible, Ring, mat_inverse, ring_from_name
 
 
 @dataclass(frozen=True)
@@ -44,27 +45,14 @@ class Cosheaf:
             stalks, raw_maps = doc["stalks"], doc.get("maps", {})
             if not isinstance(stalks, dict) or not isinstance(raw_maps, dict):
                 raise TypeError("stalks and maps must be objects")
-            if any(type(v) is not int or v < 0 for v in stalks.values()):
+            if not set(map(type, stalks.values())) <= {int} or min(stalks.values(), default=0) < 0:
                 raise ValueError("stalk ranks must be non-negative ints")
-            if not all(isinstance(rows, list) and all(isinstance(r, list) for r in rows) for rows in raw_maps.values()):
+            values = raw_maps.values()
+            if not set(map(type, values)) <= {list} or not set(map(type, chain.from_iterable(values))) <= {list}:
                 raise TypeError("maps must be lists of rows, each a list")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"cosheaf file: bad ring or stalks ({exc})") from exc
-        maps = {}
-        for key, rows in raw_maps.items():
-            upper, sep, lower = key.partition(">")
-            if not sep:
-                raise ValueError(f"maps key {key!r} must look like 'upper>lower'")
-            upper, lower = upper.strip(), lower.strip()
-            data = tuple(tuple(ring.parse_scalar(x) for x in row) for row in rows)
-            expect = (stalks.get(lower, 0), stalks.get(upper, 0))
-            m = Mat.from_rows(data, len(data[0]) if data else expect[1])
-            if (m.rows, m.cols) != expect:
-                raise ValueError(
-                    f"maps[{key!r}] has shape {m.rows}x{m.cols}, expected {expect[0]}x{expect[1]}"
-                )
-            maps[(upper, lower)] = m
-        return Cosheaf(ring, stalks, maps)
+        return Cosheaf(ring, stalks, _read_maps(ring, stalks, raw_maps))
 
     def to_json(self) -> str:
         doc = {
@@ -76,6 +64,64 @@ class Cosheaf:
             },
         }
         return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _read_maps(ring: Ring, stalks: dict, raw_maps: dict) -> dict:
+    """The cover maps of a cosheaf file, checked and built a collection at a time.
+
+    Every key must split at '>' into a cover, after stripping, that no
+    other key names; every entry must parse in the ring; and every map must
+    have the shape its stalks give it.  Only when one of these fails are the
+    keys, then each one's entries row by row, scanned in turn to name the
+    first fault (``_check_maps``).
+    """
+    parts = [key.partition(">") for key in raw_maps]
+    covers = [(upper.strip(), lower.strip()) for upper, _, lower in parts]
+    shapes = [(stalks.get(lower, 0), stalks.get(upper, 0)) for upper, lower in covers]
+    normalize, parse = ring.normalize, ring.parse_scalar
+    maps = {}
+    try:
+        data = [[[normalize(x) if type(x) is int else parse(x) for x in row] for row in rows] for rows in raw_maps.values()]
+    except ValueError:
+        data = ()
+    if data and all(sep for _, sep, _ in parts):  # a repeated cover leaves fewer maps than keys
+        for cover, rows, (r, c) in zip(covers, data, shapes):
+            if len(rows) != r or not all(map(c.__eq__, map(len, rows))):
+                break
+            columns = tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*rows)) if r else ((),) * c
+            maps[cover] = Mat(r, c, columns)
+    if len(maps) != len(raw_maps):
+        _check_maps(ring, stalks, raw_maps)  # raises
+    return maps
+
+
+def _check_maps(ring: Ring, stalks: dict, raw_maps: dict) -> None:
+    """Raise for the first bad key or entry of a cosheaf file's maps, in key order.
+
+    A key is checked for its form, then for naming a cover an earlier key
+    named, then its entries row by row, then its shape.
+    """
+    seen = {}  # cover -> the key that named it
+    for key, rows in raw_maps.items():
+        upper, sep, lower = key.partition(">")
+        if not sep:
+            raise ValueError(f"maps key {key!r} must look like 'upper>lower'")
+        upper, lower = upper.strip(), lower.strip()
+        if (upper, lower) in seen:
+            raise ValueError(f"maps keys {seen[upper, lower]!r} and {key!r} both name the cover {upper}>{lower}")
+        seen[upper, lower] = key
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                try:
+                    ring.parse_scalar(x)
+                except BadScalar as exc:
+                    raise ValueError(f"maps[{key!r}][{i}][{j}]: {exc}") from None
+        expect = (stalks.get(lower, 0), stalks.get(upper, 0))
+        cols = len(rows[0]) if rows else expect[1]
+        if any(len(row) != cols for row in rows):
+            raise ValueError("matrix data does not match shape")
+        if (len(rows), cols) != expect:
+            raise ValueError(f"maps[{key!r}] has shape {len(rows)}x{cols}, expected {expect[0]}x{expect[1]}")
 
 
 def constant_cosheaf(c: Complex, ring: Ring, rank: int = 1) -> Cosheaf:
@@ -156,10 +202,13 @@ def cosheaf_chain_complex(c: Complex, signs, F: Cosheaf) -> ChainComplex:
     def faces(g):
         x, j = g
         for y in c.cover_faces[x]:
-            block = F.cover_map(x, y)
-            s = signs(x, y)
-            for i, entry in block.columns[j]:
-                yield (y, i), s * entry
+            column = F.cover_map(x, y).columns[j]
+            if signs(x, y) > 0:
+                for i, entry in column:
+                    yield (y, i), entry
+            else:
+                for i, entry in column:
+                    yield (y, i), -entry
 
     cells = [c.cells_of_dim(d) for d in range(max(c.top_dim, 0) + 1)]
     return ChainComplex.from_faces(ring, _stalk_generators(F.stalk, cells), faces)

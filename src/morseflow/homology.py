@@ -70,7 +70,7 @@ class ChainComplex:
                 acc: dict = {}
                 for face, coeff in faces(g):
                     i = where[face]
-                    acc[i] = acc.get(i, 0) + coeff
+                    acc[i] = acc[i] + coeff if i in acc else coeff
                 columns.append(_sparse_column(acc, ring))
             boundaries[d] = Mat(len(gens[d - 1]), len(gens[d]), tuple(columns))
         return ChainComplex(ring, tuple(len(level) for level in gens), boundaries)

@@ -66,31 +66,52 @@ class Matching:
 
 def check_pairs(c: Complex, m: Matching):
     """Raise BadPair unless every pair is a face pair of the right codimension."""
+    dim_of, covers, classical = c.dim_of, c.covers, m.kind == "classical"
     for u, l in m.pairs:
-        if u not in c.dim_of or l not in c.dim_of:
+        if u not in dim_of or l not in dim_of:
             raise BadPair(f"pair ({u}, {l}) references an unknown cell")
-        if not c.is_face(u, l):
+        if (u, l) not in covers and not c.is_face(u, l):
             raise BadPair(f"{l} is not a face of {u}")
-        if m.kind == "classical" and c.dim(u) - c.dim(l) != 1:
+        if classical and dim_of[u] - dim_of[l] != 1:
             raise BadPair(f"classical pair ({u}, {l}) must drop dimension by exactly 1")
 
 
 def check_acyclic(c: Complex, m: Matching) -> ValidationReport:
-    """Empty report iff the flow relation on matched lower cells has no cycle."""
+    """Empty report iff the flow relation on matched lower cells has no cycle.
+
+    The relation has d -> d' whenever d != d' is a strict face of the
+    partner of d'.  For a classical matching on a complex whose covers all
+    lower the dimension, only covers can lie on a cycle: a strict face has
+    a lower dimension than its cell, so along d -> d' the dimension of d is
+    at most dim(partner of d') - 1 = dim(d'), and around a cycle it cannot
+    rise, so it is constant; then d is a face of the partner of d' one
+    dimension down, which a chain of dimension-lowering covers reaches in
+    one cover.  The cover relation is searched first, and the strict-face
+    relation only when that finds a cycle, so that the witness is the first
+    cycle of the strict-face search, as it is for generalized matchings.
+    """
     check_pairs(c, m)
     report = ValidationReport()
     partner = {l: u for u, l in m.pairs}
     lowers = sorted(partner)
-    # d -> d' whenever d is a face of the partner of d'; lists stay in sorted order
-    succ = {d: [] for d in lowers}
-    for d2 in lowers:
-        for d in c.strict_faces(partner[d2]):
-            if d != d2 and d in succ:
-                succ[d].append(d2)
-    cycle = _find_cycle(lowers, succ)
+    dim_of = c.dim_of
+    if m.kind == "classical" and all(dim_of[u] > dim_of[l] for u, l in c.covers):
+        if _find_cycle(lowers, _flow_successors(lowers, partner, c.cover_faces.__getitem__)) is None:
+            return report
+    cycle = _find_cycle(lowers, _flow_successors(lowers, partner, c.strict_faces))
     if cycle is not None:
         report.add("cycle", "matching flow relation has a cycle: " + " < ".join(cycle), tuple(cycle))
     return report
+
+
+def _flow_successors(lowers, partner, faces) -> dict:
+    """d -> the d' != d with d in faces(partner of d'), for d and d' in ``lowers``; lists in sorted order."""
+    succ = {d: [] for d in lowers}
+    for d2 in lowers:
+        for d in faces(partner[d2]):
+            if d != d2 and d in succ:
+                succ[d].append(d2)
+    return succ
 
 
 def _find_cycle(nodes, succ):

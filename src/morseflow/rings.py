@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 
 class NotInvertible(Exception):
     """A map that must be invertible over the coefficient ring is not."""
+
+
+class BadScalar(ValueError):
+    """A string that is neither an integer nor a 'p/q' fraction."""
 
 
 class Ring:
@@ -25,22 +28,9 @@ class Ring:
     def normalize(self, x):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.normalize(a - b)
-
-    def mul(self, a, b):
-        return self.normalize(a * b)
-
-    @property
-    def zero(self):
-        return self.normalize(0)
-
     @property
     def one(self):
         return self.normalize(1)
-
-    def is_zero(self, a):
-        return self.normalize(a) == self.zero
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -59,12 +49,16 @@ class Ring:
             return self.normalize(token)
         if isinstance(token, str):
             num, _, den = token.partition("/")
-            if den:
-                try:
-                    return self.normalize(Fraction(int(num), int(den)))
-                except (ZeroDivisionError, NotInvertible):
-                    raise ValueError(f"{token} has a denominator that is 0 or not invertible in {self.name}") from None
-            return self.normalize(int(num))
+            try:
+                num, den = int(num), int(den) if den else 1
+            except ValueError:
+                raise BadScalar(f"{token!r} is not an integer or a 'p/q' fraction") from None
+            if den == 1:
+                return self.normalize(num)
+            try:
+                return self.normalize(Fraction(num, den))
+            except (ZeroDivisionError, NotInvertible):
+                raise ValueError(f"{token} has a denominator that is 0 or not invertible in {self.name}") from None
         raise ValueError(f"cannot parse ring element {token!r}")
 
     def format_scalar(self, a):
@@ -93,11 +87,6 @@ class IntegerRing(Ring):
 
     def is_unit(self, a):
         return a in (1, -1)
-
-    def inv(self, a):
-        if not self.is_unit(a):
-            raise NotInvertible(f"{a} is not a unit in Z")
-        return a
 
     def is_field(self):
         return False
@@ -161,9 +150,11 @@ class PrimeField(Ring):
         self.name = f"Fp:{p}"
 
     def normalize(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             den = self.normalize(x.denominator)
-            return self.mul(x.numerator % self.p, self.inv(den))
+            return x.numerator * self.inv(den) % self.p
         return int(x) % self.p
 
     def is_unit(self, a):
@@ -194,39 +185,74 @@ def ring_from_name(name: str) -> Ring:
 
 
 def mat_inverse(m: Mat, ring: Ring) -> Mat:
-    """Inverse of a square matrix over the ring, by Gauss-Jordan elimination.
+    """Inverse of a square matrix over the ring, by Gauss-Jordan elimination of [m | I].
 
-    Over Q and F_p the elimination runs in the field's own arithmetic.  Over Z
-    it runs over Q, because a unimodular matrix need not have a unit pivot
-    (``[[2, 3], [3, 5]]``), and the inverse must again be integral
-    (determinant +-1), otherwise NotInvertible is raised.
+    Over F_p the row steps run mod p.  Over Q and Z they are fraction-free,
+    as in ``eliminate``: each column j of m is scaled to integers by the lcm
+    d_j of its denominators, so m = B D^-1 with B integral, and with pivot b
+    and entry f, g = gcd(b, f), a row becomes (b/g) * row - (f/g) * pivot row
+    and is then divided by the gcd of its entries.  The left block ends
+    diagonal, diag(b_1, ..., b_n) = E B with E the right block, so row r of
+    m^-1 = D B^-1 is d_r E_r / b_r: one ``Fraction`` per nonzero entry over
+    Q.  Over Z the division must be exact, otherwise NotInvertible is
+    raised; a unimodular matrix need not have a unit pivot
+    (``[[2, 3], [3, 5]]``), so pivots are not required to be units.
     """
     if m.rows != m.cols:
         raise NotInvertible("only square matrices can be inverted")
     n = m.rows
-    field = ring if ring.is_field() else QQ
-    one, zero = field.one, field.zero
-    a = [[field.normalize(x) for x in row] for row in m.data]
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    p = ring.p if isinstance(ring, PrimeField) else 0
+    rational = isinstance(ring, RationalField)
+    a = [[0] * (2 * n) for _ in range(n)]  # [B | I]
+    scale = [1] * n  # d_j
+    for j, col in enumerate(m.columns):
+        a[j][n + j] = 1
+        if p:
+            for i, x in col:
+                a[i][j] = ring.normalize(x)
+        else:
+            scale[j], pairs = _integral(col)
+            for i, x in pairs:
+                a[i][j] = x
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
             raise NotInvertible("matrix is singular")
         a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = field.inv(a[col][col])
-        a[col] = [field.mul(x, d) for x in a[col]]
-        inv[col] = [field.mul(x, d) for x in inv[col]]
+        prow = a[col]
+        b = prow[col]
+        inv = pow(b, p - 2, p) if p else 0
         for r in range(n):
             f = a[r][col]
-            if r != col and f != 0:
-                a[r] = [field.sub(x, f * y) for x, y in zip(a[r], a[col])]
-                inv[r] = [field.sub(x, f * y) for x, y in zip(inv[r], inv[col])]
-    try:
-        rows = [[ring.normalize(x) for x in row] for row in inv]
-    except ValueError as exc:
-        raise NotInvertible(f"inverse is not defined over {ring.name}") from exc
-    return Mat.from_rows(rows, n)
+            if r == col or not f:
+                continue
+            if p:
+                f = f * inv % p
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], prow)]
+            else:
+                g = math.gcd(b, f)
+                lead, f = b // g, f // g
+                row = [lead * x - f * y for x, y in zip(a[r], prow)]
+                g = math.gcd(*row)
+                a[r] = [x // g for x in row] if g != 1 else row
+    columns = [[] for _ in range(n)]
+    for r, row in enumerate(a):
+        b, d = row[r], scale[r]
+        inv = pow(b, p - 2, p) if p else 0
+        for j in range(n):
+            x = row[n + j]
+            if not x:
+                continue
+            if p:
+                x = x * inv % p
+            elif rational:
+                x = Fraction(d * x, b)
+            else:
+                x, rest = divmod(d * x, b)
+                if rest:
+                    raise NotInvertible(f"inverse is not defined over {ring.name}")
+            columns[j].append((r, x))
+    return Mat(n, n, tuple(map(tuple, columns)))
 
 
 @dataclass(frozen=True)
@@ -369,7 +395,11 @@ def eliminate(m: Mat, ring: Ring) -> list[int]:
     have no unit entry, and ``_non_unit_factors`` diagonalizes them.  Every
     step over Z is unimodular, so the factors are the Smith form's.  Each
     entry is normalized in ``ring`` as it is loaded, so any matrix of raw
-    integers eliminates over any ring.
+    integers eliminates over any ring.  After loading, the loop makes no
+    ring call: a unit is tested inline (over Z it is +-1, which is its own
+    inverse; over a field every stored entry is one), the pivot is found in
+    one pass over the live rows of its column, and a row step is plain int
+    arithmetic, reduced mod p over F_p.
 
     Over Q no ``Fraction`` is built.  Each column is scaled to integers as
     it is loaded, and a row step is fraction-free: with pivot a and entry f
@@ -380,17 +410,18 @@ def eliminate(m: Mat, ring: Ring) -> list[int]:
     the elimination in Q's own arithmetic.
     """
     integral = isinstance(ring, RationalField)  # Q: integer columns and fraction-free row steps
+    p = ring.p if isinstance(ring, PrimeField) else 0  # F_p: row steps reduce mod p
+    field = integral or p  # every stored entry is a unit; over Z only +-1 are
     rows: dict = {}  # row -> {col: coeff}
     cols: dict = {}  # col -> set of rows
     if integral:  # each column scaled to ints, which need no normalizing
-        sub = operator.sub
         for j, col in enumerate(m.columns):
             for i, x in _integral(col)[1]:
                 if x:
                     rows.setdefault(i, {})[j] = x
                     cols.setdefault(j, set()).add(i)
     else:
-        normalize, sub = ring.normalize, ring.sub
+        normalize = ring.normalize
         for j, col in enumerate(m.columns):
             for i, x in col:
                 x = normalize(x)
@@ -405,13 +436,18 @@ def eliminate(m: Mat, ring: Ring) -> list[int]:
         live = cols.get(c)
         if live is None or len(live) != n:
             continue  # stale entry: the column changed or was eliminated
-        units = [i for i in live if ring.is_unit(rows[i][c])]
-        if not units:
+        r, size = -1, 0  # the unit whose row has the fewest nonzeros, ties to the lower row
+        for i in live:
+            row = rows[i]
+            if field or row[c] == 1 or row[c] == -1:
+                k = len(row)
+                if r < 0 or k < size or (k == size and i < r):
+                    r, size = i, k
+        if r < 0:
             continue  # pushed again if a later step changes this column
-        r = min(units, key=lambda i: (len(rows[i]), i))
         prow = rows.pop(r)
         a = prow.pop(c)
-        inv = None if integral else ring.inv(a)
+        inv = pow(a, p - 2, p) if p else a  # over Z, a = +-1 is its own inverse
         del cols[c]
         live.discard(r)
         for j in prow:
@@ -426,9 +462,9 @@ def eliminate(m: Mat, ring: Ring) -> list[int]:
                     for j in row:
                         row[j] *= lead
             else:
-                f = ring.mul(f, inv)
+                f *= inv
             for j, x in prow.items():
-                nx = sub(row.get(j, 0), f * x)
+                nx = (row.get(j, 0) - f * x) % p if p else row.get(j, 0) - f * x
                 if nx:
                     row[j] = nx
                     cols[j].add(i)

@@ -55,6 +55,7 @@ from morseflow.matchings import (
     MildnessEntry,
     MildnessReport,
     MorseSystem,
+    check_pairs,
 )
 from morseflow.nerves import (
     Simplex,
@@ -362,6 +363,26 @@ def normalized(m: Mat, ring) -> Mat:
     return Mat.from_rows([[ring.normalize(x) for x in row] for row in m.data], m.cols)
 
 
+def cosheaf_chain_complex_reference(c: Complex, signs, F: Cosheaf) -> dict:
+    """degree -> boundary of the cosheaf complex, each entry summed ``Fraction`` by ``Fraction``.
+
+    Generators are (cell, k) for each cell by dimension and id and each
+    basis vector k of its stalk, as in ``cosheaf_chain_complex``.
+    """
+    gens = [[(x, k) for x in c.cells_of_dim(d) for k in range(F.stalk(x))] for d in range(c.top_dim + 1)]
+    boundaries = {}
+    for d in range(1, len(gens)):
+        row_of = {g: i for i, g in enumerate(gens[d - 1])}
+        dense = [[Fraction(0)] * len(gens[d]) for _ in gens[d - 1]]
+        for col, (x, k) in enumerate(gens[d]):
+            for y in c.cover_faces[x]:
+                block = F.cover_map(x, y).data
+                for i in range(F.stalk(y)):
+                    dense[row_of[(y, i)]][col] += Fraction(signs(x, y)) * Fraction(block[i][k])
+        boundaries[d] = Mat.from_rows([[F.ring.normalize(v) for v in row] for row in dense], len(gens[d]))
+    return boundaries
+
+
 def random_twisted_cosheaf(rng, cx: Complex, ring, rank=None) -> Cosheaf:
     """Constant cosheaf conjugated by a random invertible matrix per cell.
 
@@ -395,17 +416,17 @@ def dense_rank_over_field(m: Mat, ring) -> int:
     col = 0
     nrows, ncols = m.rows, m.cols
     while rank < nrows and col < ncols:
-        piv = next((r for r in range(rank, nrows) if not ring.is_zero(rows[r][col])), None)
+        piv = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
         if piv is None:
             col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = ring.inv(rows[rank][col])
-        rows[rank] = [ring.mul(inv, x) for x in rows[rank]]
+        rows[rank] = [ring.normalize(inv * x) for x in rows[rank]]
         for r in range(nrows):
-            if r != rank and not ring.is_zero(rows[r][col]):
+            if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
-                rows[r] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
+                rows[r] = [ring.normalize(x - f * y) for x, y in zip(rows[r], rows[rank])]
         rank += 1
         col += 1
     return rank
@@ -851,6 +872,40 @@ def find_cycle_reference(nodes, succ):
             if cycle is not None:
                 return cycle
     return None
+
+
+def check_acyclic_reference(c: Complex, m: Matching) -> ValidationReport:
+    """The flow relation searched over strict faces alone, for every kind of matching.
+
+    d -> d' whenever d != d' is a strict face of the partner of d'; the
+    witness is the first cycle of ``find_cycle_reference`` from the lower
+    cells in sorted order.
+    """
+    check_pairs(c, m)
+    report = ValidationReport()
+    partner = {l: u for u, l in m.pairs}
+    lowers = sorted(partner)
+    succ = {d: [d2 for d2 in lowers if d2 != d and c.is_face(partner[d2], d)] for d in lowers}
+    cycle = find_cycle_reference(lowers, succ)
+    if cycle is not None:
+        report.add("cycle", "matching flow relation has a cycle: " + " < ".join(cycle), tuple(cycle))
+    return report
+
+
+def random_matching(rng, cx: Complex, kind="classical", share=1.0) -> Matching:
+    """A random partial matching, acyclic or not: each cover pair (for ``generalized``,
+    each face pair) is taken with probability ``share`` when both cells are still free."""
+    if kind == "classical":
+        candidates = sorted(cx.covers)
+    else:
+        candidates = [(u, l) for u in cx.ids() for l in cx.strict_faces(u)]
+    rng.shuffle(candidates)
+    chosen, used = [], set()
+    for u, l in candidates:
+        if u not in used and l not in used and rng.random() < share:
+            chosen.append((u, l))
+            used.update((u, l))
+    return Matching(tuple(chosen), kind)
 
 
 def validate_morse_system_reference(cat, ms) -> ValidationReport:

@@ -593,6 +593,7 @@ def test_malformed_cosheaf_files_are_bad_input(fixture_files, tmp_path, capsys, 
     ("Z", "1/0", "1/0 has a denominator that is 0 or not invertible in Z"),
     ("Fp:3", "1/3", "1/3 has a denominator that is 0 or not invertible in Fp:3"),
     ("Z", "1/2", "1/2 is not an integer"),
+    ("Q", "1.5", "maps['t>x'][0][0]: '1.5' is not an integer or a 'p/q' fraction"),
 ])
 @pytest.mark.parametrize("mode", ["cosheaf", "morse"])
 def test_cosheaf_entries_outside_the_ring_are_bad_input(fixture_files, tmp_path, capsys, ring, entry, message, mode):
@@ -604,6 +605,19 @@ def test_cosheaf_entries_outside_the_ring_are_bad_input(fixture_files, tmp_path,
     files = [calc61["complex"], path] if mode == "cosheaf" else [calc61["complex"], calc61["matching"], path]
     assert main(["homology", mode, *files]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["cosheaf", "morse"])
+def test_two_map_keys_naming_one_cover_are_bad_input(fixture_files, tmp_path, capsys, mode):
+    # "x > w" names the cover of "x>w" after stripping: neither map is kept silently
+    calc61 = fixture_files["calc61"]
+    cx = get_fixture("calc61").complex
+    maps = {f"{u}>{l}": [[1]] for u, l in cx.covers}
+    maps["x > w"] = [[7]]
+    path = _write_json(tmp_path / "twice.json", {"ring": "Q", "stalks": {c.id: 1 for c in cx.cells}, "maps": maps})
+    files = [calc61["complex"], path] if mode == "cosheaf" else [calc61["complex"], calc61["matching"], path]
+    assert main(["homology", mode, *files]) == 1
+    assert capsys.readouterr().err == "error: maps keys 'x>w' and 'x > w' both name the cover x>w\n"
 
 
 @pytest.mark.parametrize("pairs", [

@@ -7,6 +7,7 @@ import pytest
 from morseflow import (
     Cell,
     Complex,
+    Matching,
     QQ,
     SignInconsistency,
     ZZ,
@@ -426,15 +427,20 @@ def test_signs_match_the_union_find_reference():
 def test_cellular_and_morse_runs_walk_only_the_matched_upper_cells(monkeypatch, tmp_path, capsys):
     cx = cycle_graph_complex(40)
     m = random_acyclic_matching(random.Random(3), cx)
-    files = [tmp_path / "complex.json", tmp_path / "matching.json"]
-    files[0].write_text(cx.to_json(), encoding="utf-8")
-    files[1].write_text(m.to_json(), encoding="utf-8")
+    cyclic = Matching(tuple((f"e{i}", f"v{(i + 1) % 40}") for i in range(40)), "classical")
+    files = [tmp_path / "complex.json", tmp_path / "matching.json", tmp_path / "cyclic.json"]
+    for path, obj in zip(files, (cx, m, cyclic)):
+        path.write_text(obj.to_json(), encoding="utf-8")
     walked = []  # the cells whose strict faces are read, as the commands run
     walk = Complex._walk
     monkeypatch.setattr(Complex, "_walk", lambda self, cid: walked.append(cid) or walk(self, cid))
     assert main(["homology", "complex", str(files[0])]) == 0
     assert main(["validate", str(files[0])]) == 0
     assert walked == []
-    assert main(["homology", "morse", *map(str, files)]) == 0
+    # an acyclic classical matching is certified on the covers alone
+    assert main(["homology", "morse", str(files[0]), str(files[1])]) == 0
+    assert walked == []
+    # a cycle is named by the strict-face search, which walks matched upper cells only
+    assert main(["homology", "morse", str(files[0]), str(files[2])]) == 1
     capsys.readouterr()
-    assert walked and set(walked) <= {u for u, _ in m.pairs}
+    assert walked and set(walked) <= {u for u, _ in cyclic.pairs}

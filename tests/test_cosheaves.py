@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,15 @@ from morseflow import (
 from morseflow.cosheaves import Cosheaf, cosheaf_chain_complex
 from morseflow.localization import zigzag_from_text
 
-from helpers import cycle_graph_complex, random_acyclic_matching, random_complex, random_twisted_cosheaf
+from helpers import (
+    RP2_FACETS,
+    cosheaf_chain_complex_reference,
+    cycle_graph_complex,
+    random_acyclic_matching,
+    random_complex,
+    random_twisted_cosheaf,
+    simplicial_to_complex,
+)
 from morseflow.fixtures import fig2_complex, sphere_complex
 
 
@@ -89,6 +99,19 @@ def test_scaled_cosheaf_homology_against_direct_assembly():
     got = cosheaf_homology(cx, signs, F)
     direct = homology(cosheaf_chain_complex(cx, signs, F))
     assert got.groups == direct.groups
+
+
+def test_cosheaf_complex_equals_the_fraction_by_fraction_assembly():
+    rng = random.Random(29)
+    complexes = [fig2_complex(), sphere_complex(), simplicial_to_complex(RP2_FACETS)]
+    complexes += [random_complex(rng) for _ in range(12)]
+    for cx in complexes:
+        signs = assign_incidence_signs(cx)
+        for ring in (QQ, PrimeField(3)):
+            F = random_twisted_cosheaf(rng, cx, ring, rng.randint(1, 3))
+            got = cosheaf_chain_complex(cx, signs, F)
+            want = cosheaf_chain_complex_reference(cx, signs, F)
+            assert {n: got.boundary(n) for n in want} == want
 
 
 def test_inconsistent_assembly_raises():
@@ -274,6 +297,101 @@ def test_cosheaf_json_round_trip():
     again = Cosheaf.from_json(F.to_json())
     assert again.stalks == F.stalks
     assert {k: v.data for k, v in again.maps.items()} == {k: v.data for k, v in F.maps.items()}
+
+
+def _cosheaf_text(maps, ring="Z", stalks=None):
+    return json.dumps({"ring": ring, "stalks": stalks or {"x": 1, "w": 1, "t": 2}, "maps": maps})
+
+
+@pytest.mark.parametrize("maps, ring, message", [
+    ({"xw": [[1]]}, "Z", "maps key 'xw' must look like 'upper>lower'"),
+    ({"x>w": [[1], [2]]}, "Z", "maps['x>w'] has shape 2x1, expected 1x1"),
+    ({"x>w": []}, "Z", "maps['x>w'] has shape 0x1, expected 1x1"),
+    ({"t>w": [[1, 2], [3]]}, "Z", "matrix data does not match shape"),
+    ({"x>w": [["1/0"]]}, "Z", "1/0 has a denominator that is 0 or not invertible in Z"),
+    ({"x>w": [["1/3"]]}, "Fp:3", "1/3 has a denominator that is 0 or not invertible in Fp:3"),
+    ({"x>w": [["1/2"]]}, "Z", "1/2 is not an integer"),
+    ({"x>w": [[True]]}, "Z", "booleans are not ring elements"),
+    ({"x>w": [[1.5]]}, "Q", "cannot parse ring element 1.5"),
+    ({"x>w": [[None]]}, "Q", "cannot parse ring element None"),
+    # a string that is neither an integer nor a fraction is named with its key
+    ({"x>w": [["1.5"]]}, "Q", "maps['x>w'][0][0]: '1.5' is not an integer or a 'p/q' fraction"),
+    ({"t>w": [[1, "2/x"]]}, "Q", "maps['t>w'][0][1]: '2/x' is not an integer or a 'p/q' fraction"),
+    # two keys naming one cover after stripping
+    ({"x>w": [[1]], "x > w": [[7]]}, "Z", "maps keys 'x>w' and 'x > w' both name the cover x>w"),
+    # precedence: keys in order; within a key its form, a repeat, its entries, then its shape
+    ({"x>w": [[1, 2]], "xw": [[1]]}, "Z", "maps['x>w'] has shape 1x2, expected 1x1"),
+    ({"x>w": [[1]], "x >w": [["a"]], "t": []}, "Z", "maps keys 'x>w' and 'x >w' both name the cover x>w"),
+    ({"x>w": [[True, 2]]}, "Z", "booleans are not ring elements"),
+    ({"t>w": [[1], ["a", 2]]}, "Z", "maps['t>w'][1][0]: 'a' is not an integer or a 'p/q' fraction"),
+    ({"t>w": [["1/2", "b"]]}, "Z", "1/2 is not an integer"),
+])
+def test_cosheaf_input_errors_keep_their_text(maps, ring, message):
+    with pytest.raises(ValueError) as exc:
+        Cosheaf.from_json(_cosheaf_text(maps, ring))
+    assert str(exc.value) == message
+
+
+def _read_maps_reference(ring, stalks, raw_maps):
+    """(error text, None) for the first faulty key or entry, each key read in turn, or (None, maps)."""
+    maps, named = {}, {}
+    for key, rows in raw_maps.items():
+        upper, sep, lower = key.partition(">")
+        if not sep:
+            return f"maps key {key!r} must look like 'upper>lower'", None
+        cover = (upper.strip(), lower.strip())
+        if cover in named:
+            return f"maps keys {named[cover]!r} and {key!r} both name the cover {cover[0]}>{cover[1]}", None
+        named[cover] = key
+        data = []
+        for i, row in enumerate(rows):
+            data.append([])
+            for j, x in enumerate(row):
+                if isinstance(x, str):
+                    num, _, den = x.partition("/")
+                    try:
+                        int(num), int(den or 0)
+                    except ValueError:
+                        return f"maps[{key!r}][{i}][{j}]: {x!r} is not an integer or a 'p/q' fraction", None
+                try:
+                    data[-1].append(ring.parse_scalar(x))
+                except ValueError as exc:
+                    return str(exc), None
+        expect = (stalks.get(cover[1], 0), stalks.get(cover[0], 0))
+        try:
+            maps[cover] = Mat.from_rows(data, len(data[0]) if data else expect[1])
+        except ValueError as exc:
+            return str(exc), None
+        if (maps[cover].rows, maps[cover].cols) != expect:
+            return f"maps[{key!r}] has shape {maps[cover].rows}x{maps[cover].cols}, expected {expect[0]}x{expect[1]}", None
+    return None, maps
+
+
+def test_map_checks_name_the_first_fault_of_the_entry_scan():
+    rng = random.Random(61)
+    stalks = {"a": 1, "b": 2, "c": 0, "d": 1}
+    keys = ["a>b", "b>a", " a > b", "b>c", "c>d", "d>a", "a>d", "ab", "d >a", "b>b"]
+    entries = [0, 1, -1, 2, 7, "3/4", "-2", " 5", "1/2", "x", "1.5", "2/0", "", True, None, 2.5]
+    outcomes = Counter()
+    for _ in range(600):
+        ring = rng.choice((ZZ, QQ, PrimeField(3)))
+        raw_maps = {}
+        for key in rng.sample(keys, rng.randint(0, 4)):
+            r, c = (stalks.get(p.strip(), 0) for p in reversed(key.partition(">")[::2]))
+            r, c = max(r + rng.choice((0, 0, 0, 0, 1, -1)), 0), max(c + rng.choice((0, 0, 0, 0, 1, -1)), 0)
+            pool = entries[:8] if rng.random() < 0.8 else entries
+            raw_maps[key] = [[rng.choice(pool) for _ in range(c + (rng.random() < 0.05))] for _ in range(r)]
+        error, maps = _read_maps_reference(ring, stalks, raw_maps)
+        text = json.dumps({"ring": ring.name, "stalks": stalks, "maps": raw_maps})
+        if error is None:
+            assert Cosheaf.from_json(text).maps == maps
+            outcomes["ok"] += 1
+        else:
+            with pytest.raises(ValueError) as exc:
+                Cosheaf.from_json(text)
+            assert str(exc.value) == error, raw_maps
+            outcomes[error.split(" ")[-1]] += 1
+    assert outcomes["ok"] >= 50 and len(outcomes) >= 8, outcomes
 
 
 def test_morse_transport_runs_past_the_recursion_limit():

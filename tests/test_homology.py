@@ -154,6 +154,50 @@ def test_mat_inverse_matches_the_adjugate_over_each_ring():
     assert mat_inverse(Mat.from_rows([[2, 3], [3, 5]]), ZZ).data == ((5, -3), (-3, 2))
 
 
+def test_mat_inverse_over_q_and_z_on_large_denominators_singular_and_non_unimodular_matrices():
+    # m = diag(r) B diag(c) with B integral and r, c fractions of up to 40 digits:
+    # m^-1 = diag(1/c) B^-1 diag(1/r), with B^-1 from the adjugate
+    rng = random.Random(83)
+    big = lambda: Fraction(rng.randint(1, 10**40), rng.randint(1, 10**40)) * rng.choice((1, -1))
+    counts = {"Q": 0, "Q singular": 0, "Z": 0, "Z not unimodular": 0, "Z singular": 0}
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        b = random_int_matrix(rng, n, n, -3, 3)
+        r, c = [big() for _ in range(n)], [big() for _ in range(n)]
+        rows = b.data
+        m = Mat.from_rows([[r[i] * rows[i][j] * c[j] for j in range(n)] for i in range(n)], n)
+        inv_b = mat_inverse_reference(b, QQ)
+        if inv_b is None:
+            with pytest.raises(NotInvertible, match="matrix is singular"):
+                mat_inverse(m, QQ)
+            counts["Q singular"] += 1
+        else:
+            want = [[inv_b[i, j] / (c[i] * r[j]) for j in range(n)] for i in range(n)]
+            assert mat_inverse(m, QQ) == Mat.from_rows(want, n)
+            counts["Q"] += 1
+        det = det_int(rows)
+        if det in (1, -1):
+            assert mat_inverse(b, ZZ) == mat_inverse_reference(b, ZZ)
+            counts["Z"] += 1
+        else:
+            message = "matrix is singular" if det == 0 else "inverse is not defined over Z"
+            with pytest.raises(NotInvertible, match=message):
+                mat_inverse(b, ZZ)
+            counts["Z not unimodular" if det else "Z singular"] += 1
+    # unimodular integer matrices with large entries, some without a unit entry
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        u = Mat.identity(n, 1)
+        for _ in range(8):
+            i, j = rng.sample(range(n), 2)
+            step = Mat.from_rows([[1 if a == b else (rng.randint(-9, 9) if (a, b) == (i, j) else 0) for b in range(n)] for a in range(n)], n)
+            u = step.mul(u, ZZ)
+        assert mat_inverse(u, ZZ) == mat_inverse_reference(u, ZZ)
+        assert mat_inverse(u, ZZ).mul(u, ZZ) == Mat.identity(n, 1)
+        counts["Z"] += 1
+    assert min(counts.values()) >= 10, counts
+
+
 def test_ring_parsing():
     r = ring_from_name("Fp:5")
     assert r.normalize(7) == 2

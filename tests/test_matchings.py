@@ -28,6 +28,7 @@ from morseflow.nerves import greedy_collapses_to_point
 from helpers import (
     RP2_FACETS,
     cell_name,
+    check_acyclic_reference,
     check_mildness_reference,
     close_order_reference,
     cycle_graph_complex,
@@ -36,6 +37,7 @@ from helpers import (
     morse_system_reference,
     random_acyclic_matching,
     random_complex,
+    random_matching,
     reachability_order_complex,
     restriction_objects_reference,
     simplicial_to_complex,
@@ -73,6 +75,54 @@ def test_triangle_cycle_is_reported_with_witness():
     (finding,) = report.findings
     assert finding.code == "cycle"
     assert len(finding.witness) >= 4  # closed walk
+
+
+def test_check_acyclic_matches_the_strict_face_search():
+    # the cover search certifies acyclic classical matchings; a cycle is named
+    # by the strict-face search, so report and witness equal the reference's
+    rng = random.Random(19)
+    complexes = [fx.complex for _, fx in sorted(FIXTURES.items())]
+    complexes += [simplicial_to_complex(combinations(range(k + 1), k)) for k in (3, 4, 5)]
+    complexes += [simplicial_to_complex(RP2_FACETS)] + [random_complex(rng) for _ in range(40)]
+    kinds = Counter()
+    for cx in complexes:
+        for kind, share in (("classical", 1.0), ("classical", 0.4), ("generalized", 0.6)):
+            for _ in range(3):
+                m = random_matching(rng, cx, kind, share)
+                got, want = check_acyclic(cx, m), check_acyclic_reference(cx, m)
+                assert got == want, (cx.covers, m)
+                kinds[kind, got.ok] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_check_acyclic_names_the_first_strict_face_cycle_across_dimensions():
+    # cycles among vertices and among edges of the boundary of the tetrahedron:
+    # the strict-face search from the first vertex climbs to the edge cycle,
+    # which the cover search, keeping to one dimension, does not reach first
+    cx = simplicial_to_complex(combinations(range(1, 5), 3))
+    vertex_cycle = (("s1_2", "s2"), ("s2_3", "s3"), ("s1_3", "s1"))
+    edge_cycle = (("s1_2_4", "s1_4"), ("s2_3_4", "s2_4"), ("s1_3_4", "s3_4"))
+    m = Matching(vertex_cycle + edge_cycle, "classical")
+    report = check_acyclic(cx, m)
+    assert report == check_acyclic_reference(cx, m)
+    (finding,) = report.findings
+    assert finding.witness == ("s1_4", "s3_4", "s2_4", "s1_4")
+    for half in (vertex_cycle, edge_cycle):
+        part = Matching(half, "classical")
+        assert check_acyclic(cx, part) == check_acyclic_reference(cx, part)
+        assert not check_acyclic(cx, part).ok
+
+
+def test_check_acyclic_searches_strict_faces_when_a_cover_keeps_the_dimension():
+    # x > v2 and y > v1 join two vertices, so v2 is a strict face of e1 without
+    # being a cover of it: the cycle v1 < v2 < v1 has no cover edge
+    cells = [Cell("e1", 1), Cell("e2", 1)] + [Cell(v, 0) for v in ("v1", "v2", "x", "y")]
+    covers = [("e1", "v1"), ("e1", "x"), ("x", "v2"), ("e2", "v2"), ("e2", "y"), ("y", "v1")]
+    cx = Complex(cells, covers)
+    m = Matching((("e1", "v1"), ("e2", "v2")), "classical")
+    report = check_acyclic(cx, m)
+    assert report == check_acyclic_reference(cx, m)
+    assert [f.witness for f in report.findings] == [("v1", "v2", "v1")]
 
 
 def test_empty_matching_is_acyclic_and_all_critical():
