@@ -12,6 +12,7 @@ from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -108,16 +109,23 @@ class HomPoset:
         return next((f for f, down in zip(self.elements, self.relation.down) if down == full), None)
 
     def covers(self):
-        """Covering pairs (f, g) of the strict order, for compact reports."""
+        """Covering pairs (f, g) of the strict order, for compact reports,
+        sorted by the ``sort_key``s of f, then g, ranked once per call."""
         els = self.elements
+        keys, rank, r = list(map(sort_key, els)), [0] * len(els), -1
+        for i in sorted(range(len(els)), key=keys.__getitem__):
+            if r < 0 or keys[i] != last:  # equal keys share a rank
+                r, last = r + 1, keys[i]
+            rank[i] = r
         strict = [m & ~(1 << i) for i, m in enumerate(self.relation.down)]
         out = []
         for i, m in enumerate(strict):
             below = 0
             for j in _bits(m):
                 below |= strict[j]
-            out.extend((els[j], els[i]) for j in _bits(m & ~below))
-        return sorted(out, key=lambda pair: (sort_key(pair[0]), sort_key(pair[1])))
+            out.extend((rank[j] * len(els) + rank[i], j, i) for j in _bits(m & ~below))
+        out.sort(key=itemgetter(0))
+        return [(els[j], els[i]) for _, j, i in out]
 
     def check_partial_order(self):
         down = self.relation.down
@@ -340,22 +348,17 @@ class PCategory:
 # ---------------------------------------------------------------------------
 
 
+_tuple_new = tuple.__new__  # _tuple_new(Morphism, fields) is Morphism(*fields) without its Python-level __new__
+
+
 def _path_compose(f: Morphism, g: Morphism) -> Morphism:
-    return Morphism(f.source, g.target, f.label + g.label[1:])
+    return _tuple_new(Morphism, (f.source, g.target, f.label + g.label[1:]))
 
 
 def _path_splittings(f: Morphism):
-    out = []
-    for i in range(len(f.label)):
-        mid = f.label[i]
-        out.append(
-            (
-                Morphism(f.source, mid, f.label[: i + 1]),
-                mid,
-                Morphism(mid, f.target, f.label[i:]),
-            )
-        )
-    return out
+    source, target, label = f
+    return [(_tuple_new(Morphism, (source, mid, label[:i + 1])), mid, _tuple_new(Morphism, (mid, target, label[i:])))
+            for i, mid in enumerate(label)]
 
 
 def entrance_path_category(c) -> PCategory:

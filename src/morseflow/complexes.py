@@ -106,6 +106,19 @@ class Complex:
         self.covers = frozenset(pairs)
         self.cover_faces = cover_faces
         self._faces = {}  # cid -> (sorted strict faces, their set), walked on first read
+        self._ungraded = None  # the grading verdict, found on the first read of ``ungraded``
+
+    @property
+    def ungraded(self) -> list:
+        """The covers that do not drop the dimension by exactly 1, sorted: the one grading verdict.
+
+        It is found on first read and kept in ``_ungraded``, an attribute that ``__init__`` sets, so
+        the instance keeps the attribute layout that its other reads are fast with."""
+        if self._ungraded is None:
+            dim_of = self.dim_of
+            self._ungraded = sorted([(u, l) for u, faces in self.cover_faces.items() for l in faces
+                                     if dim_of[u] - dim_of[l] != 1])
+        return self._ungraded
 
     @cached_property
     def cells(self) -> tuple:
@@ -246,8 +259,7 @@ def validate_complex(c: Complex) -> ValidationReport:
     """Check the CW-poset proxies; an empty report means all of them hold."""
     report = ValidationReport()
     dim_of = c.dim_of
-    ungraded = [(u, l) for u, faces in c.cover_faces.items() for l in faces if dim_of[u] - dim_of[l] != 1]
-    for u, l in sorted(ungraded):
+    for u, l in c.ungraded:
         report.add("grading", f"cover ({u}, {l}) drops dimension by {dim_of[u] - dim_of[l]}, not 1", (u, l))
     if not report.ok:
         return report  # the remaining checks presuppose grading

@@ -10,12 +10,11 @@ is left, and ``reduce_zigzag`` and flow composition use it.  The order on
 classes is generated by single-slot steps (one forward morphism raised in
 its hom-poset, which generates the componentwise order of same-shape
 zigzags) together with column erasures (the longer zigzag sits below),
-closed through the classes.  Every move replaces one column or one
-morphism, so a move table computes each once, as ids of morphisms.  The
-zigzags of one Σ-chain are the product of its slots, kept as one block of
-grid indices, and every move is index arithmetic between blocks: the class
-partition, the order pairs and the class of a composite all work on grid
-indices.
+closed through the classes.  A move table computes the moves of a whole
+column of slots at once, as ids of morphisms.  The zigzags of one Σ-chain
+are the product of its slots, one block of grid indices, and every move is
+index arithmetic between blocks: a hom's edges are flat index lists, and
+the class partition, the order pairs and composites work on grid indices.
 
 For systems whose arrows span singleton hom-posets (classical matchings,
 codimension 1) the strictly descending enumeration is complete and no length
@@ -28,12 +27,16 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, product, repeat
-from operator import mul
+from operator import attrgetter, mul
+from typing import NamedTuple
 
-from .categories import HomPoset, Order, PCategory, _close_order
+from .categories import HomPoset, Order, PCategory, _bits, _close_order
 from .matchings import MorseSystem
 
 STABILIZATION_NERVE_DIM = 3  # successive bounds must agree on nerve homology through degree 2
+
+
+_label = attrgetter("label")
 
 
 class OrderViolation(Exception):
@@ -73,7 +76,7 @@ class Zigzag:
 
     def key(self):
         """The zigzag order: fewer backward arrows first, then the forward labels, then the backward ones."""
-        return len(self.lefts), tuple(g.label for g in self.rights), tuple(f.label for f in self.lefts)
+        return len(self.lefts), tuple(map(_label, self.rights)), tuple(map(_label, self.lefts))
 
     def __repr__(self):
         return f"Zigzag({zigzag_to_text(self)!r})"
@@ -129,138 +132,182 @@ def zigzag_from_text(cat: PCategory, ms: MorseSystem, text: str) -> Zigzag:
 
 
 class _MoveTable:
-    """The localization moves of one category, computed once per span, on morphism ids.
+    """The localization moves of one category, on morphism ids, computed once per column of slots.
 
-    The table gives each morphism it sees a small int id and keys a zigzag by
-    the tuple (g_0, f_0, g_1, ..., g_k) of its ids.  A move replaces one span
-    of a zigzag by a single forward morphism: a contraction (``_merge``) or an
-    erasure (``_erase``) replaces a column (g_i, f_i, g_(i+1)), a single-slot
-    step (``_larger``) one forward morphism g_i.  Moves take and yield ids and
-    read per-id tables, each filled once: a morphism's cuts (the category's
-    splittings), its place in its hom-poset (so ``_leq`` is one bit test),
-    each composite (``_composites``) and each hom's element ids.  Which morphisms
-    qualify depends on the move and the span alone, so each span's
-    replacements are computed on first use, in first-seen order, checked once
-    and kept in one cache, by move and span, for the lifetime of the category
-    that keeps the table (``_moves``).  A hom's ``_Grid`` turns them into
-    edges between grid indices, and ``reduce`` rewrites keys with them; a
-    zigzag is built only to decode a key.
+    A zigzag is keyed by the tuple (g_0, f_0, g_1, ..., g_k) of its ids.  A contraction or erasure
+    replaces a column (g_i, f_i, g_(i+1)) by one morphism, a single-slot step (``_larger``) one g_i,
+    and what a move finds depends on the span alone.  The spans (g1, f, g2), g1 in hom(w, y) and g2 in
+    hom(x, z) for f: x -> y, form a column of slots (w, f, z): ``_columns`` holds each column's
+    contractions and erasures as ``_Table``s on the spans p1 * width + p2 (the positions of g1 and g2),
+    ``_steps`` each hom's steps.  They are the one cache, kept with the category (``_moves``), behind
+    the grid's edges and ``reduce``, and read per-id memos: cuts, places in hom-posets, composites.
     """
 
     def __init__(self, cat: PCategory):
         self.cat = cat
-        self._ids: dict = {}  # morphism -> id
+        ids = self._ids = _Memo(self._intern)  # morphism -> id
+        self._id = ids.__getitem__
         ms = self._morphisms = []  # id -> morphism
         # id -> its hom's order (None when the hom does not hold it), its position there and its down-set mask
         self._home, self._position, self._down = [], [], []
-        self._composites = _Memo(lambda ij: self._id(cat.compose(ms[ij[0]], ms[ij[1]])))  # (i, j) -> id of i then j
+        self._composites = _Memo(lambda ij: ids[cat.compose(ms[ij[0]], ms[ij[1]])])  # (i, j) -> id of i then j
         # id -> its splittings (p, a, q), in the category's order, as (id of p, a, id of q)
-        self._cuts = _Memo(lambda i: [(self._id(p), a, self._id(q)) for p, a, q in cat.splittings(ms[i])])
-        self._elements = _Memo(lambda ab: tuple(map(self._id, cat.hom(*ab).elements)))  # (a, b) -> hom(a, b)'s ids
-        self._cache: dict = {}  # move -> {ids of a span -> ids of its replacements}
+        self._cuts = _Memo(lambda i: [(ids[p], a, ids[q]) for p, a, q in cat.splittings(ms[i])])
+        self._holders = _Memo(self._group)  # (x, z) -> {a: [(p, q, rest)]}: the cuts through a of its p-th element
+        self._elements = _Memo(lambda ab: tuple(map(ids.__getitem__, cat.hom(*ab).elements)))  # (a, b) -> its ids
+        self._columns = _Memo(self._column)  # (w, f, z) -> (width, contractions, erasures)
+        self._steps = _Memo(self._step_table)  # (a, b) -> the steps of hom(a, b)'s elements
 
-    def _id(self, g) -> int:
-        i = self._ids.get(g)
-        if i is None:
-            i = self._ids[g] = len(self._morphisms)
-            self._morphisms.append(g)
-            order = self.cat.hom(g.source, g.target).relation
-            p = order.index.get(g)
-            self._home.append(None if p is None else order)
-            self._position.append(p or 0)
-            self._down.append(0 if p is None else order.down[p])
-        return i
-
-    def _leq(self, i, j):
-        """Whether morphism i lies below morphism j: false across homs, else one bit of j's down-set."""
-        return self._home[i] is self._home[j] and self._down[j] >> self._position[i] & 1
+    def _intern(self, g) -> int:
+        order = self.cat.hom(g.source, g.target).relation
+        p = order.index.get(g)
+        self._morphisms.append(g)
+        self._home.append(None if p is None else order)
+        self._position.append(p or 0)
+        self._down.append(0 if p is None else order.down[p])
+        return len(self._morphisms) - 1
 
     def key(self, z: Zigzag) -> tuple:
         """The ids of z's morphisms g_0, f_0, g_1, ..., g_k."""
         return tuple(map(self._id, _slots(z)))
 
-    def find(self, z):
-        """z's key if z is a zigzag whose morphisms all have ids, else None; interns nothing."""
-        if not isinstance(z, Zigzag):
-            return None
-        key = tuple(map(self._ids.get, _slots(z)))
-        return None if None in key else key
-
     def zigzag(self, key) -> Zigzag:
-        ms = self._morphisms
-        return Zigzag(tuple(ms[i] for i in key[0::2]), tuple(ms[i] for i in key[1::2]))
+        get = self._morphisms.__getitem__
+        return Zigzag(tuple(map(get, key[0::2])), tuple(map(get, key[1::2])))
 
-    def _replacements(self, move, key, a, b) -> tuple:
-        """Compute and keep the ids of the morphisms ``move`` finds for key[a:b].
+    def _group(self, hom) -> dict:
+        holders = {}
+        for p, g in enumerate(self._elements[hom]):
+            for q, a, rest in self._cuts[g]:
+                holders.setdefault(a, []).append((p, q, rest))
+        return holders
 
-        Each is checked here, once, to span the same endpoints as key[a:b],
-        and a mismatch raises the error of building the spliced zigzag.
+    def _column(self, column) -> tuple:
+        """The contractions and erasures of every span (g1, f, g2) of a column (w, f, z).
+
+        Contractions: g1 ends with p: a -> y, g2 starts with q: x -> a and f <= q o p, matched by a
+        in the order of g1's cuts, then of g2's.  Erasures: g1 o r for r in hom(y, z) with g2 <= f o r,
+        then r o g2 for r in hom(w, x) with g1 <= r o f, read off the masks of f o r and r o f.
         """
+        w, f, z = column
+        home, down, composites, elements = self._home, self._down, self._composites, self._elements
+        x, y, _ = self._morphisms[f]
+        firsts, seconds = elements[w, y], elements[x, z]
+        after, before = [[] for _ in seconds], [[] for _ in firsts]  # per g2 (g1), the r that erase it
+        order = home[seconds[0]]
+        for r in elements[y, z]:
+            c = composites[f, r]
+            if home[c] is order:
+                for p in _bits(down[c]):
+                    after[p].append(r)
+        order = home[firsts[0]]
+        for r in elements[w, x]:
+            c = composites[r, f]
+            if home[c] is order:
+                for p in _bits(down[c]):
+                    before[p].append(r)
+        f_home, f_bit, width, holders = home[f], 1 << self._position[f], len(seconds), self._holders[x, z]
+        contractions, erasures, raised = {}, {}, [p2 for p2, highs in enumerate(after) if highs]
+        for p1, (g1, lows) in enumerate(zip(firsts, before)):
+            span, merged = p1 * width, {}  # p2 -> the contractions of (g1, f, seconds[p2]), in cut order
+            for head, a, p in self._cuts[g1]:
+                for p2, q, rest in holders.get(a, ()):
+                    c = composites[q, p]
+                    if home[c] is f_home and down[c] & f_bit:
+                        merged.setdefault(p2, []).append(composites[head, rest])
+            for p2 in sorted(merged) if merged else ():
+                contractions[span + p2] = tuple(dict.fromkeys(merged[p2]))
+            for p2 in range(width) if lows else raised:  # the spans of g1 that erase
+                out = [composites[g1, r] for r in after[p2]]
+                if lows:
+                    out += [composites[r, seconds[p2]] for r in lows]
+                erasures[span + p2] = tuple(dict.fromkeys(out))
+        if not (contractions or erasures):
+            return width, _NO_MOVES, _NO_MOVES
+        order = self.cat.hom(w, z).relation
+        return width, self._table(contractions, order), self._table(erasures, order)
+
+    def _step_table(self, hom) -> _Table:
+        steps = {}
+        for p, g in enumerate(self._elements[hom]):
+            larger = self._larger(g)
+            if larger:
+                steps[p] = tuple(dict.fromkeys(larger))
+        return self._table(steps, self.cat.hom(*hom).relation)
+
+    def _table(self, found: dict, order: Order) -> _Table:
+        """The ``_Table`` of ``found`` (span -> ids, in span order), which should all be elements of ``order``."""
+        if not found:
+            return _NO_MOVES
+        spans, places, held, home, position = [], [], True, self._home, self._position
+        for c, rs in found.items():
+            for r in rs:
+                spans.append(c)
+                places.append(position[r])
+                held = held and home[r] is order
+        return _Table(found, spans, places, held)
+
+    def _larger(self, g):
+        """Single-slot steps: the elements strictly above g in its hom-poset, in element order."""
+        m, home, down, p = self._morphisms[g], self._home, self._down, self._position[g]
+        return [h for h in self._elements[m.source, m.target] if h != g and home[h] is home[g] and down[h] >> p & 1]
+
+    def _misfit(self, key, a, b, rs):
+        """The error (what building the spliced zigzag raises, else ``ValueError``) of the first of
+        ``rs`` that does not span key[a:b]'s endpoints, or None."""
         ms = self._morphisms
-        out = self._cache[move][key[a:b]] = tuple(dict.fromkeys(move(*key[a:b])))
         first, last = ms[key[a]], ms[key[b - 1]]
-        for r in out:
-            g = ms[r]
-            if g.source != first.source or g.target != last.target:
-                self.zigzag(key[:a] + (r,) + key[b:])
-                raise ValueError(f"{g!r} does not span {first.source} -> {last.target}")
-        return out
+        for r in rs:
+            if ms[r].source != first.source or ms[r].target != last.target:
+                try:
+                    self.zigzag(key[:a] + (r,) + key[b:])
+                except ValueError as error:
+                    return error
+                return ValueError(f"{ms[r]!r} does not span {first.source} -> {last.target}")
+        return None
 
     def reduce(self, key) -> tuple:
-        """Apply the first contraction to a key until none is left; the result is irreducible."""
-        merge = self._merge
-        cache = self._cache.setdefault(merge, {})
+        """Apply the first contraction to a key until none is left; the result is irreducible.
+
+        A span is found in its column by its positions, so each forward morphism of the key must be an
+        element of its hom-poset, as each replacement of a ``held`` table is; any other is checked."""
+        ms, home, position, columns = self._morphisms, self._home, self._position, self._columns
         a = 0
         while a < len(key) - 2:
-            rs = cache.get(key[a:a + 3])
-            if rs is None:
-                rs = self._replacements(merge, key, a, a + 3)
+            g1, f, g2 = key[a:a + 3]
+            width, contractions, _ = columns[ms[g1].source, f, ms[g2].target]
+            rs = contractions.found.get(position[g1] * width + position[g2])
             if rs:
+                error = None if contractions.held else self._misfit(key, a, a + 3, rs)
+                if error or home[rs[0]] is None:
+                    raise error or ValueError(f"{ms[rs[0]]!r} is not an element of its hom-poset")
                 key = key[:a] + (rs[0],) + key[a + 3:]
                 a = max(a - 2, 0)  # the columns before the previous one still do not contract
             else:
                 a += 2
         return key
 
-    def _merge(self, g1, f, g2):
-        """Contractions: cancellations of a column through a common splitting
-        point a: g1 ends with p: a -> y, g2 starts with q: x -> a, and f lies
-        below q o p."""
-        leq, composites, cuts = self._leq, self._composites, self._cuts
-        heads = cuts[g2]
-        for p_head, a, p in cuts[g1]:
-            for q, a2, h_tail in heads:
-                if a == a2 and leq(f, composites[q, p]):
-                    yield composites[p_head, h_tail]
 
-    def _erase(self, g1, f, g2):
-        """Erasures: replacements of a column by one morphism lying above it in
-        the order; the longer zigzag lies below the result."""
-        ms, leq, composites = self._morphisms, self._leq, self._composites
-        for r in self._elements[ms[f].target, ms[g2].target]:
-            if leq(g2, composites[f, r]):
-                yield composites[g1, r]
-        for r in self._elements[ms[g1].source, ms[f].source]:
-            if leq(g1, composites[r, f]):
-                yield composites[r, g2]
+class _Table(NamedTuple):
+    """The replacements one move finds across a column of slots (or, for steps, one hom)."""
 
-    def _larger(self, g):
-        """Single-slot steps: the elements strictly above g in its hom-poset, in element order."""
-        m = self._morphisms[g]
-        return [h for h in self._elements[m.source, m.target] if h != g and self._leq(g, h)]
+    found: dict  # span -> the ids of its replacements, for each span that has any, in span order
+    spans: list  # each replacement's span, in that order
+    places: list  # each replacement's position in the hom it lands in
+    held: bool  # whether that hom holds every replacement
+
+
+_NO_MOVES = _Table({}, [], [], True)
 
 
 class _Grid:
     """The zigzags of one hom as blocks of grid indices, one block per Σ-chain.
 
     A block is the product of its chain's slots, each slot its hom's element
-    ids in element order, so a morphism's coordinate there is its position
-    in its hom.  The zigzag at coordinates c_j has the index offset + sum of
-    c_j * stride_j, stride_j being the product of the sizes of the later
-    slots, as ``product`` lists them; the keys are kept in index order.
-    A step stays in its block; a contraction or erasure of column i lands in
-    the block of the chain without f_i.  Both blocks share the slots and
-    strides outside the span, so a move's edges are runs of indices.
+    ids in element order.  The zigzag at coordinates c_j (positions in the
+    homs) has the index offset + sum of c_j * stride_j, stride_j being the
+    product of the sizes of the later slots, as ``product`` lists them; the
+    keys are kept in index order.
     """
 
     __slots__ = ("moves", "blocks", "of_chain", "keys")
@@ -301,39 +348,63 @@ class _Grid:
             keys += product((len(chain),), *map(tuple, map(map, repeat(rank), slots)), *zip(map(rank, chain)))
         return sorted(range(len(keys)), key=keys.__getitem__)
 
-    def edges(self, move, message=""):
-        """The edges of ``move`` as runs (source, target, length): source + s goes
-        to target + s for s < length.  Each span is looked up once per block,
-        and a target block only for a column that has a replacement; a move
-        that no block holds raises ``LocalizationInconsistency``.
-        """
+    def edges(self) -> tuple:
+        """(sources, targets) of the contractions, of the steps and of the erasures, as flat index lists.
+
+        A step stays in its block; a contraction or erasure of column i lands in the block of the chain
+        without f_i (looked up only for a column with a replacement), which shares the slots and strides
+        outside the span, so the zigzags that hold one span, and their targets, are index progressions,
+        extended as ranges.  A replacement no block holds is refused (``_misfit``, else
+        ``LocalizationInconsistency``): a contraction's at once, a step's or an erasure's after the
+        traversal, steps first."""
         moves = self.moves
-        cache, position = moves._cache.setdefault(move, {}), moves._position
-        width = 1 if move == moves._larger else 3
+        ms, columns, position = moves._morphisms, moves._columns, moves._position
+        found, refused = (([], []), ([], []), ([], [])), [None, None, None]  # contractions, steps, erasures
         for block in self.blocks:
             offset, chain, slots, strides = block
-            for i in range(len(slots) if width == 1 else len(chain)):
-                if width == 1 and len(slots[i]) == 1:
-                    continue  # a singleton slot has no larger element
-                target = block if width == 1 else None
-                spans = zip(slots[i]) if width == 1 else product(slots[i], chain[i:i + 1], slots[i + 1])
-                for c, span in enumerate(spans):
-                    rs = cache.get(span)
-                    if rs is None:
-                        rs = moves._replacements(move, self.keys[offset + c * strides[i + width // 2]], 2 * i, 2 * i + width)
-                    if not rs:
+            sites = [(1, i, moves._steps[ms[slot[0]].source, ms[slot[0]].target], block)
+                     for i, slot in enumerate(slots) if len(slot) > 1]  # a singleton slot has no step
+            for i, f in enumerate(chain):
+                _, merged, erased = columns[ms[slots[i][0]].source, f, ms[slots[i + 1][0]].target]
+                if merged.found or erased.found:
+                    target = self.of_chain.get(chain[:i] + chain[i + 1:])
+                    sites += [(move, i, table, target) for move, table in ((0, merged), (2, erased)) if table.found]
+            for move, i, table, target in sites:
+                width = 1 if move == 1 else 3  # of the span, from key index 2 * i
+                run, slot = strides[i + width // 2], target[2][i] if target else ()
+                if table.held and target:  # the zigzags that hold span c are offset + c * run + n * period + s
+                    period, moved, start = strides[i] * len(slots[i]), run * len(slot), target[0]
+                    repeats, (sources, targets) = strides[0] * len(slots[0]) // period, found[move]
+                    if repeats == run == 1:
+                        sources.extend(map(offset.__add__, table.spans))
+                        targets.extend(map(start.__add__, table.places))
                         continue
-                    run = strides[i + width // 2]  # the zigzags with the c-th span start at offset + c * run
-                    if target is None:
-                        target = self.of_chain.get(chain[:i] + chain[i + 1:])
-                    for r in rs:
-                        p, ids = position[r], target[2][i] if target else ()
-                        if p >= len(ids) or ids[p] != r:
-                            key = self.keys[offset + c * run]
-                            raise LocalizationInconsistency(message + repr(moves.zigzag(key[:2 * i] + (r,) + key[2 * i + width:])))
-                        period, start = strides[i] * len(slots[i]), target[0] + p * run
-                        for n in range(strides[0] * len(slots[0]) // period):
-                            yield offset + c * run + n * period, start + n * run * len(ids), run
+                    for c, p in zip(table.spans, table.places):  # the longer of the n and s ranges is built in C
+                        c, p = offset + c * run, start + p * run
+                        if repeats > run:
+                            for s in range(run):
+                                sources.extend(range(c + s, c + s + repeats * period, period))
+                                targets.extend(range(p + s, p + s + repeats * moved, moved))
+                        else:
+                            for n in range(repeats):
+                                sources.extend(range(c + n * period, c + n * period + run))
+                                targets.extend(range(p + n * moved, p + n * moved + run))
+                    continue
+                for c, rs in table.found.items():
+                    r = next((r for r in rs if position[r] >= len(slot) or slot[position[r]] != r), None)
+                    if r is not None:
+                        key = self.keys[offset + c * run]
+                        error = moves._misfit(key, 2 * i, 2 * i + width, rs) or LocalizationInconsistency(
+                            ("contraction left the enumerated set: " if move == 0 else "")
+                            + repr(moves.zigzag(key[:2 * i] + (r,) + key[2 * i + width:])))
+                        if move == 0:
+                            raise error
+                        refused[move] = refused[move] or error
+                        break
+        error = next(filter(None, refused), None)
+        if error:
+            raise error
+        return found
 
 
 class _Memo(dict):
@@ -377,15 +448,19 @@ class Zigzags(Sequence):
         return self.grid.moves.zigzag(self.grid.keys[self.indices[i]])
 
     def __contains__(self, z):
-        """Membership by grid index: anything that is not a zigzag of the grid is not a member."""
-        key = self.grid.moves.find(z)
-        return key is not None and self.grid.index(key) in self.indices
+        """Membership by grid index, interning nothing: anything that is not a zigzag of the grid is not a member."""
+        key = tuple(map(self.grid.moves._ids.get, _slots(z))) if isinstance(z, Zigzag) else (None,)
+        return None not in key and self.grid.index(key) in self.indices
 
 
 def reduce_zigzag(cat: PCategory, z: Zigzag) -> Zigzag:
     """Apply the first contraction until none is left; the result is irreducible."""
     moves = _moves(cat)
-    return moves.zigzag(moves.reduce(moves.key(z)))
+    key = moves.key(z)
+    for g in key[0::2]:
+        if moves._home[g] is None:
+            raise ValueError(f"{moves._morphisms[g]!r} is not an element of its hom-poset")
+    return moves.zigzag(moves.reduce(key))
 
 
 # ---------------------------------------------------------------------------
@@ -503,32 +578,28 @@ class ZigzagClass:
         return f"[{zigzag_to_text(self.canonical)}]"
 
 
-def _partition_into_classes(zigzags: Zigzags):
-    """The classes of the enumerated zigzags under contraction, sorted, and each grid index's class number."""
+def _partition_into_classes(zigzags: Zigzags, sources, targets):
+    """The classes of the zigzags under the contraction edges (index lists), sorted, and each index's class number."""
     grid = zigzags.grid
     parent = list(range(len(grid.keys)))
-
-    def find(a):
+    for a, b in zip(sources, targets):  # union by path halving
         while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for source, target, run in grid.edges(grid.moves._merge, "contraction left the enumerated set: "):
-        for a in range(run):
-            ra, rb = find(source + a), find(target + a)
-            if ra != rb:
-                parent[rb] = ra
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[b] = a
     groups: dict = {}
     for g in zigzags.indices:
-        groups.setdefault(find(g), []).append(g)
+        root = g
+        while parent[root] != root:
+            root = parent[root]
+        groups.setdefault(root, []).append(g)
     # Zigzags come sorted by key, and a contraction drops a column, so it
     # lowers the key: a class's first member is its smallest irreducible one,
     # its canonical, and the groups come sorted by their canonicals.
-    classes, number = [], parent  # each index's root is no longer needed once grouped
+    classes, number, decode = [], parent, grid.moves.zigzag  # each index's root is no longer needed once grouped
     for n, members in enumerate(groups.values()):
-        view = Zigzags(grid, members)
-        classes.append(ZigzagClass(view[0], view))
+        classes.append(ZigzagClass(decode(grid.keys[members[0]]), Zigzags(grid, members)))
         for g in members:
             number[g] = n
     return classes, number
@@ -537,18 +608,13 @@ def _partition_into_classes(zigzags: Zigzags):
 def _loc_hom(cat: PCategory, ms: MorseSystem, w: str, z: str, max_len=4):
     """The localized hom-poset from w to z, its grid and each grid index's class number."""
     zigzags = enumerate_zigzags(cat, ms, w, z, max_len)
-    grid = zigzags.grid
-    classes, number = _partition_into_classes(zigzags)
-
+    contractions, steps, erasures = zigzags.grid.edges()
+    classes, number = _partition_into_classes(zigzags, *contractions)
     # Single-slot steps generate the componentwise order of same-shape
-    # zigzags; every step stays in its block.  Pairs are gathered as class
-    # numbers, a run of edges at a time.
-    pairs = set()
-    for move in (grid.moves._larger, grid.moves._erase):
-        for source, target, run in grid.edges(move):
-            pairs.update(zip(number[source:source + run], number[target:target + run]))
-
-    return HomPoset(close_order_relation(classes, {(classes[a], classes[b]) for a, b in pairs})), grid, number
+    # zigzags; the order pairs are gathered as class numbers.
+    at = number.__getitem__
+    pairs = {*zip(map(at, steps[0]), map(at, steps[1])), *zip(map(at, erasures[0]), map(at, erasures[1]))}
+    return HomPoset(close_order_relation(classes, [(classes[a], classes[b]) for a, b in pairs])), zigzags.grid, number
 
 
 def close_order_relation(elements, rel) -> Order:
@@ -672,7 +738,8 @@ def flow_category(cat: PCategory, ms: MorseSystem, max_len=4) -> FlowCategory:
         m1, m2 = c1.members, c2.members
         k1, k2 = m1.grid.keys[m1.indices[0]], m2.grid.keys[m2.indices[0]]
         classes, grid, number = partitions[(c1.source, c2.target)]
-        g = grid.index(moves.reduce(k1[:-1] + (moves._composites[k1[-1], k2[0]],) + k2[1:]))
+        middle = moves._composites[k1[-1], k2[0]]  # reduced only if its hom holds it, as it holds the members' morphisms
+        g = None if moves._home[middle] is None else grid.index(moves.reduce(k1[:-1] + (middle,) + k2[1:]))
         if g is None:
             raise LocalizationInconsistency("composite zigzag leaves the enumerated range; raise the length bound")
         cls = table[(c1, c2)] = classes[number[g]]

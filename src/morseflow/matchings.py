@@ -95,7 +95,7 @@ def check_acyclic(c: Complex, m: Matching) -> ValidationReport:
     partner = {l: u for u, l in m.pairs}
     lowers = sorted(partner)
     dim_of = c.dim_of
-    if m.kind == "classical" and all(dim_of[u] > dim_of[l] for u, l in c.covers):
+    if m.kind == "classical" and all(dim_of[u] > dim_of[l] for u, l in c.ungraded):  # the others drop it by 1
         if _find_cycle(lowers, _flow_successors(lowers, partner, c.cover_faces.__getitem__)) is None:
             return report
     cycle = _find_cycle(lowers, _flow_successors(lowers, partner, c.strict_faces))

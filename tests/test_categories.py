@@ -297,6 +297,34 @@ class _Violation(Exception):
     pass
 
 
+class _Keyed:
+    """A hom element with a given sort key, so that two elements can share one."""
+
+    def __init__(self, name, key):
+        self.name, self.key = name, key
+
+    def __repr__(self):
+        return self.name
+
+
+def test_covers_come_sorted_by_key_ranks_whatever_the_element_order():
+    # A diamond whose elements are listed against their key order: the
+    # covers are sorted by the keys of both ends, as the reference sorts them.
+    top, left, right, bottom = (Morphism("x", "y", ("x", mid, "y")) for mid in ("d", "c", "b", "a"))
+    diamond = HomPoset.build([top, left, right, bottom], [(bottom, left), (bottom, right), (left, top), (right, top)])
+    assert diamond.covers() == covers_reference(diamond.elements, diamond.relation)
+    assert diamond.covers() == [(bottom, right), (bottom, left), (right, top), (left, top)]
+    # Equal keys share a rank, so pairs whose keys tie keep the order in which
+    # they are found: by upper element, then lower element, in element order.
+    p, q, r, s = _Keyed("p", 2), _Keyed("q", 1), _Keyed("r", 1), _Keyed("s", 0)
+    for els, found in (([p, q, r, s], [(q, p), (r, p), (s, q), (s, r)]), ([p, r, q, s], [(r, p), (q, p), (s, r), (s, q)])):
+        tied = HomPoset.build(els, [(s, q), (s, r), (q, p), (r, p)])
+        assert tied.covers() == sorted(found, key=lambda pair: (pair[0].key, pair[1].key))
+    # two chains a1 < b2 and a2 < b1 tie on both keys: b1 is found first, though a1 comes before a2
+    a1, a2, b1, b2 = _Keyed("a1", 0), _Keyed("a2", 0), _Keyed("b1", 1), _Keyed("b2", 1)
+    assert HomPoset.build([a1, a2, b1, b2], [(a1, b2), (a2, b1)]).covers() == [(a2, b1), (a1, b2)]
+
+
 def test_sweep_closure_matches_warshall():
     # Duplicate elements and self-pairs included; on a cycle the sweep must
     # raise the pair Warshall's scan meets first.

@@ -705,11 +705,17 @@ def test_a_long_sigma_chain_gets_slots_once_and_looks_up_no_target_block(monkeyp
 
 
 def _move_table_instances():
-    """flow_instances() plus calc63 at bound 1, every instance with every cell pair."""
-    instances = flow_instances()
+    """flow_instances() plus calc63 at bound 1, each with every cell pair, and
+    the critical pairs of ∂Δ⁴ with the cone matching, whose hom(s1_2_3_4, s0)
+    is the benchmark's largest, with 13-element slots."""
+    instances = [(*instance, instance[1].objects) for instance in flow_instances()]
     fx = get_fixture("calc63")
     En = entrance_path_category(fx.complex)
-    instances.append(("calc63-L1", En, matching_to_morse_system(fx.complex, fx.matching, En), 1))
+    instances.append(("calc63-L1", En, matching_to_morse_system(fx.complex, fx.matching, En), 1, En.objects))
+    cx, matching = _boundary_4_simplex_cone()
+    En = entrance_path_category(cx)
+    ms = matching_to_morse_system(cx, matching, En)
+    instances.append(("d4-cone", En, ms, None, ms.critical))
     return instances
 
 
@@ -718,69 +724,65 @@ def test_move_table_matches_the_per_zigzag_references():
     # grid's edges of each move, decoded to zigzags, are each zigzag's moves
     # in the references' order, once each.
     zigzags = 0
-    for name, En, ms, bound in _move_table_instances():
-        for w in En.objects:
-            for z in En.objects:
+    for name, En, ms, bound, objects in _move_table_instances():
+        for w in objects:
+            for z in objects:
                 enumerated = enumerate_zigzags(En, ms, w, z, bound)
                 grid = enumerated.grid
                 moves = grid.moves
                 edges = {}
-                for move in (moves._merge, moves._erase, moves._larger):
+                for move, (sources, targets) in zip(("contract", "step", "erase"), grid.edges()):
+                    assert len(sources) == len(targets)
                     out = edges[move] = {}
-                    for source, target, run in grid.edges(move):
-                        for s in range(run):
-                            out.setdefault(source + s, []).append(target + s)
+                    for source, target in zip(sources, targets):
+                        out.setdefault(source, []).append(target)
                 for g, zg in zip(enumerated.indices, enumerated):
                     key = moves.key(zg)
                     assert grid.keys[g] == key and grid.index(key) == g
                     assert moves.zigzag(key) == zg
                     for move, reference in (
-                        (moves._merge, contractions_reference(En, zg)),
-                        (moves._erase, erasures_reference(En, zg)),
-                        (moves._larger, steps_reference(En, zg)),
+                        ("contract", contractions_reference(En, zg)),
+                        ("erase", erasures_reference(En, zg)),
+                        ("step", steps_reference(En, zg)),
                     ):
                         reached = [moves.zigzag(grid.keys[t]) for t in dict.fromkeys(edges[move].get(g, ()))]
                         assert reached == list(reference), (name, zg)
                     assert moves.zigzag(moves.reduce(key)) == reduce_reference(En, zg), (name, zg)
                     zigzags += 1
-    assert zigzags > 5000
+    assert zigzags > 5000 + 746
 
 
-def test_splittings_run_at_most_twice_per_distinct_column(monkeypatch):
+def test_each_column_table_is_built_once_per_category(monkeypatch):
+    # Flow categories at two bounds, every composition and reduce_zigzag on
+    # every member all read one move table: each column's table (and each
+    # hom's table of steps) is built once, and each morphism is split once.
     fx = get_fixture("calc63")
     En = entrance_path_category(fx.complex)
     ms = matching_to_morse_system(fx.complex, fx.matching, En)
-    calls = []
+    splits, built = [], []
     splittings = En.splittings
-    monkeypatch.setattr(En, "splittings", lambda f: calls.append(f) or splittings(f))
-    visits = []  # the id triple of every column whose contractions are looked up, cache hits included
-
-    class CountingColumns(dict):
-        def get(self, column, default=None):
-            visits.append(column)
-            return super().get(column, default)
-
-    init = _MoveTable.__init__
-
-    def counting_init(self, cat):
-        init(self, cat)
-        self._cache[self._merge] = CountingColumns()
-
-    monkeypatch.setattr(_MoveTable, "__init__", counting_init)
-    flow = flow_category(En, ms, 4)
-    for a in flow.objects:
-        for b in flow.objects:
-            for c in flow.objects:
-                for c1 in flow.hom(a, b).elements:
-                    for c2 in flow.hom(b, c).elements:
-                        flow.category.compose(c1, c2)
-    columns = set(visits)
-    # columns repeat across zigzags, and the grid looks each up once per block, not once per zigzag
-    occurrences = sum(len(m.lefts) for a in flow.objects for b in flow.objects
-                      for cls in flow.hom(a, b).elements for m in cls.members)
-    assert occurrences > 10 * len(columns)
-    assert len(visits) < occurrences
-    assert 0 < len(calls) <= 2 * len(columns)
+    monkeypatch.setattr(En, "splittings", lambda f: splits.append(f) or splittings(f))
+    column, step_table = _MoveTable._column, _MoveTable._step_table
+    monkeypatch.setattr(_MoveTable, "_column", lambda self, key: built.append(key) or column(self, key))
+    monkeypatch.setattr(_MoveTable, "_step_table", lambda self, hom: built.append(hom) or step_table(self, hom))
+    occurrences = 0  # the columns of every member, a table read each
+    for bound in (3, 4):
+        flow = flow_category(En, ms, bound)
+        homs = [flow.hom(a, b) for a in flow.objects for b in flow.objects]
+        for a in flow.objects:
+            for b in flow.objects:
+                for c in flow.objects:
+                    for c1 in flow.hom(a, b).elements:
+                        for c2 in flow.hom(b, c).elements:
+                            flow.category.compose(c1, c2)
+        for cls in (cls for hp in homs for cls in hp.elements):
+            for member in cls.members:
+                assert reduce_zigzag(En, member) in cls.members
+                occurrences += len(member.lefts)
+    moves = En._moves
+    assert 0 < len(built) == len(set(built)) == len(moves._columns) + len(moves._steps)
+    assert occurrences > 10 * len(moves._columns)
+    assert 0 < len(splits) == len(set(splits))
 
 
 def _boundary_4_simplex_cone():

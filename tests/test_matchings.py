@@ -10,6 +10,7 @@ from morseflow import (
     Cell,
     Complex,
     Matching,
+    assign_incidence_signs,
     check_acyclic,
     check_mildness,
     entrance_path_category,
@@ -123,6 +124,38 @@ def test_check_acyclic_searches_strict_faces_when_a_cover_keeps_the_dimension():
     report = check_acyclic(cx, m)
     assert report == check_acyclic_reference(cx, m)
     assert [f.witness for f in report.findings] == [("v1", "v2", "v1")]
+
+
+def test_the_grading_verdict_is_found_once_per_complex_and_read_by_both_checks(monkeypatch):
+    # The Morse route validates the complex (through its incidence signs) and
+    # checks the matching: both read one grading verdict, found on first use.
+    found = []  # each complex whose verdict is found, once per finding
+    ungraded = Complex.ungraded.fget
+
+    def counted(self):
+        if self._ungraded is None:
+            found.append(self)
+        return ungraded(self)
+
+    monkeypatch.setattr(Complex, "ungraded", property(counted))
+    cx = cycle_graph_complex(12)
+    m = Matching(tuple((f"e{i}", f"v{i + 1}") for i in range(11)), "classical")
+    assign_incidence_signs(cx)
+    assert check_acyclic(cx, m).ok and found == [cx]
+    # check_acyclic decides for itself on a complex nobody has validated: a
+    # cover that drops the dimension by 2 still lowers it, one that keeps it
+    # (x > v2 and y > v1 join two vertices) sends the search to strict faces
+    lowering = Complex([Cell("t", 2), Cell("e", 1), Cell("v", 0), Cell("w", 0)],
+                       [("t", "e"), ("t", "w"), ("e", "v"), ("e", "w")])
+    cells = [Cell("e1", 1), Cell("e2", 1)] + [Cell(v, 0) for v in ("v1", "v2", "x", "y")]
+    level = Complex(cells, [("e1", "v1"), ("e1", "x"), ("x", "v2"), ("e2", "v2"), ("e2", "y"), ("y", "v1")])
+    for cx, pairs, witnesses in ((lowering, (("e", "v"),), []), (level, (("e1", "v1"), ("e2", "v2")), [("v1", "v2", "v1")])):
+        m = Matching(pairs, "classical")
+        report = check_acyclic(cx, m)
+        assert found[-1] is cx and cx.ungraded
+        assert report == check_acyclic_reference(cx, m)
+        assert [f.witness for f in report.findings] == witnesses
+    assert len(found) == 3
 
 
 def test_empty_matching_is_acyclic_and_all_critical():
