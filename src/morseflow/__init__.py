@@ -3,7 +3,6 @@
 from .complexes import (
     Cell,
     Complex,
-    IncidenceSigns,
     SignInconsistency,
     ValidationReport,
     assign_incidence_signs,

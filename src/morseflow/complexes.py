@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import groupby
 from typing import NamedTuple
 
 from .homology import ChainComplex
@@ -21,12 +21,21 @@ from .rings import ZZ, Ring
 _ID_CHARS = re.compile(r"[A-Za-z0-9_]*")  # an id is a nonempty run of these
 
 
-def _read_json(text: str):
-    """The document in ``text``; malformed JSON is bad input, named by line and column."""
+def _read_json(text: str, unique: bool = True):
+    """The document in ``text``; malformed JSON, and unless ``unique`` is false a key
+    repeated in one object, are bad input, named."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys if unique else None)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def _unique_keys(pairs) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in obj if keys.count(k) > 1)!r} in a JSON object")
+    return obj
 
 
 class SignInconsistency(Exception):
@@ -73,10 +82,10 @@ class Complex:
 
     ``cells`` are ``Cell``s or ``(id, dim)`` pairs.  Loading checks whole
     collections: duplicate ids by size, the ids by one character-set match
-    on their concatenation, dimensions by their minimum and covers by set
-    containment.  Only when one of these fails are the cells, then the
-    covers, scanned one at a time to name the first bad entry.  The ids are
-    indexed by dimension once, and that index serves ``ids``,
+    on their concatenation, dimensions by their minimum and covers by the
+    lookups that file them.  Only when one of these fails are the cells,
+    then the covers, scanned one at a time to name the first bad entry.  The
+    ids are indexed by dimension once, and that index serves ``ids``,
     ``cells_of_dim``, ``top_dim`` and ``cells``, built on first read.  The
     strict faces of a cell are walked on first read and kept.
     """
@@ -92,18 +101,12 @@ class Complex:
         self._by_dim = {d: list(ids) for d, ids in groupby(self._ids, dim_of.__getitem__)}
         self.top_dim = dim_of[self._ids[-1]] if cells else -1
         try:
-            pairs = set(map(tuple, covers))
-            known = dim_of.keys() >= set(chain.from_iterable(pairs))
-        except TypeError:
-            known = False
-        if not known:
-            pairs = _check_covers(covers, dim_of)
-        cover_faces = {cid: [] for cid in self._ids}
-        for u, l in pairs:
-            cover_faces[u].append(l)
-        for faces in cover_faces.values():
-            faces.sort()
-        self.covers = frozenset(pairs)
+            pairs = frozenset(map(tuple, covers))
+            cover_faces = _cover_faces(self._ids, pairs, dim_of)
+        except (KeyError, TypeError):
+            pairs = frozenset(_check_covers(covers, dim_of))
+            cover_faces = _cover_faces(self._ids, pairs, dim_of)
+        self.covers = pairs
         self.cover_faces = cover_faces
         self._faces = {}  # cid -> (sorted strict faces, their set), walked on first read
         self._ungraded = None  # the grading verdict, found on the first read of ``ungraded``
@@ -175,7 +178,15 @@ class Complex:
 
     @staticmethod
     def from_json(text: str) -> "Complex":
-        doc = _read_json(text)
+        doc = _read_json(text, unique=False)
+        try:
+            ids, dims = [rc["id"] for rc in doc["cells"]], [rc["dim"] for rc in doc["cells"]]
+            # a text has a colon per key at least, and a cell two keys: equal counts leave no key repeated
+            typed = text.count(":") == len(doc) + 2 * len(ids)
+        except (KeyError, TypeError):
+            typed = False
+        if not typed:
+            doc = _read_json(text)  # names a repeated key
         if not isinstance(doc, dict):
             raise ValueError("top level must be an object")
         try:
@@ -186,12 +197,7 @@ class Complex:
         for name, value in (("cells", raw_cells), ("covers", raw_covers)):
             if not isinstance(value, list):
                 raise ValueError(f"{name}: expected a list")
-        try:
-            ids = [rc["id"] for rc in raw_cells]
-            dims = [rc["dim"] for rc in raw_cells]
-            typed = set(map(type, ids)) <= {str} and set(map(type, dims)) <= {int}
-        except (KeyError, TypeError):
-            typed = False
+        typed = typed and set(map(type, ids)) <= {str} and set(map(type, dims)) <= {int}
         cells = list(zip(ids, dims)) if typed else _read_cells(raw_cells)
         if not (set(map(type, raw_covers)) <= {list} and set(map(len, raw_covers)) <= {2}):
             for k, rc in enumerate(raw_covers):
@@ -218,6 +224,18 @@ def _check_cells(cells):
         if dim < 0:
             raise ValueError(f"cell {cid!r} has negative dimension")
         seen.add(cid)
+
+
+def _cover_faces(ids, pairs, dim_of) -> dict:
+    """Each cell's faces, sorted; ``KeyError`` for an unknown cell."""
+    cover_faces = {cid: [] for cid in ids}
+    for u, l in pairs:
+        cover_faces[u].append(l)
+        dim_of[l]  # catches an unknown lower cell
+    for faces in cover_faces.values():
+        if len(faces) > 1:
+            faces.sort()
+    return cover_faces
 
 
 def _check_covers(covers, dim_of) -> set:
@@ -247,14 +265,6 @@ def _read_cells(raw_cells) -> list:
     return cells
 
 
-@dataclass(frozen=True)
-class IncidenceSigns:
-    sign: dict  # (upper, lower) cover pair -> +1 / -1
-
-    def __call__(self, upper: str, lower: str) -> int:
-        return self.sign[(upper, lower)]
-
-
 def validate_complex(c: Complex) -> ValidationReport:
     """Check the CW-poset proxies; an empty report means all of them hold."""
     report = ValidationReport()
@@ -270,8 +280,8 @@ def validate_complex(c: Complex) -> ValidationReport:
         faces = c.cover_faces[e]
         if len(faces) != 2:
             report.add("edge_faces", f"edge {e} has {len(faces)} vertex faces, expected 2", (e,))
-    for cid in c._ids:
-        if dim_of[cid] >= 1 and not c.cover_faces[cid]:
+    for cid in c._ids[len(c._by_dim.get(0, ())):]:  # dimension 1 and up
+        if not c.cover_faces[cid]:
             report.add("no_faces", f"cell {cid} of dim {dim_of[cid]} has no faces", (cid,))
     for d in range(2, c.top_dim + 1):
         for x in c.cells_of_dim(d):
@@ -285,30 +295,29 @@ def validate_complex(c: Complex) -> ValidationReport:
     return report
 
 
-def assign_incidence_signs(c: Complex) -> IncidenceSigns:
+def assign_incidence_signs(c: Complex) -> dict:
     """Deterministic local orientations satisfying the diamond parity rule.
 
-    Signs are found one top cell at a time by parity propagation over that
-    cell's diamond constraints: each face carries its component and its
-    parity relative to it, and a merge relabels the smaller component.  The
-    first face of each component (in sorted order) gets +1.
+    A cell's signs are one tuple aligned with ``cover_faces[cell]``.  They
+    are found one cell at a time by parity propagation over its diamonds:
+    each face carries its component and its parity relative to it, and a
+    merge relabels the smaller component.  The first face of each component
+    (in sorted order) gets +1.
     """
     report = validate_complex(c)
     if not report.ok:
         raise SignInconsistency(f"complex fails validation: {report}")
-    sign: dict = {}
-    for e in c.cells_of_dim(1):
-        a, b = c.cover_faces[e]  # two faces, in sorted order
-        sign[(e, a)] = 1
-        sign[(e, b)] = -1
+    cover_faces = c.cover_faces
+    of = dict.fromkeys(c.cells_of_dim(0), ())
+    of.update(dict.fromkeys(c.cells_of_dim(1), (1, -1)))  # each edge has two faces
     for d in range(2, c.top_dim + 1):
         for x in c.cells_of_dim(d):
-            faces = c.cover_faces[x]
+            faces = cover_faces[x]
             comp = {y: (y, 0) for y in faces}  # face -> (component, parity relative to it)
             members = {y: [y] for y in faces}
             for z, (y1, y2) in c.diamonds(x):
                 # eps(y1)*eps(y2) = -sign(y1,z)*sign(y2,z); as parities:
-                want = 1 if sign[(y1, z)] * sign[(y2, z)] == 1 else 0
+                want = 1 if of[y1][cover_faces[y1].index(z)] == of[y2][cover_faces[y2].index(z)] else 0
                 (r1, p1), (r2, p2) = comp[y1], comp[y2]
                 if r1 == r2:
                     if p1 ^ p2 != want:
@@ -323,17 +332,16 @@ def assign_incidence_signs(c: Complex) -> IncidenceSigns:
                     comp[y] = (r1, comp[y][1] ^ flip)
                     members[r1].append(y)
             first: dict = {}  # component -> parity of its first face
-            for y in faces:
-                r, p = comp[y]
-                sign[(x, y)] = 1 if p == first.setdefault(r, p) else -1
-    return IncidenceSigns(sign)
+            of[x] = tuple(1 if p == first.setdefault(r, p) else -1 for r, p in map(comp.__getitem__, faces))
+    return of
 
 
-def cellular_chain_complex(c: Complex, signs: IncidenceSigns, ring: Ring) -> ChainComplex:
+def cellular_chain_complex(c: Complex, signs: dict, ring: Ring) -> ChainComplex:
     """One generator per cell; boundary entries are the cover signs.
 
     The entries are integers, so the complex is built and checked over Z and
     read over ``ring``.
     """
     gens = [c.cells_of_dim(d) for d in range(max(c.top_dim, 0) + 1)]
-    return ChainComplex.from_faces(ZZ, gens, lambda x: ((y, signs(x, y)) for y in c.cover_faces[x])).over(ring)
+    faces, of = c.cover_faces.__getitem__, signs.__getitem__
+    return ChainComplex.from_faces(ZZ, gens, lambda level: zip(map(faces, level), map(of, level))).over(ring)

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .complexes import Complex, ValidationReport, _read_json
-from .homology import ChainComplex
+from .homology import ChainComplex, NotAComplex, homology
 from .localization import Zigzag
-from .matchings import Matching, check_pairs
+from .matchings import Matching, check_acyclic, check_pairs
 from .rings import ZZ, BadScalar, Mat, NotInvertible, Ring, mat_inverse, ring_from_name
 
 
@@ -184,34 +184,39 @@ def path_map(c: Complex, F: Cosheaf, label: tuple) -> Mat:
     return m
 
 
-def cosheaf_homology(c: Complex, signs, F: Cosheaf):
+def cosheaf_homology(c: Complex, signs: dict, F: Cosheaf):
     """Homology of the complex with one stalk block per cell."""
-    from .homology import homology
-
-    report = validate_cosheaf(c, F)
-    if not report.ok:
-        raise ValueError(f"cosheaf fails validation: {report}")
-    cc = cosheaf_chain_complex(c, signs, F)
-    return homology(cc)
+    return homology(cosheaf_chain_complex(c, signs, F))
 
 
-def cosheaf_chain_complex(c: Complex, signs, F: Cosheaf) -> ChainComplex:
-    """One generator per cell and stalk basis vector; blocks are signed extension maps."""
-    ring = F.ring
+def cosheaf_chain_complex(c: Complex, signs: dict, F: Cosheaf) -> ChainComplex:
+    """One generator per cell and stalk basis vector; blocks are signed extension maps.
 
-    def faces(g):
-        x, j = g
-        for y in c.cover_faces[x]:
-            column = F.cover_map(x, y).columns[j]
-            if signs(x, y) > 0:
-                for i, entry in column:
-                    yield (y, i), entry
-            else:
-                for i, entry in column:
-                    yield (y, i), -entry
+    Its d o d = 0 is the diamond check of both cosheaf routes: a diamond
+    [z, x] of a valid complex has two middle cells y1, y2 with opposite sign
+    products, so the (x, z) block of d o d is +-(F(y1>z)F(x>y1) -
+    F(y2>z)F(x>y2)), zero exactly when it commutes.  Only when the build
+    fails does ``validate_cosheaf`` walk the cosheaf, to name every fault.
+    """
+    ring, cover_faces, normalize = F.ring, c.cover_faces, F.ring.normalize
 
-    cells = [c.cells_of_dim(d) for d in range(max(c.top_dim, 0) + 1)]
-    return ChainComplex.from_faces(ring, _stalk_generators(F.stalk, cells), faces)
+    def faces(level):
+        for x, j in level:
+            fs, cs = [], []
+            for y, s in zip(cover_faces[x], signs[x]):
+                for i, v in F.cover_map(x, y).columns[j]:
+                    fs.append((y, i))
+                    cs.append(v if s > 0 else normalize(-v))
+            yield fs, cs
+
+    try:
+        gens = _stalk_generators(F.stalk, [c.cells_of_dim(d) for d in range(max(c.top_dim, 0) + 1)])
+        return ChainComplex.from_faces(ring, gens, faces)
+    except (NotAComplex, ValueError):
+        report = validate_cosheaf(c, F)
+        if report.ok:
+            raise
+        raise ValueError(f"cosheaf fails validation: {report}") from None
 
 
 def _stalk_generators(stalk, cells) -> list:
@@ -275,7 +280,7 @@ class _Counts:
         return a + b
 
     def column(self, block, j):
-        return ((0, block),)
+        return ((0, block),) if block else ()
 
 
 class _Maps:
@@ -308,7 +313,7 @@ class _Maps:
         return block.columns[j]
 
 
-def morse_chain_complex(c: Complex, signs, F: Cosheaf | None, m: Matching) -> MorseComplex:
+def morse_chain_complex(c: Complex, signs: dict, F: Cosheaf | None, m: Matching) -> MorseComplex:
     """Compressed complex on critical cells with signed gradient transport.
 
     The block from a critical cell x to a critical face is the sum over the
@@ -320,21 +325,20 @@ def morse_chain_complex(c: Complex, signs, F: Cosheaf | None, m: Matching) -> Mo
     it computes the transport, so path length is not limited by the
     interpreter's recursion depth.
 
-    ``F=None`` means constant Z coefficients.  Every block is then the signed
-    count of gradient paths x > y0 < u1 > y1 < ... < uk > yk, the sum of
-    sign(x, y0) * prod_i (-sign(u_i, y_(i-1)) * sign(u_i, y_i)), a plain
+    ``F=None`` means constant Z coefficients: every block is then the signed
+    count of the gradient paths x > y0 < u1 > y1 < ... < uk > yk, a plain
     int; the complex is built and checked over Z, and ``chain.over(ring)``
-    reads it over any ring.  With a cosheaf the complex is built, checked
-    and read over the cosheaf's own ring.
+    reads it over any ring.  A cosheaf is checked as on its own route once
+    the transport has read what it needs, so data the transport misses is
+    named as before; its complex is built, checked and read over its ring.
     """
     if m.kind != "classical":
         raise ValueError("Morse compression requires a classical matching")
-    from .matchings import check_acyclic
-
     acyclic = check_acyclic(c, m)
     if not acyclic.ok:
         raise ValueError(f"matching is not acyclic: {acyclic}")
     blocks = _Counts() if F is None else _Maps(F, m)
+    cover_faces = c.cover_faces
     partner = {l: u for u, l in m.pairs}  # lower -> upper
     matched = set(partner) | set(partner.values())
     flow: dict = {}  # cell -> {critical cell reached by a gradient path: block stalk(cell) -> stalk(critical)}
@@ -342,10 +346,10 @@ def morse_chain_complex(c: Complex, signs, F: Cosheaf | None, m: Matching) -> Mo
     def spread(cell: str, skip, sign: int) -> dict:
         """Sum over the faces y != skip of cell of sign * sign(cell, y) * flow[y] after cell > y."""
         total: dict = {}
-        for y in c.cover_faces[cell]:
+        for y, s in zip(cover_faces[cell], signs[cell]):
             if y == skip:
                 continue
-            scalar = sign * signs(cell, y)
+            scalar = sign * s
             for tgt, tail in flow[y].items():
                 step = blocks.through(tail, cell, y, scalar)
                 total[tgt] = blocks.add(total[tgt], step) if tgt in total else step
@@ -364,26 +368,34 @@ def morse_chain_complex(c: Complex, signs, F: Cosheaf | None, m: Matching) -> Mo
                 stack.pop()
                 continue
             u = partner[y]
-            pending = [y2 for y2 in c.cover_faces[u] if y2 != y and y2 not in flow]
+            faces = cover_faces[u]
+            pending = [y2 for y2 in faces if y2 != y and y2 not in flow]
             if pending:
                 stack.extend(pending)
                 continue
-            flow[y] = {tgt: blocks.lift(b, y) for tgt, b in spread(u, y, -signs(u, y)).items()}
+            sign = -signs[u][faces.index(y)]
+            flow[y] = {tgt: blocks.lift(b, y) for tgt, b in spread(u, y, sign).items()}
             stack.pop()
 
     cells = [[cid for cid in c.cells_of_dim(d) if cid not in matched] for d in range(max(c.top_dim, 0) + 1)]
     boundary = {}  # critical cell -> {critical face: block}
     for level in cells:
         for x in level:
-            for y in c.cover_faces[x]:
+            for y in cover_faces[x]:
                 sweep(y)
             boundary[x] = spread(x, None, 1)
 
-    def faces(g):
-        x, j = g
-        for tgt, block in boundary[x].items():
-            for i, entry in blocks.column(block, j):
-                yield (tgt, i), entry
+    def faces(level):
+        for x, j in level:
+            fs, cs = [], []
+            for tgt, block in boundary[x].items():
+                for i, entry in blocks.column(block, j):
+                    fs.append((tgt, i))
+                    cs.append(entry)
+            yield fs, cs
 
-    cc = ChainComplex.from_faces(blocks.ring, _stalk_generators(blocks.stalk, cells), faces)
+    gens = _stalk_generators(blocks.stalk, cells)
+    if F is not None:
+        cosheaf_chain_complex(c, signs, F)  # the cosheaf route's diamond check, before this complex's d o d
+    cc = ChainComplex.from_faces(blocks.ring, gens, faces)
     return MorseComplex(cc, tuple(map(tuple, cells)))

@@ -54,26 +54,29 @@ class ChainComplex:
 
     @staticmethod
     def from_faces(ring: Ring, gens, faces) -> "ChainComplex":
-        """Assemble a complex from generators and their boundary faces.
+        """Assemble a complex from generators and their boundary columns.
 
-        ``gens[d]`` lists the generators of degree d; ``faces(g)`` yields the
-        ``(face, coefficient)`` pairs of the boundary of a generator g of
-        positive degree, each face a generator one degree lower.  Repeated
-        faces add up and zero sums are dropped.
+        ``gens[d]`` lists the generators of degree d; ``faces(gens[d])``, d >= 1,
+        gives each one's faces (generators of degree d - 1) and their nonzero
+        normalized coefficients as two aligned sequences.  A column of distinct
+        faces is only sorted by row; in any other, repeats add up.
         """
-        index = [{g: i for i, g in enumerate(level)} for level in gens]
         boundaries = {}
         for d in range(1, len(gens)):
-            where = index[d - 1]
+            lower = gens[d - 1]
+            where = dict(zip(lower, range(len(lower)))).__getitem__
             columns = []
-            for g in gens[d]:
+            for fs, cs in faces(gens[d]):
+                rows = list(map(where, fs))
+                if len(set(rows)) == len(rows):
+                    columns.append(tuple(sorted(zip(rows, cs))))
+                    continue
                 acc: dict = {}
-                for face, coeff in faces(g):
-                    i = where[face]
-                    acc[i] = acc[i] + coeff if i in acc else coeff
+                for i, x in zip(rows, cs):
+                    acc[i] = acc[i] + x if i in acc else x
                 columns.append(_sparse_column(acc, ring))
-            boundaries[d] = Mat(len(gens[d - 1]), len(gens[d]), tuple(columns))
-        return ChainComplex(ring, tuple(len(level) for level in gens), boundaries)
+            boundaries[d] = Mat(len(lower), len(gens[d]), tuple(columns))
+        return ChainComplex(ring, tuple(map(len, gens)), boundaries)
 
     @property
     def top(self) -> int:

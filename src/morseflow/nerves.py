@@ -293,15 +293,17 @@ def normalized_chain_complex(skel: SimplicialSetSkeleton, ring: Ring) -> ChainCo
     """
     if skel._chain is None:
         gens = [skel._nondeg[d] for d in range(skel.maxdim + 1)]
-        kept = [set(level) for level in gens]
+        kept = set().union(*gens)  # one set serves every level: a level's simplices have its own length
 
-        def faces(s):
-            objects, ids = s
-            d = len(objects) - 1
-            for sign, pick_objects, pick_ids in _face_maps(d):
-                face = (pick_objects(objects), pick_ids(ids) if ids else ())
-                if face in kept[d - 1]:
-                    yield face, sign
+        def faces(level):
+            for objects, ids in level:
+                fs, cs = [], []
+                for sign, pick_objects, pick_ids in _face_maps(len(objects) - 1):
+                    face = (pick_objects(objects), pick_ids(ids) if ids else ())
+                    if face in kept:
+                        fs.append(face)
+                        cs.append(sign)
+                yield fs, cs
 
         skel._chain = ChainComplex.from_faces(ZZ, gens, faces)
     return skel._chain.over(ring)

@@ -13,7 +13,6 @@ from morseflow import (
     Cell,
     ChainComplex,
     Complex,
-    IncidenceSigns,
     Matching,
     Mat,
     SignInconsistency,
@@ -370,6 +369,7 @@ def cosheaf_chain_complex_reference(c: Complex, signs, F: Cosheaf) -> dict:
     basis vector k of its stalk, as in ``cosheaf_chain_complex``.
     """
     gens = [[(x, k) for x in c.cells_of_dim(d) for k in range(F.stalk(x))] for d in range(c.top_dim + 1)]
+    sign = pair_signs(c, signs)
     boundaries = {}
     for d in range(1, len(gens)):
         row_of = {g: i for i, g in enumerate(gens[d - 1])}
@@ -378,9 +378,36 @@ def cosheaf_chain_complex_reference(c: Complex, signs, F: Cosheaf) -> dict:
             for y in c.cover_faces[x]:
                 block = F.cover_map(x, y).data
                 for i in range(F.stalk(y)):
-                    dense[row_of[(y, i)]][col] += Fraction(signs(x, y)) * Fraction(block[i][k])
+                    dense[row_of[(y, i)]][col] += Fraction(sign[(x, y)]) * Fraction(block[i][k])
         boundaries[d] = Mat.from_rows([[F.ring.normalize(v) for v in row] for row in dense], len(gens[d]))
     return boundaries
+
+
+def cellular_chain_complex_reference(c: Complex, signs: dict) -> dict:
+    """degree -> boundary of the cellular complex over Z, entry by entry from the pair view of the signs."""
+    sign = pair_signs(c, signs)
+    boundaries = {}
+    for d in range(1, c.top_dim + 1):
+        lower, upper = c.cells_of_dim(d - 1), c.cells_of_dim(d)
+        boundaries[d] = Mat.from_rows([[sign.get((x, y), 0) for x in upper] for y in lower], len(upper))
+    return boundaries
+
+
+def grid_surface_complex(m: int, n: int, klein: bool) -> Complex:
+    """An m x n grid of squares glued into a torus, or, with the right side glued to the left
+    with the rows reversed, into a Klein bottle; regular for m, n >= 3."""
+    def vertex(i, j):
+        return f"v{0 if i == m else i}_{(-j if i == m and klein else j) % n}"
+
+    cells, covers = {vertex(i, j): 0 for i in range(m) for j in range(n)}, set()
+    for i, j in product(range(m), range(n)):
+        ring = [vertex(i, j), vertex(i + 1, j), vertex(i + 1, j + 1), vertex(i, j + 1)]
+        cells[f"q{i}_{j}"] = 2
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            edge = "e" + "_".join(sorted((a, b)))
+            cells[edge] = 1
+            covers |= {(edge, a), (edge, b), (f"q{i}_{j}", edge)}
+    return Complex(list(cells.items()), sorted(covers))
 
 
 def random_twisted_cosheaf(rng, cx: Complex, ring, rank=None) -> Cosheaf:
@@ -490,7 +517,12 @@ def face_relation_reference(cells, covers):
         reach |= new
 
 
-def assign_incidence_signs_reference(c: Complex) -> IncidenceSigns:
+def pair_signs(c: Complex, signs: dict) -> dict:
+    """The (upper, lower) pair view of per-cell sign tuples."""
+    return {(x, y): s for x, faces in c.cover_faces.items() for y, s in zip(faces, signs[x])}
+
+
+def assign_incidence_signs_reference(c: Complex) -> dict:
     """Reference signs: parity union-find with path compression over each cell's diamonds."""
     report = validate_complex(c)
     if not report.ok:
@@ -549,7 +581,7 @@ def assign_incidence_signs_reference(c: Complex) -> IncidenceSigns:
                     if r2 == root:
                         sign[(x, y2)] = 1 if (p2 ^ p0) == 0 else -1
                         assigned.add(y2)
-    return IncidenceSigns(sign)
+    return {x: tuple(sign[(x, y)] for y in ys) for x, ys in c.cover_faces.items()}
 
 
 def entrance_path_category_reference(c) -> PCategory:
@@ -1095,11 +1127,10 @@ def geometric_nerve_reference(cat, maxdim):
 
 def normalized_chain_complex_reference(skel, ring):
     """Reference normalized complex: decides degeneracy again for every simplex and every face."""
-    def faces(s):
-        for k in range(s.dim + 1):
-            face = s.face(k)
-            if not is_degenerate(skel.cat, face):
-                yield face, 1 if k % 2 == 0 else -1
+    def faces(level):
+        for s in level:
+            kept = [k for k in range(s.dim + 1) if not is_degenerate(skel.cat, s.face(k))]
+            yield [s.face(k) for k in kept], [ring.normalize(1 if k % 2 == 0 else -1) for k in kept]
 
     gens = [
         [s for s in skel.simplices.get(d, []) if not is_degenerate(skel.cat, s)]

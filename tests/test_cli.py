@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from morseflow import QQ, entrance_path_category, matching_to_morse_system
+from morseflow import QQ, constant_cosheaf, entrance_path_category, matching_to_morse_system
 from morseflow import cli
 from morseflow.cli import main
 from morseflow.fixtures import FIXTURES, get_fixture
@@ -537,6 +537,13 @@ def test_missing_cosheaf_data_and_unknown_fixtures_are_named(fixture_files, tmp_
     code = main(["homology", "morse", fig2["complex"], fig2["matching"], no_maps])
     assert code == 1
     assert capsys.readouterr().err == "error: cosheaf has no extension map for cover wx>x\n"
+    # the transport reads the stalk of the critical cell t first, and names it as it did before the diamond check
+    calc61 = fixture_files["calc61"]
+    doc = json.loads(constant_cosheaf(get_fixture("calc61").complex, QQ).to_json())
+    del doc["stalks"]["t"]
+    no_t = _write_json(tmp_path / "no-t.json", dict(doc, maps=dict(doc["maps"], **{"t>x": [[]], "t>z": [[]]})))
+    assert main(["homology", "morse", calc61["complex"], calc61["matching"], no_t]) == 1
+    assert capsys.readouterr().err == "error: cosheaf has no stalk rank for cell t\n"
     code = main(["fixture", "dump", "nope", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err == f"error: unknown fixture 'nope'; available: {sorted(FIXTURES)}\n"
@@ -544,6 +551,43 @@ def test_missing_cosheaf_data_and_unknown_fixtures_are_named(fixture_files, tmp_
 
     with pytest.raises(ValueError, match="no stalk rank for cell x"):
         Cosheaf(ZZ, {}, {}).stalk("x")
+
+
+def test_both_cosheaf_routes_refuse_a_non_commuting_cosheaf_alike(fixture_files, tmp_path, capsys):
+    calc61 = fixture_files["calc61"]
+    doc = json.loads(constant_cosheaf(get_fixture("calc61").complex, QQ).to_json())
+    doc["maps"]["x>w"] = [[7]]  # diamonds [w, b] and [w, t] no longer commute
+    broken = _write_json(tmp_path / "x7.json", doc)
+    del doc["maps"]["t>x"]  # and a cover map that no gradient path reads is missing
+    missing = _write_json(tmp_path / "no-tx.json", dict(doc, maps=dict(doc["maps"], **{"x>w": [[1]]})))
+    for cosheaf, line in (
+        (broken, "error: cosheaf fails validation: functoriality: diamond [w, b] does not commute (via x vs z); "
+                 "functoriality: diamond [w, t] does not commute (via x vs z)\n"),
+        (missing, "error: cosheaf fails validation: maps: no extension map for cover ('t', 'x')\n"),
+    ):
+        for argv in (["cosheaf", calc61["complex"], cosheaf], ["morse", calc61["complex"], calc61["matching"], cosheaf]):
+            assert main(["homology", *argv]) == 1
+            assert capsys.readouterr() == ("", line)
+
+
+def test_repeated_json_keys_are_refused_naming_the_key(fixture_files, tmp_path, capsys):
+    calc61 = fixture_files["calc61"]
+    text = constant_cosheaf(get_fixture("calc61").complex, QQ).to_json()
+    cosheaf = tmp_path / "repeated.json"
+    cosheaf.write_text(text.replace('"x>w": [', '"x>w": [\n      [\n        7\n      ]\n    ],\n    "x>w": [', 1))
+    matching = tmp_path / "repeated-m.json"
+    matching.write_text('{"kind": "classical", "pairs": [["x", "y"]], "pairs": [["b", "z"]]}')
+    complex_ = tmp_path / "repeated-cx.json"
+    complex_.write_text(Path(calc61["complex"]).read_text().replace('"dim": 0', '"dim": 0, "dim": 1', 1))
+    for argv, key in (
+        (["homology", "cosheaf", calc61["complex"], str(cosheaf)], "x>w"),
+        (["homology", "morse", calc61["complex"], calc61["matching"], str(cosheaf)], "x>w"),
+        (["homology", "morse", calc61["complex"], str(matching)], "pairs"),
+        (["validate", calc61["complex"], str(matching)], "pairs"),
+        (["validate", str(complex_)], "dim"),
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: repeated key {key!r} in a JSON object\n")
 
 
 def test_a_cosheaf_without_stalks_and_maps_exits_1_naming_them(fixture_files, tmp_path, capsys):

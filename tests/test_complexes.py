@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from itertools import combinations, permutations
@@ -128,6 +129,13 @@ _CELLS = '"cells": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}]'
     ('{"cells": [{"id": "b", "dim": 0}, {"id": "b", "dim": -1}], "covers": []}', "duplicate cell id 'b'"),
     ('{"cells": [{"id": "c", "dim": 0}, {"id": "a b", "dim": -1}], "covers": []}', "bad cell id 'a b'"),
     ('{"cells": [{"id": 5, "dim": 0}, {"id": 5, "dim": 0}], "covers": []}', "duplicate cell id '5'"),
+    # a key repeated in any object is refused, whichever object holds it
+    ('{"cells": [{"id": "a", "dim": 0, "dim": 1}], "covers": []}', "repeated key 'dim' in a JSON object"),
+    ('{"cells": [], "covers": [], "cells": []}', "repeated key 'cells' in a JSON object"),
+    ('{"cells": ["x"], "covers": [], "covers": []}', "repeated key 'covers' in a JSON object"),
+    ('{"cells": [], "covers": [[{"x": 1, "x": 2}, "v"]]}', "repeated key 'x' in a JSON object"),
+    # a colon inside a string is not a key: no key repeats, and the id is judged as before
+    ('{"cells": [{"id": "a:b", "dim": 0}], "covers": []}', "bad cell id 'a:b'"),
     ("{" + _CELLS + ', "covers": [["e", "v"], ["e", "x"], ["y", "v"]]}', "cover ('e', 'x') references unknown cell"),
     ('{"cells": [{"id": 5, "dim": 0}, {"id": "v", "dim": 0.5}], "covers": []}',
      "cells[1]: expected {'id': str, 'dim': int} (dim 0.5 is not an int)"),
@@ -144,6 +152,69 @@ def test_complex_input_errors_keep_their_text(text, message):
     with pytest.raises(ValueError) as exc:
         Complex.from_json(text)
     assert str(exc.value) == message
+
+
+def _json_text(rng, value) -> str:
+    """``value`` as JSON text; an object is a list of (key, value) pairs, so its keys may repeat."""
+    if isinstance(value, list) and value and isinstance(value[0], tuple):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(rng, v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_json_text(rng, v) for v in value) + "]"
+    return json.dumps(value)
+
+
+def _random_complex_doc(rng):
+    """A document shaped like a complex file, with repeated keys, colons in strings,
+    cells that are not objects and objects nested where no key is counted, each now and then."""
+    ids = ["a", "b", "a:b", "c:"]
+    cells = []
+    for _ in range(rng.randint(0, 4)):
+        cell = [("id", rng.choice(ids)), ("dim", rng.randint(0, 2))][:1 if rng.random() < 0.1 else 2]
+        if rng.random() < 0.1:
+            cell.append(rng.choice(cell))
+        cells.append(cell if rng.random() < 0.9 else rng.choice(ids))
+    covers = [[rng.choice(ids), rng.choice(ids) if rng.random() < 0.9 else [("x", 1), ("x:", 2)][:rng.randint(1, 2)]]
+              for _ in range(rng.randint(0, 3))]
+    doc = [("cells", cells), ("covers", covers)]
+    if rng.random() < 0.1:
+        doc.append(rng.choice(doc))
+    if rng.random() < 0.1:
+        doc.append(("extra", [("k", 1), ("k", 2)] if rng.random() < 0.5 else [("k", "v:w")]))
+    return doc
+
+
+def test_repeated_keys_are_found_exactly_by_the_colon_count():
+    """``Complex.from_json`` refuses a text for a repeated key exactly when a hook on every object
+    finds one, and otherwise reads it as it reads the same document written without repeats."""
+
+    def strict(pairs):
+        keys = [k for k, _ in pairs]
+        if len(set(keys)) < len(keys):
+            raise ValueError("repeated")
+        return dict(pairs)
+
+    def outcome(text):
+        try:
+            return Complex.from_json(text).to_json()
+        except ValueError as exc:
+            return str(exc)
+
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(2000):
+        text = _json_text(rng, _random_complex_doc(rng))
+        try:
+            json.loads(text, object_pairs_hook=strict)
+            repeated = False
+        except ValueError:
+            repeated = True
+        got = outcome(text)
+        assert got.startswith("repeated key ") == repeated, text
+        if not repeated:
+            assert got == outcome(json.dumps(json.loads(text))), text
+        outcomes.add((repeated, ":" in text.replace('": ', ""), got.startswith("{")))
+    assert {(r, c) for r, c, _ in outcomes} == {(False, False), (False, True), (True, False), (True, True)}
+    assert (False, False, True) in outcomes  # some texts are read as complexes
 
 
 def test_constructor_errors_keep_their_text():
@@ -217,15 +288,14 @@ def test_collection_checks_name_the_first_fault_of_the_entry_scan():
 def test_single_edge_sign_convention():
     cx = Complex([Cell("a", 0), Cell("b", 0), Cell("e", 1)], [("e", "a"), ("e", "b")])
     signs = assign_incidence_signs(cx)
-    assert signs("e", "a") == 1
-    assert signs("e", "b") == -1
+    assert signs == {"a": (), "b": (), "e": (1, -1)}
 
 
 def test_signs_deterministic():
     cx = fig2_complex()
     s1 = assign_incidence_signs(cx)
     s2 = assign_incidence_signs(cx)
-    assert s1.sign == s2.sign
+    assert s1 == s2
 
 
 def _d_squared_is_zero(cx):
@@ -395,7 +465,7 @@ def test_diamonds_match_the_all_pairs_scan():
 
 def _signs_or_error(assign, cx):
     try:
-        return "signs", assign(cx).sign
+        return "signs", assign(cx)
     except SignInconsistency as exc:
         return "error", str(exc)
 

@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -31,14 +32,18 @@ from morseflow.localization import zigzag_from_text
 
 from helpers import (
     RP2_FACETS,
+    assign_incidence_signs_reference,
+    cellular_chain_complex_reference,
     cosheaf_chain_complex_reference,
+    grid_surface_complex,
     cycle_graph_complex,
+    pair_signs,
     random_acyclic_matching,
     random_complex,
     random_twisted_cosheaf,
     simplicial_to_complex,
 )
-from morseflow.fixtures import fig2_complex, sphere_complex
+from morseflow.fixtures import FIXTURES, fig2_complex, sphere_complex
 
 
 def test_constant_cosheaf_is_valid_and_matches_cellular_homology():
@@ -112,6 +117,30 @@ def test_cosheaf_complex_equals_the_fraction_by_fraction_assembly():
             got = cosheaf_chain_complex(cx, signs, F)
             want = cosheaf_chain_complex_reference(cx, signs, F)
             assert {n: got.boundary(n) for n in want} == want
+
+
+def test_cellular_and_cosheaf_boundaries_equal_the_per_entry_references():
+    # the columns are read straight off the cover lists and the per-cell sign tuples;
+    # the references sum entry by entry from the (upper, lower) pair view
+    cases = [fx.complex for _, fx in sorted(FIXTURES.items())]
+    cases += [simplicial_to_complex(combinations(range(k + 1), k)) for k in (3, 4, 5)]
+    cases += [simplicial_to_complex(RP2_FACETS), grid_surface_complex(4, 4, False), grid_surface_complex(4, 4, True)]
+    cases.append(cycle_graph_complex(300))
+    rng = random.Random(61)
+    betti = set()
+    for cx in cases:
+        signs = assign_incidence_signs(cx)
+        assert signs == assign_incidence_signs_reference(cx)
+        want = cellular_chain_complex_reference(cx, signs)
+        for ring in (ZZ, QQ, PrimeField(3)):
+            cc = cellular_chain_complex(cx, signs, ring)
+            assert cc.ring is ZZ and cc.coefficients is ring
+            assert {n: cc.boundary(n) for n in want} == want
+            F = random_twisted_cosheaf(rng, cx, ring, 1 if len(cx.cells) > 100 else 2)
+            got = cosheaf_chain_complex(cx, signs, F)
+            assert {n: got.boundary(n) for n in want} == cosheaf_chain_complex_reference(cx, signs, F)
+            betti.add(homology(cc).betti())
+    assert {(1, 2, 1), (1, 1, 0), (1, 0, 0), (1, 1)} <= betti  # the torus, the Klein bottle and RP2 over Q, a circle
 
 
 def test_inconsistent_assembly_raises():
@@ -234,6 +263,7 @@ def test_empty_matching_reproduces_cosheaf_complex():
 def _gradient_path_sum(cx, signs, m, x, tgt):
     """Brute-force signed count of gradient paths for the constant cosheaf."""
     partner = {l: u for u, l in m.pairs}
+    sign = pair_signs(cx, signs)
 
     def walk(y):
         if y == tgt:
@@ -245,10 +275,10 @@ def _gradient_path_sum(cx, signs, m, x, tgt):
         for y2 in cx.cover_faces[u]:
             if y2 == y:
                 continue
-            total += -signs(u, y) * signs(u, y2) * walk(y2)
+            total += -sign[u, y] * sign[u, y2] * walk(y2)
         return total
 
-    return sum(signs(x, y) * walk(y) for y in cx.cover_faces[x])
+    return sum(sign[x, y] * walk(y) for y in cx.cover_faces[x])
 
 
 def test_morse_boundary_matches_path_sum_oracle():
@@ -411,6 +441,8 @@ def test_morse_transport_runs_past_the_recursion_limit():
 
 
 def test_cosheaf_and_morse_routes_check_d_squared_once(monkeypatch):
+    # the cosheaf route checks its one complex; the Morse route checks the cellular
+    # cosheaf complex (its diamond check) and then its own complex, once each
     checked = []
     check = ChainComplex.check_boundary_squares_to_zero
 
@@ -427,4 +459,5 @@ def test_cosheaf_and_morse_routes_check_d_squared_once(monkeypatch):
     checked.clear()
     mc = morse_chain_complex(cx, signs, F, random_acyclic_matching(random.Random(3), cx))
     homology(mc.chain)
-    assert checked == [mc.chain]
+    assert len(checked) == 2 and checked[1] is mc.chain
+    assert checked[0] == cosheaf_chain_complex(cx, signs, F)
