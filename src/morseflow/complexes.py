@@ -87,7 +87,8 @@ class Complex:
     then the covers, scanned one at a time to name the first bad entry.  The
     ids are indexed by dimension once, and that index serves ``ids``,
     ``cells_of_dim``, ``top_dim`` and ``cells``, built on first read.  The
-    strict faces of a cell are walked on first read and kept.
+    strict faces and the diamonds of a cell are found on first read and
+    kept.
     """
 
     def __init__(self, cells, covers):
@@ -109,6 +110,7 @@ class Complex:
         self.covers = pairs
         self.cover_faces = cover_faces
         self._faces = {}  # cid -> (sorted strict faces, their set), walked on first read
+        self._diamonds = {}  # cid of dimension 2 and up -> its intervals, found on first read
         self._ungraded = None  # the grading verdict, found on the first read of ``ungraded``
 
     @property
@@ -166,13 +168,18 @@ class Complex:
         z runs over the cells two dimensions below x that a cover of x
         covers.  The middles of z are the covers of x that cover z, in
         ``cover_faces[x]`` order; a regular complex has exactly two.  Below
-        dimension 2 there are none, as dimensions are at least 0.
+        dimension 2 there are none, as dimensions are at least 0.  The
+        intervals are found on first read and kept, like the strict faces:
+        validation, incidence signs and the cosheaf check read them alike.
         """
-        if self.dim_of[x] < 2:
-            return []
-        ys = self.cover_faces[x]
-        below = {z for y in ys for z in self.cover_faces[y] if self.dim_of[x] - self.dim_of[z] == 2}
-        return [(z, [y for y in ys if (y, z) in self.covers]) for z in sorted(below)]
+        got = self._diamonds.get(x)
+        if got is None:
+            if self.dim_of[x] < 2:
+                return []
+            ys = self.cover_faces[x]
+            below = {z for y in ys for z in self.cover_faces[y] if self.dim_of[x] - self.dim_of[z] == 2}
+            got = self._diamonds[x] = [(z, [y for y in ys if (y, z) in self.covers]) for z in sorted(below)]
+        return got
 
     # -- serialization ----------------------------------------------------
 

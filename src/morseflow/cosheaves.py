@@ -195,8 +195,10 @@ def cosheaf_chain_complex(c: Complex, signs: dict, F: Cosheaf) -> ChainComplex:
     Its d o d = 0 is the diamond check of both cosheaf routes: a diamond
     [z, x] of a valid complex has two middle cells y1, y2 with opposite sign
     products, so the (x, z) block of d o d is +-(F(y1>z)F(x>y1) -
-    F(y2>z)F(x>y2)), zero exactly when it commutes.  Only when the build
-    fails does ``validate_cosheaf`` walk the cosheaf, to name every fault.
+    F(y2>z)F(x>y2)), zero exactly when it commutes.  A cover without a map
+    is refused before the build, which reads no map out of a zero stalk.
+    Only then, or when the build fails, does ``validate_cosheaf`` walk the
+    cosheaf, to name every fault.
     """
     ring, cover_faces, normalize = F.ring, c.cover_faces, F.ring.normalize
 
@@ -209,6 +211,8 @@ def cosheaf_chain_complex(c: Complex, signs: dict, F: Cosheaf) -> ChainComplex:
                     cs.append(v if s > 0 else normalize(-v))
             yield fs, cs
 
+    if not F.maps.keys() >= c.covers:
+        raise ValueError(f"cosheaf fails validation: {validate_cosheaf(c, F)}")
     try:
         gens = _stalk_generators(F.stalk, [c.cells_of_dim(d) for d in range(max(c.top_dim, 0) + 1)])
         return ChainComplex.from_faces(ring, gens, faces)

@@ -1,8 +1,8 @@
-"""Bundled example complexes, matchings and expected result tables."""
+"""Bundled example complexes and matchings."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import Cell, Complex
 from .matchings import Matching
@@ -14,7 +14,6 @@ class Fixture:
     complex: Complex
     matching: Matching | None = None
     category: str = "entrance-path"
-    expected: dict = field(default_factory=dict)
 
 
 def sphere_complex() -> Complex:
@@ -55,56 +54,17 @@ def _fixtures() -> dict:
     sphere = sphere_complex()
     fig2 = fig2_complex()
     sphere_matching = Matching((("x", "y"), ("b", "z")), "classical")
-    table = {
-        "sphere": Fixture(
-            "sphere",
-            sphere,
-            expected={"cellular_betti_Z": [1, 0, 1], "nerve_betti_Q_dim3": [1, 0, 1]},
-        ),
+    return {
+        "sphere": Fixture("sphere", sphere),
         "fig2": Fixture(
             "fig2",
             fig2,
             matching=Matching((("wx", "x"), ("wy", "y"), ("xz", "z"), ("wxy", "xy")), "classical"),
-            expected={
-                "cellular_betti_Z": [1, 1],
-                "critical": ["w", "yz"],
-                "morse_betti_Z": [1, 1],
-            },
         ),
-        "calc61": Fixture(
-            "calc61",
-            sphere,
-            matching=sphere_matching,
-            expected={
-                "critical": ["t", "w"],
-                "classes_t_w": 8,
-                "hom_order_complex_betti": [1, 1],
-                "flow_nerve_betti": [1, 0, 1],
-            },
-        ),
-        "calc62": Fixture(
-            "calc62",
-            sphere,
-            matching=sphere_matching,
-            category="face-poset",
-            expected={
-                "classes_t_w": 4,
-                "bottom": "t > z < b > y < x > w",
-                "flow_nerve_betti": [1, 0, 0],
-            },
-        ),
-        "calc63": Fixture(
-            "calc63",
-            sphere,
-            matching=Matching((("b", "y"),), "generalized"),
-            expected={
-                "critical": ["t", "w"],
-                "status": "stable",
-                "flow_nerve_betti": [1, 0, 1],
-            },
-        ),
+        "calc61": Fixture("calc61", sphere, matching=sphere_matching),
+        "calc62": Fixture("calc62", sphere, matching=sphere_matching, category="face-poset"),
+        "calc63": Fixture("calc63", sphere, matching=Matching((("b", "y"),), "generalized")),
     }
-    return table
 
 
 FIXTURES = _fixtures()

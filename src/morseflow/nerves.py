@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -318,49 +317,3 @@ def nerve_homology(skel: SimplicialSetSkeleton, ring: Ring) -> HomologySummary:
     """
     summary = homology(normalized_chain_complex(skel, ring))
     return HomologySummary(summary.ring_name, summary.groups[:skel.maxdim])
-
-
-def greedy_collapses_to_point(skel: SimplicialSetSkeleton) -> bool:
-    """Elementary collapses of the chain complex of a poset, greedily applied.
-
-    Works on order complexes (no morphism data).  Returns True when the
-    complex collapses to a single vertex; False is inconclusive.
-    """
-    cells = {objects for level in skel._nondeg.values() for objects, _ in level}
-    if not cells:
-        return False
-    for _ in _greedy_collapses(cells):
-        pass
-    return len(cells) == 1 and len(next(iter(cells))) == 1
-
-
-def _facets(cell):
-    return [cell[:k] + cell[k + 1:] for k in range(len(cell))] if len(cell) > 1 else []
-
-
-def _greedy_collapses(cells: set):
-    """Remove the smallest free face of ``cells`` and its one coface until none is free.
-
-    A face is free when it is a cell and exactly one cell has it as a facet.
-    Yields each (face, coface) as it is removed.  The coface lists are kept
-    across collapses, and a heap holds every face that became free.
-    """
-    cofaces: dict = {}
-    for c in cells:
-        for f in _facets(c):
-            cofaces.setdefault(f, []).append(c)
-    free = [f for f, over in cofaces.items() if len(over) == 1 and f in cells]
-    heapq.heapify(free)
-    while free:
-        f = heapq.heappop(free)
-        if f not in cells or len(cofaces[f]) != 1:
-            continue  # collapsed already, or lost its coface since it was pushed
-        c = cofaces[f][0]
-        yield f, c
-        for gone in (f, c):
-            cells.discard(gone)
-            for g in _facets(gone):
-                over = cofaces[g]
-                over.remove(gone)
-                if len(over) == 1 and g in cells:
-                    heapq.heappush(free, g)

@@ -60,7 +60,6 @@ from morseflow.nerves import (
     Simplex,
     SimplicialSetSkeleton,
     geometric_nerve,
-    greedy_collapses_to_point,
     is_degenerate,
     nerve_homology,
     order_complex,
@@ -1023,7 +1022,8 @@ def restriction_objects_reference(cat, f) -> list:
 
 def check_mildness_reference(cat, ms) -> MildnessReport:
     """Reference mildness grading: each restriction category keeps the parent's
-    homs by a filter of every hom, and is loop-free by a test of every pair."""
+    homs by a filter of every hom, is loop-free by a test of every pair, and is
+    certified past the extremal test by a greedy collapse of its order complex."""
     entries = []
     for f in ms.sigma:
         objs = restriction_objects_reference(cat, f)
@@ -1040,7 +1040,7 @@ def check_mildness_reference(cat, ms) -> MildnessReport:
             graded = FAIL, "restriction category is empty"
         elif (extremal := find_homotopy_extremal(sub)) is not None:
             graded = CERTIFIED, f"homotopy-{extremal[1]} object {extremal[0]}"
-        elif greedy_collapses_to_point(order_complex(objs, lambda a, b: a == b or not sub.hom(a, b).is_empty())):
+        elif greedy_collapses_reference(order_complex(objs, lambda a, b: a == b or not sub.hom(a, b).is_empty()))[1]:
             graded = CERTIFIED, "order complex collapses to a point"
         else:
             betti = nerve_homology(geometric_nerve(sub, MILDNESS_NERVE_DIM), QQ).betti()
@@ -1064,9 +1064,9 @@ def graded_restrictions(cat, ms) -> list:
     return out
 
 
-def reachability_order_complex(sub):
+def reachability_order_complex(sub, maxdim=None):
     """The order complex of a category's reachability poset, a <= b when hom(a, b) is nonempty."""
-    return order_complex(sub.objects, lambda a, b: a == b or not sub.hom(a, b).is_empty())
+    return order_complex(sub.objects, lambda a, b: a == b or not sub.hom(a, b).is_empty(), maxdim)
 
 
 def flow_instances():

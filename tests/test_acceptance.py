@@ -112,6 +112,7 @@ def test_criterion_4_generalized_matching_stabilizes():
         fx = get_fixture("calc63")
         En = entrance_path_category(fx.complex)
         ms = matching_to_morse_system(fx.complex, fx.matching, En)
+        assert ms.critical == ("t", "w")
         flow, status = stabilized_flow(En, ms, 4)
         assert status == "stable"
         assert _nerve_betti(flow.category, 3) == (1, 0, 1)

@@ -570,6 +570,20 @@ def test_both_cosheaf_routes_refuse_a_non_commuting_cosheaf_alike(fixture_files,
             assert capsys.readouterr() == ("", line)
 
 
+
+def test_both_cosheaf_routes_refuse_a_cover_without_a_map_out_of_a_zero_stalk(fixture_files, tmp_path, capsys):
+    # the stalk of t is 0, so no generator reads the maps t>x and t>z, yet they are missing
+    calc61 = fixture_files["calc61"]
+    doc = json.loads(constant_cosheaf(get_fixture("calc61").complex, QQ).to_json())
+    doc["stalks"]["t"] = 0
+    del doc["maps"]["t>x"], doc["maps"]["t>z"]
+    cosheaf = _write_json(tmp_path / "zero-t.json", doc)
+    line = ("error: cosheaf fails validation: maps: no extension map for cover ('t', 'x'); "
+            "maps: no extension map for cover ('t', 'z')\n")
+    for argv in (["cosheaf", calc61["complex"], cosheaf], ["morse", calc61["complex"], calc61["matching"], cosheaf]):
+        assert main(["homology", *argv]) == 1
+        assert capsys.readouterr() == ("", line)
+
 def test_repeated_json_keys_are_refused_naming_the_key(fixture_files, tmp_path, capsys):
     calc61 = fixture_files["calc61"]
     text = constant_cosheaf(get_fixture("calc61").complex, QQ).to_json()

@@ -29,6 +29,7 @@ from helpers import (
     cycle_graph_complex,
     diamonds_reference,
     face_relation_reference,
+    grid_surface_complex,
     random_acyclic_matching,
     random_complex,
     simplicial_to_complex,
@@ -462,6 +463,23 @@ def test_diamonds_match_the_all_pairs_scan():
             middle_counts.update(len(mids) for _, mids in got)
     assert {1, 2, 3} <= middle_counts
 
+
+
+def test_each_cells_diamonds_are_kept_from_their_first_read():
+    # Signs read every diamond twice, once in validation and once for the parity
+    # constraints: the second read, and validate's, return the kept intervals.
+    cases = [fx.complex for _, fx in sorted(FIXTURES.items())]
+    cases += [simplicial_to_complex(combinations(range(k + 1), k)) for k in (3, 4, 5)]
+    cases += [simplicial_to_complex(RP2_FACETS), grid_surface_complex(4, 4, False), grid_surface_complex(4, 4, True)]
+    cases.append(cycle_graph_complex(300))
+    for cx in cases:
+        cx = Complex(cx.cells, cx.covers)  # the fixtures' complexes are shared
+        assert cx._diamonds == {}
+        signs = assign_incidence_signs(cx)
+        upper = [x for x in cx.ids() if cx.dim(x) >= 2]
+        assert cx._diamonds == {x: diamonds_reference(cx, x) for x in upper}
+        assert all(cx.diamonds(x) is cx._diamonds[x] for x in upper)
+        assert validate_complex(cx).ok and assign_incidence_signs(cx) == signs
 
 def _signs_or_error(assign, cx):
     try:

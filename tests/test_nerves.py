@@ -28,21 +28,16 @@ from morseflow import nerves
 from morseflow.categories import HomPoset, PCategory, sort_key
 from morseflow.cli import main
 from morseflow.fixtures import FIXTURES, get_fixture
-from morseflow.nerves import Simplex, _greedy_collapses, greedy_collapses_to_point, is_degenerate
+from morseflow.nerves import Simplex, is_degenerate
 
 from helpers import (
-    RP2_FACETS,
     SPHERE2_FACETS,
-    TORUS_FACETS,
     cycle_graph_complex,
     flow_instances,
     geometric_nerve_reference,
-    graded_restrictions,
-    greedy_collapses_reference,
     normalized_chain_complex_reference,
     random_acyclic_matching,
     random_complex,
-    reachability_order_complex,
     simplicial_to_complex,
 )
 from morseflow.fixtures import fig2_complex, sphere_complex
@@ -172,46 +167,6 @@ def test_boundary_squares_to_zero_on_nerves():
     En = entrance_path_category(S)
     cc = normalized_chain_complex(geometric_nerve(En, 3), ZZ)
     cc.check_boundary_squares_to_zero()
-
-
-def test_greedy_collapse():
-    assert greedy_collapses_to_point(order_complex([0, 1, 2], lambda a, b: a <= b))
-    two_points = order_complex([0, 1], lambda a, b: a == b)
-    assert not greedy_collapses_to_point(two_points)
-
-
-def test_greedy_collapses_match_the_rebuilding_reference():
-    # The order complex of every restriction poset past the extremal test for
-    # the bundled fixtures and flow_instances(), then barycentric
-    # subdivisions and random posets.
-    skels = []
-    for fx in FIXTURES.values():
-        if fx.matching is not None:
-            cat = face_poset_category(fx.complex) if fx.category == "face-poset" else entrance_path_category(fx.complex)
-            ms = matching_to_morse_system(fx.complex, fx.matching, cat)
-            skels += map(reachability_order_complex, graded_restrictions(cat, ms))
-    for _, En, ms, _ in flow_instances():
-        skels += map(reachability_order_complex, graded_restrictions(En, ms))
-    assert len(skels) >= 2
-    rng = random.Random(31)
-    spaces = [simplicial_to_complex(f) for f in (SPHERE2_FACETS, TORUS_FACETS, RP2_FACETS, [(1, 2, 3, 4)])]
-    spaces += [random_complex(rng, 10) for _ in range(20)]
-    for cx in spaces:
-        skels.append(order_complex(cx.ids(), lambda a, b, cx=cx: a == b or cx.is_face(b, a)))
-    for _ in range(40):
-        n = rng.randint(2, 8)
-        rel = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4}
-        for k in range(n):  # close it: a poset on range(n)
-            rel |= {(a, b) for (a, k1) in rel for (k2, b) in rel if k1 == k2 == k}
-        skels.append(order_complex(range(n), lambda a, b, rel=rel: a == b or (a, b) in rel))
-    verdicts = set()
-    for skel in skels:
-        sequence, verdict = greedy_collapses_reference(skel)
-        cells = {s.objects for level in skel.nondegenerate.values() for s in level}
-        assert list(_greedy_collapses(cells)) == sequence
-        assert greedy_collapses_to_point(skel) == verdict
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("cat, ms, max_len", [pytest.param(*rest, id=name) for name, *rest in flow_instances()])
